@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import secrets
 import sys
 from pathlib import Path
 
@@ -78,7 +79,7 @@ DEFAULTS = {
     "post_s": postprocess.TASK1_RUN3_PARAMS["s"],
     "synth_dir": None,
     "synth_num_queries": 100,
-    "synth_num_candidates": 800,
+    "synth_num_candidates": 850,
     "synth_relevant_per_query": 4.16,
     "synth_vocab_size": 500,
     "synth_overlap_strength": 3,
@@ -114,11 +115,19 @@ def _sha256(path):
 
 
 def _atomic_write(path, writer):
-    """Run ``writer(tmp_path)`` then atomically move the result into place."""
+    """Run ``writer(tmp_path)`` then atomically move the result into place.
+
+    The temp name is unique per call, so concurrent runs do not collide,
+    and it is removed if the writer raises.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -488,7 +497,7 @@ def cmd_tune(cfg):
                  if qid in set(splits["tune"])}
     pipeline = _pipeline(cfg, work)
     best, table = postprocess.grid_search(
-        pipeline.apply, _grid(cfg), runs, qrels, metric=cfg["metric"]
+        pipeline, _grid(cfg), runs, qrels, metric=cfg["metric"]
     )
     if cfg["task"] == "statute" and "threshold" in pipeline.order and splits:
         # Statute tuning picks p so the share of queries answered with two

@@ -164,6 +164,7 @@ def write_run_file(runs, path, tag="lexfuse"):
 
 def read_run_file(path):
     per_query = {}
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -173,10 +174,10 @@ def read_run_file(path):
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
             qid, doc_id, _rank, score, _tag = parts
-            entries = per_query.setdefault(qid, [])
-            if any(d == doc_id for d, _ in entries):
+            if (qid, doc_id) in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate candidate {doc_id!r}")
-            entries.append((doc_id, float(score)))
+            seen.add((qid, doc_id))
+            per_query.setdefault(qid, []).append((doc_id, float(score)))
     return {qid: ScoredList(qid, entries) for qid, entries in per_query.items()}
 
 

@@ -187,17 +187,23 @@ class PostprocessPipeline:
         if unknown:
             raise ValueError(f"unknown pipeline stages: {sorted(unknown)}")
 
-    def apply(self, runs, params):
-        current = runs
+    def stages(self, params):
+        """Ordered ``(key, filter)`` pairs of the stages ``params`` enables.
+
+        ``filter(runs)`` returns the filtered runs. ``key`` names the stage
+        and its frozen parameters, so two parameter sets whose stage keys
+        agree up to some point share that prefix's output.
+        """
+        out = []
         for stage in self.order:
             if stage == "date":
-                current = filter_by_trial_date(current, self.dates)
+                out.append(("date", lambda runs: filter_by_trial_date(runs, self.dates)))
             elif stage == "query":
-                current = filter_query_cases(current, self.query_ids)
+                out.append(("query", lambda runs: filter_query_cases(runs, self.query_ids)))
             elif stage == "duplicate":
                 if "t" in params:
                     dup = DuplicateParams(t=int(params["t"]), s=int(params.get("s", 0)))
-                    current, _ = filter_duplicates(current, dup)
+                    out.append((dup, lambda runs, dup=dup: filter_duplicates(runs, dup)[0]))
             elif stage == "cutoff":
                 if "h" in params:
                     cut = CutoffParams(
@@ -205,10 +211,17 @@ class PostprocessPipeline:
                         l=int(params.get("l", 0)),
                         p=float(params.get("p", 0.0)),
                     )
-                    current = dynamic_cutoff(current, cut)
+                    out.append((cut, lambda runs, cut=cut: dynamic_cutoff(runs, cut)))
             elif stage == "threshold":
                 if "p" in params:
-                    current = threshold_cutoff(current, ThresholdParams(p=float(params["p"])))
+                    thr = ThresholdParams(p=float(params["p"]))
+                    out.append((thr, lambda runs, thr=thr: threshold_cutoff(runs, thr)))
+        return out
+
+    def apply(self, runs, params):
+        current = runs
+        for _, stage in self.stages(params):
+            current = stage(current)
         return current
 
 
@@ -226,13 +239,16 @@ def _tie_break_key(params):
     )
 
 
-def grid_search(apply_fn, grid, validation_runs, qrels, metric="micro_f1"):
+def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
     """Exhaustively evaluate every grid point; return (best params, table).
 
-    ``apply_fn(runs, params)`` produces the post-processed runs for one
-    parameter combination. The argmax is deterministic: ties break on
-    (smaller h, larger p, smaller t, smaller s, smaller l), so the result
-    does not depend on enumeration order.
+    Each point runs ``pipeline.stages(params)`` on ``validation_runs``.
+    Stage outputs are memoized by the tuple of stage keys leading up to
+    them, so every distinct prefix of the filter chain is computed once
+    per call (with the default order, date and query filters once and the
+    duplicate filter once per (t, s)). The argmax is deterministic: ties
+    break on (smaller h, larger p, smaller t, smaller s, smaller l), so
+    the result does not depend on enumeration order.
     """
     if not grid:
         raise ValueError("grid must not be empty")
@@ -246,11 +262,23 @@ def grid_search(apply_fn, grid, validation_runs, qrels, metric="micro_f1"):
     names = sorted(grid)
     table = []
     best = None
+    memo = {}
     for combo in itertools.product(*(grid[name] for name in names)):
         params = dict(zip(names, combo))
         if "h" in params and "l" in params and params["l"] > params["h"]:
             continue  # infeasible: the cutoff minimum cannot exceed the maximum
-        report = metric_fn(apply_fn(validation_runs, params), qrels)
+        stages = pipeline.stages(params)
+        current = validation_runs
+        prefix = ()
+        for i, (key, stage) in enumerate(stages):
+            prefix += (key,)
+            if i == len(stages) - 1:
+                current = stage(current)  # the full chain is never shared
+            elif prefix in memo:
+                current = memo[prefix]
+            else:
+                current = memo[prefix] = stage(current)
+        report = metric_fn(current, qrels)
         row = dict(params)
         row["precision"] = report.precision
         row["recall"] = report.recall

@@ -42,7 +42,7 @@ _EXTERNAL_NOISE = 0.15
 @dataclass(frozen=True)
 class SyntheticSpec:
     num_queries: int = 100
-    num_candidates: int = 800
+    num_candidates: int = 850
     relevant_per_query: float = 4.16
     vocab_size: int = 500
     overlap_strength: int = 3

@@ -297,7 +297,7 @@ def test_criterion_6_grid_search_planted_optimum(tmp_path):
                 "t": [1, 2], "s": [0, 1, 2]}
         planted = {"p": 0.5, "h": 3, "l": 1, "t": 1, "s": 1}
         pipeline = PostprocessPipeline()
-        best, table = grid_search(pipeline.apply, grid, runs, qrels, metric="micro_f1")
+        best, table = grid_search(pipeline, grid, runs, qrels, metric="micro_f1")
         assert best == planted
 
         # Exhaustive recheck: planted point strictly maximizes micro-F1.
@@ -320,7 +320,7 @@ def test_criterion_6_grid_search_planted_optimum(tmp_path):
         for key in ("p", "h", "l", "t", "s"):
             assert cli.DEFAULTS[f"post_{key}"] == TASK1_RUN3_PARAMS[key]
         single = {k: [v] for k, v in TASK1_RUN3_PARAMS.items()}
-        best, report_rows = grid_search(pipeline.apply, single, runs, qrels)
+        best, report_rows = grid_search(pipeline, single, runs, qrels)
         assert best == TASK1_RUN3_PARAMS
         report_path = tmp_path / "tuning_report.tsv"
         write_tuning_report(report_rows, report_path)

@@ -172,6 +172,13 @@ class TestSynthCommand:
         for name in files_a[:10]:
             assert (a / "corpus" / name).read_bytes() == (b / "corpus" / name).read_bytes()
 
+    def test_shipped_defaults_generate(self, tmp_path):
+        synth_dir = tmp_path / "synth"
+        cfg = write_config(tmp_path / "cfg.json", synth_dir=str(synth_dir))
+        assert run("synth", cfg) == 0
+        assert len(json.loads((synth_dir / "queries.json").read_text())) == \
+            cli.DEFAULTS["synth_num_queries"]
+
     def test_planted_relevance_is_lexically_visible(self, tmp_path):
         synth_dir = tmp_path / "synth"
         cfg = write_config(
@@ -399,3 +406,33 @@ class TestErrors:
     def test_bad_task_value_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="weird")
         assert run("ingest", cfg) == 1
+
+
+class TestAtomicWrite:
+    def test_failed_writer_leaves_no_temp_and_keeps_target(self, tmp_path):
+        target = tmp_path / "artifact.json"
+        target.write_text("old contents")
+
+        def writer(tmp):
+            tmp.write_text("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            cli._atomic_write(target, writer)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert target.read_text() == "old contents"
+
+    def test_temp_names_are_unique_and_in_target_dir(self, tmp_path):
+        target = tmp_path / "artifact.json"
+        seen = []
+
+        def writer(tmp):
+            seen.append(tmp)
+            tmp.write_text(str(len(seen)))
+
+        cli._atomic_write(target, writer)
+        cli._atomic_write(target, writer)
+        assert seen[0] != seen[1]
+        assert all(t.parent == tmp_path and t.name.endswith(".tmp") for t in seen)
+        assert target.read_text() == "2"
+        assert not list(tmp_path.glob("*.tmp"))

@@ -183,6 +183,17 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="duplicate candidate"):
             read_run_file(path)
 
+    def test_run_file_duplicate_reports_second_occurrence_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "q1\tA\t1\t1.000000\tx\n"
+            "q2\tA\t1\t1.000000\tx\n"
+            "q1\tB\t2\t0.700000\tx\n"
+            "q1\tA\t3\t0.500000\tx\n"
+        )
+        with pytest.raises(ValueError, match=r"bad\.tsv:4: duplicate candidate 'A'"):
+            read_run_file(path)
+
     def test_qrels_round_trip(self, tmp_path):
         path = tmp_path / "qrels.json"
         write_qrels({"q1": {"B", "A"}}, path)

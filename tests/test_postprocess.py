@@ -4,7 +4,8 @@ from datetime import date
 
 import pytest
 
-from lexfuse.evaluation import micro_prf1
+from lexfuse import postprocess
+from lexfuse.evaluation import macro_prf2, micro_prf1
 from lexfuse.postprocess import (
     TASK1_RUN3_PARAMS,
     CutoffParams,
@@ -255,7 +256,7 @@ class TestGridSearch:
     def test_recovers_planted_optimum(self):
         runs, qrels, grid, planted = planted_scenario()
         pipeline = PostprocessPipeline()
-        best, table = grid_search(pipeline.apply, grid, runs, qrels, metric="micro_f1")
+        best, table = grid_search(pipeline, grid, runs, qrels, metric="micro_f1")
         assert best == planted
         # Independent exhaustive recomputation: the planted point's F1
         # strictly exceeds every other feasible grid point's.
@@ -277,7 +278,7 @@ class TestGridSearch:
         runs, qrels, _, _ = planted_scenario()
         pipeline = PostprocessPipeline()
         grid = {"p": [0.4], "h": [5], "l": [1], "t": [2], "s": [0]}
-        best, table = grid_search(pipeline.apply, grid, runs, qrels)
+        best, table = grid_search(pipeline, grid, runs, qrels)
         assert best == {"p": 0.4, "h": 5, "l": 1, "t": 2, "s": 0}
         assert len(table) == 1
 
@@ -285,8 +286,8 @@ class TestGridSearch:
         runs, qrels, grid, planted = planted_scenario()
         pipeline = PostprocessPipeline()
         reversed_grid = {k: list(reversed(v)) for k, v in grid.items()}
-        best_fwd, _ = grid_search(pipeline.apply, grid, runs, qrels)
-        best_rev, _ = grid_search(pipeline.apply, reversed_grid, runs, qrels)
+        best_fwd, _ = grid_search(pipeline, grid, runs, qrels)
+        best_rev, _ = grid_search(pipeline, reversed_grid, runs, qrels)
         assert best_fwd == best_rev == planted
 
     def test_tie_break_order(self):
@@ -295,7 +296,7 @@ class TestGridSearch:
         qrels = {"q": {"A"}}
         pipeline = PostprocessPipeline(order=("cutoff",))
         grid = {"p": [0.2, 0.8], "h": [2, 3], "l": [0], "t": [1], "s": [0]}
-        best, _ = grid_search(pipeline.apply, grid, runs, qrels)
+        best, _ = grid_search(pipeline, grid, runs, qrels)
         assert best == {"p": 0.8, "h": 2, "l": 0, "t": 1, "s": 0}
 
     def test_default_grid_covers_published_optima(self):
@@ -309,13 +310,100 @@ class TestGridSearch:
         runs, qrels, _, _ = planted_scenario()
         pipeline = PostprocessPipeline()
         grid = {k: [v] for k, v in TASK1_RUN3_PARAMS.items()}
-        best, table = grid_search(pipeline.apply, grid, runs, qrels)
+        best, table = grid_search(pipeline, grid, runs, qrels)
         assert best == TASK1_RUN3_PARAMS
         path = tmp_path / "report.tsv"
         write_tuning_report(table, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("h\tl\tp\ts\tt")
         assert lines[1].split("\t")[:5] == ["7", "1", "0.460000", "2", "1"]
+
+
+def staged_scenario(seed):
+    """Seeded runs over a small shared doc pool: ties, empty lists, query
+    cases among the candidates, and partly known dates."""
+    rng = random.Random(seed)
+    qids = [f"q{i}" for i in range(6)]
+    pool = [f"d{i:02d}" for i in range(14)] + qids[:3]
+    dates = {doc: date(2000 + rng.randrange(0, 10), 1, 1)
+             for doc in pool + qids if rng.random() < 0.7}
+    runs = {}
+    for qid in qids:
+        docs = rng.sample(pool, rng.choice([0, 1, 4, 8, 12]))
+        runs[qid] = ScoredList.from_scores(
+            qid, {doc: rng.choice([0.2, 0.4, 0.4, 0.7, 1.0]) for doc in docs})
+    qrels = {qid: set(rng.sample(pool, rng.randrange(0, 4))) for qid in qids[:5]}
+    grid = {"p": [0.0, 0.3, 0.5, 0.9], "h": [1, 2, 4], "l": [0, 1, 3],
+            "t": [1, 2], "s": [0, 1, 2]}
+    for values in grid.values():
+        rng.shuffle(values)
+    return runs, dates, set(qids), qrels, grid
+
+
+def naive_grid_search(pipeline, grid, runs, qrels, metric_fn):
+    """The whole chain per grid point, as the oracle for the staged tuner."""
+    names = sorted(grid)
+    table = []
+    best = None
+    for combo in itertools.product(*(grid[name] for name in names)):
+        params = dict(zip(names, combo))
+        if "h" in params and params["l"] > params["h"]:
+            continue
+        report = metric_fn(pipeline.apply(runs, params), qrels)
+        table.append(dict(params, precision=report.precision, recall=report.recall,
+                          f_measure=report.f_measure))
+        key = (-report.f_measure, params.get("h", 0), -params.get("p", 0.0),
+               params.get("t", 0), params.get("s", 0), params.get("l", 0))
+        if best is None or key < best[0]:
+            best = (key, params)
+    return best[1], table
+
+
+class TestStagedGridSearch:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("metric,metric_fn", [("micro_f1", micro_prf1),
+                                                  ("macro_f2", macro_prf2)])
+    @pytest.mark.parametrize("order", [("date", "query", "duplicate", "cutoff"),
+                                       ("date", "query", "cutoff", "duplicate"),
+                                       ("threshold",)])
+    def test_matches_naive_loop(self, tmp_path, seed, metric, metric_fn, order):
+        runs, dates, query_ids, qrels, grid = staged_scenario(seed)
+        if order == ("threshold",):
+            grid = {"p": grid["p"]}
+        pipeline = PostprocessPipeline(dates=dates, query_ids=query_ids, order=order)
+        best, table = grid_search(pipeline, grid, runs, qrels, metric=metric)
+        expected_best, expected_table = naive_grid_search(
+            pipeline, grid, runs, qrels, metric_fn)
+        assert best == expected_best
+        assert table == expected_table
+        write_tuning_report(table, tmp_path / "staged.tsv")
+        write_tuning_report(expected_table, tmp_path / "naive.tsv")
+        assert (tmp_path / "staged.tsv").read_bytes() == \
+            (tmp_path / "naive.tsv").read_bytes()
+
+    def test_each_prefix_computed_once(self, monkeypatch):
+        runs, dates, query_ids, qrels, grid = staged_scenario(0)
+        calls = {"date": 0, "duplicate": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(postprocess, "filter_by_trial_date",
+                            counting("date", filter_by_trial_date))
+        monkeypatch.setattr(postprocess, "filter_duplicates",
+                            counting("duplicate", filter_duplicates))
+        pipeline = PostprocessPipeline(dates=dates, query_ids=query_ids)
+        _, table = grid_search(pipeline, grid, runs, qrels)
+        assert len(table) > len(grid["t"]) * len(grid["s"])
+        assert calls == {"date": 1, "duplicate": len(grid["t"]) * len(grid["s"])}
+
+    def test_stages_follow_order_and_params(self):
+        pipeline = PostprocessPipeline(order=("cutoff", "query", "duplicate"))
+        keys = [key for key, _ in pipeline.stages({"h": 3, "l": 1, "p": 0.5})]
+        assert keys == [CutoffParams(h=3, l=1, p=0.5), "query"]
 
 
 class TestThresholdProportionTuning:
