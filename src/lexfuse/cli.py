@@ -2,9 +2,11 @@
 
 Subcommands run one stage each (ingest, index, score, features, train,
 rerank, tune, postprocess, eval, synth) against a flat JSON config file.
-Outputs are written atomically (temp file + rename) and every artifact is
-recorded in a manifest with input hashes, so identical config and seed
-reproduce byte-identical files.
+Each command reads and writes through one ``Stage``: outputs are written
+atomically (temp file + rename) and every artifact is recorded in a
+manifest with the hash of every input the command read, so identical
+config and seed reproduce byte-identical files and stale artifacts are
+refused.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal.
 """
@@ -44,7 +46,6 @@ DEFAULTS = {
     "splits_file": None,
     "work_dir": None,
     "seed": 0,
-    "threads": 1,
     "run_tag": "lexfuse",
     "lowercase": True,
     "min_token_len": 1,
@@ -114,6 +115,14 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _tree_sha256(path):
+    """One digest over the names and contents of a directory's ``*.txt`` files."""
+    digest = hashlib.sha256()
+    for item in sorted(path.glob("*.txt")):
+        digest.update(f"{item.name}\t{_sha256(item)}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
 def _atomic_write(path, writer):
     """Run ``writer(tmp_path)`` then atomically move the result into place.
 
@@ -131,54 +140,100 @@ def _atomic_write(path, writer):
     return path
 
 
-def _require_file(cfg, key):
-    value = cfg.get(key)
-    if not value:
-        raise ConfigError(f"config key {key!r} is required for this command")
-    if not Path(value).is_file():
-        raise DataError(f"{key}: no such file: {value}")
-    return Path(value)
+class Stage:
+    """The reads and writes of one command.
 
+    Every input is hashed when it is resolved and every output is written
+    atomically; ``record`` then enters each output in ``manifest.json``
+    with the full set of inputs the command had read. Reading a work-dir
+    artifact fails when an artifact it was built from has since changed.
+    """
 
-def _require_dir(cfg, key):
-    value = cfg.get(key)
-    if not value:
-        raise ConfigError(f"config key {key!r} is required for this command")
-    if not Path(value).is_dir():
-        raise DataError(f"{key}: no such directory: {value}")
-    return Path(value)
+    def __init__(self, cfg, command):
+        self.cfg = cfg
+        self.command = command
+        self.inputs = {}  # path -> sha256
+        self.outputs = []
 
+    @property
+    def work(self):
+        if not self.cfg.get("work_dir"):
+            raise ConfigError("config key 'work_dir' is required")
+        return Path(self.cfg["work_dir"])
 
-def _work_dir(cfg):
-    value = cfg.get("work_dir")
-    if not value:
-        raise ConfigError("config key 'work_dir' is required")
-    path = Path(value)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    def _manifest(self):
+        path = self.work / "manifest.json"
+        if not path.is_file():
+            return {"artifacts": {}}
+        return json.loads(path.read_text(encoding="utf-8"))
 
+    def artifact(self, name, required=True):
+        """Path of work-dir artifact ``name``; None if absent and not ``required``."""
+        path = self.work / name
+        if not path.is_file():
+            if required:
+                raise DataError(f"missing artifact: {path} (run the earlier stages first)")
+            return None
+        artifacts = self._manifest()["artifacts"]
+        current = {str(self.work / n): entry["sha256"] for n, entry in artifacts.items()}
+        for source, digest in artifacts.get(name, {}).get("inputs", {}).items():
+            if current.get(source, digest) != digest:
+                raise DataError(f"stale artifact: {path} was built from an older {source}; "
+                                f"rerun the stage that writes {name}")
+        self.inputs[str(path)] = _sha256(path)
+        return path
 
-def _record_artifact(cfg, command, output, inputs):
-    work = _work_dir(cfg)
-    manifest_path = work / "manifest.json"
-    manifest = {"artifacts": {}}
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    config_hash = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    manifest["artifacts"][str(Path(output).name)] = {
-        "command": command,
-        "sha256": _sha256(output),
-        "config_sha256": config_hash,
-        "inputs": {str(p): _sha256(p) for p in sorted(str(i) for i in inputs)},
-    }
-    _atomic_write(
-        manifest_path,
-        lambda tmp: tmp.write_text(
-            json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8"
-        ),
-    )
+    def _config_path(self, key, name):
+        value = self.cfg.get(key) if name is None else self.cfg[key].get(name)
+        label = key if name is None else f"{key}[{name!r}]"
+        if not value:
+            raise ConfigError(f"config key {label!r} is required for this command")
+        return Path(value), label
+
+    def file(self, key, name=None):
+        """Path of the input file config ``key`` names (entry ``name`` of a mapping)."""
+        path, label = self._config_path(key, name)
+        if not path.is_file():
+            raise DataError(f"{label}: no such file: {path}")
+        self.inputs[str(path)] = _sha256(path)
+        return path
+
+    def directory(self, key):
+        """Path of the input directory config ``key`` names."""
+        path, label = self._config_path(key, None)
+        if not path.is_dir():
+            raise DataError(f"{label}: no such directory: {path}")
+        self.inputs[str(path)] = _tree_sha256(path)
+        return path
+
+    def write(self, name, writer):
+        """Write work-dir artifact ``name`` atomically through ``writer(tmp_path)``."""
+        self.work.mkdir(parents=True, exist_ok=True)
+        path = _atomic_write(self.work / name, writer)
+        self.outputs.append(path)
+        return path
+
+    def record(self):
+        """Enter every output in the manifest, in one write."""
+        if not self.outputs:
+            return
+        manifest = self._manifest()
+        config_hash = hashlib.sha256(
+            json.dumps(self.cfg, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        for path in self.outputs:
+            manifest["artifacts"][path.name] = {
+                "command": self.command,
+                "sha256": _sha256(path),
+                "config_sha256": config_hash,
+                "inputs": dict(sorted(self.inputs.items())),
+            }
+        _atomic_write(
+            self.work / "manifest.json",
+            lambda tmp: tmp.write_text(
+                json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8"
+            ),
+        )
 
 
 def _tokenizer_config(cfg, ngram=False):
@@ -194,30 +249,37 @@ def _load_docs(path):
     return {doc.id: doc for doc in ingest.read_clean_jsonl(path)}
 
 
-def _load_query_ids(cfg):
-    path = _require_file(cfg, "queries_file")
+def _load_query_ids(stage):
+    path = stage.file("queries_file")
     ids = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(ids, list) or not all(isinstance(q, str) for q in ids):
         raise DataError(f"{path}: queries file must be a JSON list of ids")
     return ids
 
 
-def _load_splits(cfg):
-    if not cfg.get("splits_file"):
+def _query_docs(stage):
+    """Cleaned documents of the configured queries.
+
+    Queries are corpus documents (case task) or separate files (statute).
+    """
+    name = "queries.jsonl" if stage.cfg["task"] == "statute" else "clean.jsonl"
+    docs = _load_docs(stage.artifact(name))
+    query_ids = _load_query_ids(stage)
+    missing = [q for q in query_ids if q not in docs]
+    if missing:
+        raise DataError(f"query ids without cleaned documents: {missing[:5]}")
+    return {qid: docs[qid] for qid in query_ids}
+
+
+def _load_splits(stage):
+    if not stage.cfg.get("splits_file"):
         return None
-    path = _require_file(cfg, "splits_file")
+    path = stage.file("splits_file")
     splits = json.loads(path.read_text(encoding="utf-8"))
     for name in ("train", "tune", "test"):
         if name not in splits:
             raise DataError(f"{path}: missing split {name!r}")
     return splits
-
-
-def _query_doc_map(cfg, work):
-    """Queries are corpus documents (case task) or separate files (statute)."""
-    if cfg["task"] == "statute":
-        return _load_docs(work / "queries.jsonl")
-    return _load_docs(work / "clean.jsonl")
 
 
 def _restrict(runs, qids):
@@ -227,36 +289,31 @@ def _restrict(runs, qids):
 
 # -- commands --------------------------------------------------------------------
 
-def cmd_ingest(cfg):
-    corpus_dir = _require_dir(cfg, "corpus_dir")
-    work = _work_dir(cfg)
+def _tokenized_doc(doc_id, body, tokenizer):
+    doc = ingest.CleanDocument(id=doc_id, body=body)
+    doc.token_length = len(tokenize(doc.text, tokenizer))
+    return doc
+
+
+def cmd_ingest(stage):
+    cfg = stage.cfg
+    corpus_dir = stage.directory("corpus_dir")
     raws = ingest.load_raw_corpus(corpus_dir)
     if not raws:
         raise DataError(f"no .txt documents under {corpus_dir}")
     tokenizer = _tokenizer_config(cfg)
 
     if cfg["task"] == "statute":
-        docs = []
-        for raw in raws:
-            article = ingest.preprocess_article(raw)
-            doc = ingest.CleanDocument(id=article.article_id, body=article.content)
-            doc.token_length = len(tokenize(doc.text, tokenizer))
-            docs.append(doc)
+        articles = [ingest.preprocess_article(raw) for raw in raws]
+        docs = [_tokenized_doc(a.article_id, a.content, tokenizer) for a in articles]
         stats = ingest.IngestStats(documents=len(docs))
-        q_raws = ingest.load_raw_corpus(_require_dir(cfg, "queries_dir"))
-        queries = []
-        for raw in q_raws:
-            doc = ingest.CleanDocument(id=raw.id, body=raw.text.strip())
-            doc.token_length = len(tokenize(doc.text, tokenizer))
-            queries.append(doc)
-        out = _atomic_write(work / "queries.jsonl",
-                            lambda tmp: ingest.write_clean_jsonl(queries, tmp))
-        _record_artifact(cfg, "ingest", out, [])
+        queries = [_tokenized_doc(raw.id, raw.text.strip(), tokenizer)
+                   for raw in ingest.load_raw_corpus(stage.directory("queries_dir"))]
+        stage.write("queries.jsonl", lambda tmp: ingest.write_clean_jsonl(queries, tmp))
     else:
         docs, stats = ingest.preprocess_corpus(raws, tokenizer)
 
-    out = _atomic_write(work / "clean.jsonl",
-                        lambda tmp: ingest.write_clean_jsonl(docs, tmp))
+    out = stage.write("clean.jsonl", lambda tmp: ingest.write_clean_jsonl(docs, tmp))
     stats_payload = {
         "documents": stats.documents,
         "placeholders_removed": stats.placeholders_removed,
@@ -264,110 +321,86 @@ def cmd_ingest(cfg):
         "kept_verbatim_ids": sorted(stats.kept_verbatim_ids),
         "dated_documents": stats.dated_documents,
     }
-    _atomic_write(
-        work / "ingest_stats.json",
-        lambda tmp: tmp.write_text(
-            json.dumps(stats_payload, sort_keys=True, indent=1), encoding="utf-8"
-        ),
-    )
-    _record_artifact(cfg, "ingest", out, [])
+    stage.write("ingest_stats.json", lambda tmp: tmp.write_text(
+        json.dumps(stats_payload, sort_keys=True, indent=1), encoding="utf-8"))
     print(f"ingest: {stats.documents} documents -> {out}")
-    return 0
 
 
-def cmd_index(cfg):
-    work = _work_dir(cfg)
-    clean = _require_path(work / "clean.jsonl")
-    docs = ingest.read_clean_jsonl(clean)
+def cmd_index(stage):
+    docs = ingest.read_clean_jsonl(stage.artifact("clean.jsonl"))
     pairs = [(d.id, d.text) for d in docs]
     for name, ngram in (("index_plain.json", False), ("index_ngram.json", True)):
-        index = build_index(pairs, _tokenizer_config(cfg, ngram=ngram))
-        out = _atomic_write(work / name, lambda tmp: index.save(tmp))
-        _record_artifact(cfg, "index", out, [clean])
+        index = build_index(pairs, _tokenizer_config(stage.cfg, ngram=ngram))
+        out = stage.write(name, lambda tmp: index.save(tmp))
         print(f"index: {index.num_docs} docs, {len(index.postings)} terms -> {out}")
-    return 0
 
 
-def _require_path(path):
-    if not Path(path).is_file():
-        raise DataError(f"missing artifact: {path} (run the earlier stages first)")
-    return Path(path)
+_INDEX_SCORERS = (("index_plain.json", ("bm25", "qld")),
+                  ("index_ngram.json", ("bm25_ngram",)))
 
 
-_SCORER_INDEX = {"bm25": "index_plain.json", "qld": "index_plain.json",
-                 "bm25_ngram": "index_ngram.json"}
-
-
-def cmd_score(cfg):
-    work = _work_dir(cfg)
-    query_ids = _load_query_ids(cfg)
-    queries = _query_doc_map(cfg, work)
-    missing = [q for q in query_ids if q not in queries]
-    if missing:
-        raise DataError(f"query ids without cleaned documents: {missing[:5]}")
+def cmd_score(stage):
+    cfg = stage.cfg
+    queries = _query_docs(stage)
     bm25_params = scorers.Bm25Params(k1=float(cfg["bm25_k1"]), b=float(cfg["bm25_b"]))
     qld_params = scorers.QldParams(mu=float(cfg["qld_mu"]))
-    for scorer in scorers.SCORER_NAMES:
-        index = InvertedIndex.load(_require_path(work / _SCORER_INDEX[scorer]))
-        params = qld_params if scorer == "qld" else bm25_params
-        lists = [
-            scorers.score_all(index, qid, queries[qid].text, scorer, params)
-            for qid in sorted(query_ids)
-        ]
-        out = _atomic_write(work / f"scores_{scorer}.tsv",
-                            lambda tmp: scorers.write_score_dump(lists, tmp))
-        _record_artifact(cfg, "score", out, [work / _SCORER_INDEX[scorer]])
-        print(f"score: {scorer} over {len(lists)} queries -> {out}")
-    return 0
+    for index_name, names in _INDEX_SCORERS:
+        index = InvertedIndex.load(stage.artifact(index_name))
+        for scorer in names:
+            params = qld_params if scorer == "qld" else bm25_params
+            lists = [
+                scorers.score_all(index, qid, queries[qid].text, scorer, params)
+                for qid in sorted(queries)
+            ]
+            out = stage.write(f"scores_{scorer}.tsv",
+                              lambda tmp: scorers.write_score_dump(lists, tmp))
+            print(f"score: {scorer} over {len(lists)} queries -> {out}")
 
 
 _SCORER_FEATURE = {"bm25": "BM25", "qld": "QLD", "bm25_ngram": "BM25_ngram"}
 
 
-def cmd_features(cfg):
-    work = _work_dir(cfg)
+def cmd_features(stage):
+    cfg = stage.cfg
     schema = features.get_schema(cfg["schema"])
-    candidates = _load_docs(_require_path(work / "clean.jsonl"))
-    queries_all = _query_doc_map(cfg, work)
-    query_ids = _load_query_ids(cfg)
-    missing = [q for q in query_ids if q not in queries_all]
-    if missing:
-        raise DataError(f"query ids without cleaned documents: {missing[:5]}")
-    queries = {qid: queries_all[qid] for qid in query_ids}
+    candidates = _load_docs(stage.artifact("clean.jsonl"))
+    queries = _query_docs(stage)
 
     depth = int(cfg["rerank_depth"])
     internal = {}
-    inputs = []
     for scorer in scorers.SCORER_NAMES:
-        path = _require_path(work / f"scores_{scorer}.tsv")
-        inputs.append(path)
-        lists = scorers.read_score_dump(path)
+        lists = scorers.read_score_dump(stage.artifact(f"scores_{scorer}.tsv"))
         if depth > 0:
             lists = {qid: scorers.top_k(slist, depth) for qid, slist in lists.items()}
         internal[_SCORER_FEATURE[scorer]] = lists
 
-    externals = []
-    for name in sorted(cfg["external_scores"]):
-        path = Path(cfg["external_scores"][name])
-        if not path.is_file():
-            raise DataError(f"external score file not found: {path}")
-        inputs.append(path)
-        externals.append(features.ExternalScoreFile.load(name, path))
+    externals = [
+        features.ExternalScoreFile.load(name, stage.file("external_scores", name))
+        for name in sorted(cfg["external_scores"])
+    ]
 
     table = features.assemble(queries, candidates, internal, externals, schema)
     if cfg.get("qrels_file"):
-        qrels = evaluation.load_qrels(_require_file(cfg, "qrels_file"))
+        qrels = evaluation.load_qrels(stage.file("qrels_file"))
         table, unseen = features.attach_labels(table, qrels)
         if unseen:
             print(f"features: warning: {unseen} qrel pairs never appear in the table")
-    out = _atomic_write(work / "features.tsv", lambda tmp: table.to_tsv(tmp))
-    _record_artifact(cfg, "features", out, inputs)
+    out = stage.write("features.tsv", lambda tmp: table.to_tsv(tmp))
     print(f"features: {len(table)} rows x {len(schema)} features -> {out}")
-    return 0
 
 
-def _train_config(cfg, validation_queries):
-    return ltr.TrainConfig(
+def cmd_train(stage):
+    cfg = stage.cfg
+    table = features.FeatureTable.from_tsv(stage.artifact("features.tsv"))
+    splits = _load_splits(stage)
+    if splits:
+        # Early stopping uses a slice of the train split; the tune split
+        # stays unseen so the post-processing grid search is not biased
+        # by model selection.
+        keep = set(splits["train"])
+        table = features.FeatureTable(
+            table.schema, [r for r in table.rows if r.query_id in keep])
+    model = ltr.train(table, ltr.TrainConfig(
         num_trees=int(cfg["ltr_num_trees"]),
         max_leaves=int(cfg["ltr_max_leaves"]),
         learning_rate=float(cfg["ltr_learning_rate"]),
@@ -375,39 +408,15 @@ def _train_config(cfg, validation_queries):
         ndcg_truncation=int(cfg["ltr_ndcg_truncation"]),
         seed=int(cfg["seed"]),
         validation_fraction=float(cfg["ltr_validation_fraction"]),
-        validation_queries=validation_queries,
         patience=int(cfg["ltr_patience"]),
-    )
-
-
-def _subset_table(table, qids):
-    qids = set(qids)
-    rows = [r for r in table.rows if r.query_id in qids]
-    return features.FeatureTable(table.schema, rows)
-
-
-def cmd_train(cfg):
-    work = _work_dir(cfg)
-    table_path = _require_path(work / "features.tsv")
-    table = features.FeatureTable.from_tsv(table_path)
-    splits = _load_splits(cfg)
-    if splits:
-        # Early stopping uses a slice of the train split; the tune split
-        # stays unseen so the post-processing grid search is not biased
-        # by model selection.
-        table = _subset_table(table, splits["train"])
-    train_config = _train_config(cfg, None)
-    model = ltr.train(table, train_config)
-    out = _atomic_write(work / "model.json", lambda tmp: model.save(tmp))
-    _record_artifact(cfg, "train", out, [table_path])
-    _atomic_write(work / "train_log.tsv",
-                  lambda tmp: ltr.write_training_log(model.history, tmp))
+    ))
+    out = stage.write("model.json", lambda tmp: model.save(tmp))
+    stage.write("train_log.tsv", lambda tmp: ltr.write_training_log(model.history, tmp))
     best = model.config["best_iteration"]
     print(
         f"train: kept {len(model.trees)} trees (best iteration {best}), "
         f"validation P@1 {model.validation_precision_at_1:.4f} -> {out}"
     )
-    return 0
 
 
 _SCORE_FLOOR = 1e-6
@@ -442,30 +451,25 @@ def _calibrate_positive(runs):
     return out
 
 
-def cmd_rerank(cfg):
-    work = _work_dir(cfg)
-    table_path = _require_path(work / "features.tsv")
-    model_path = _require_path(work / "model.json")
-    table = features.FeatureTable.from_tsv(table_path)
-    model = ltr.TreeEnsemble.load(model_path)
+def cmd_rerank(stage):
+    table = features.FeatureTable.from_tsv(stage.artifact("features.tsv"))
+    model = ltr.TreeEnsemble.load(stage.artifact("model.json"))
     runs = _calibrate_positive(ltr.predict(model, table))
-    out = _atomic_write(
-        work / "run_raw.tsv",
-        lambda tmp: evaluation.write_run_file(runs, tmp, tag=cfg["run_tag"]),
+    out = stage.write(
+        "run_raw.tsv",
+        lambda tmp: evaluation.write_run_file(runs, tmp, tag=stage.cfg["run_tag"]),
     )
-    _record_artifact(cfg, "rerank", out, [table_path, model_path])
     print(f"rerank: {len(runs)} queries -> {out}")
-    return 0
 
 
-def _pipeline(cfg, work):
-    order = tuple(stage.strip() for stage in cfg["filter_order"].split(",") if stage.strip())
-    docs = _load_docs(_require_path(work / "clean.jsonl"))
+def _pipeline(stage):
+    cfg = stage.cfg
+    order = tuple(name.strip() for name in cfg["filter_order"].split(",") if name.strip())
+    # Statute questions carry no trial date, so the corpus dates are all
+    # the date filter can use.
+    docs = _load_docs(stage.artifact("clean.jsonl"))
     dates = {doc_id: doc.trial_date for doc_id, doc in docs.items()}
-    if cfg["task"] == "statute":
-        queries = _query_doc_map(cfg, work)
-        dates.update({qid: doc.trial_date for qid, doc in queries.items()})
-    query_ids = frozenset(_load_query_ids(cfg))
+    query_ids = frozenset(_load_query_ids(stage))
     return postprocess.PostprocessPipeline(dates=dates, query_ids=query_ids, order=order)
 
 
@@ -484,18 +488,16 @@ def _grid(cfg):
     return grid
 
 
-def cmd_tune(cfg):
-    work = _work_dir(cfg)
-    run_path = _require_path(work / "run_raw.tsv")
-    runs = evaluation.read_run_file(run_path)
-    all_qrels = evaluation.load_qrels(_require_file(cfg, "qrels_file"))
+def cmd_tune(stage):
+    cfg = stage.cfg
+    runs = evaluation.read_run_file(stage.artifact("run_raw.tsv"))
+    all_qrels = evaluation.load_qrels(stage.file("qrels_file"))
     qrels = all_qrels
-    splits = _load_splits(cfg)
+    splits = _load_splits(stage)
     if splits:
         runs = _restrict(runs, splits["tune"])
-        qrels = {qid: docs for qid, docs in all_qrels.items()
-                 if qid in set(splits["tune"])}
-    pipeline = _pipeline(cfg, work)
+        qrels = _restrict(all_qrels, splits["tune"])
+    pipeline = _pipeline(stage)
     best, table = postprocess.grid_search(
         pipeline, _grid(cfg), runs, qrels, metric=cfg["metric"]
     )
@@ -507,50 +509,40 @@ def cmd_tune(cfg):
             target = sum(1 for docs in train_qrels if len(docs) >= 2) / len(train_qrels)
             best = {"p": postprocess.tune_threshold_by_proportion(
                 runs, _grid(cfg)["p"], target)}
-    out = _atomic_write(work / "tuning_report.tsv",
-                        lambda tmp: postprocess.write_tuning_report(table, tmp))
-    _record_artifact(cfg, "tune", out, [run_path])
-    _atomic_write(
-        work / "tuned_params.json",
-        lambda tmp: tmp.write_text(json.dumps(best, sort_keys=True), encoding="utf-8"),
-    )
+    out = stage.write("tuning_report.tsv",
+                      lambda tmp: postprocess.write_tuning_report(table, tmp))
+    stage.write("tuned_params.json", lambda tmp: tmp.write_text(
+        json.dumps(best, sort_keys=True), encoding="utf-8"))
     print(f"tune: {len(table)} grid points, best {best} -> {out}")
-    return 0
 
 
-def cmd_postprocess(cfg):
-    work = _work_dir(cfg)
-    run_path = _require_path(work / "run_raw.tsv")
-    runs = evaluation.read_run_file(run_path)
-    tuned_path = work / "tuned_params.json"
-    if tuned_path.is_file():
+def cmd_postprocess(stage):
+    cfg = stage.cfg
+    runs = evaluation.read_run_file(stage.artifact("run_raw.tsv"))
+    tuned_path = stage.artifact("tuned_params.json", required=False)
+    if tuned_path is not None:
         params = json.loads(tuned_path.read_text(encoding="utf-8"))
     else:
         params = {name: cfg[f"post_{name}"] for name in ("p", "h", "l", "t", "s")}
-    pipeline = _pipeline(cfg, work)
-    final = pipeline.apply(runs, params)
-    out = _atomic_write(
-        work / "run_final.tsv",
+    final = _pipeline(stage).apply(runs, params)
+    out = stage.write(
+        "run_final.tsv",
         lambda tmp: evaluation.write_run_file(final, tmp, tag=cfg["run_tag"]),
     )
-    _record_artifact(cfg, "postprocess", out, [run_path])
     print(f"postprocess: params {params} -> {out}")
-    return 0
 
 
-def cmd_eval(cfg):
-    work = _work_dir(cfg)
-    run_path = Path(cfg["eval_run"]) if cfg.get("eval_run") else work / "run_final.tsv"
-    run_path = _require_path(run_path)
+def cmd_eval(stage):
+    cfg = stage.cfg
+    run_path = stage.file("eval_run") if cfg.get("eval_run") else stage.artifact("run_final.tsv")
     runs = evaluation.read_run_file(run_path)
-    qrels = evaluation.load_qrels(_require_file(cfg, "qrels_file"))
-    splits = _load_splits(cfg)
+    qrels = evaluation.load_qrels(stage.file("qrels_file"))
+    splits = _load_splits(stage)
     if splits and cfg["eval_split"] != "all":
         if cfg["eval_split"] not in splits:
             raise ConfigError(f"unknown eval_split: {cfg['eval_split']!r}")
-        keep = set(splits[cfg["eval_split"]])
-        runs = _restrict(runs, keep)
-        qrels = {qid: docs for qid, docs in qrels.items() if qid in keep}
+        runs = _restrict(runs, splits[cfg["eval_split"]])
+        qrels = _restrict(qrels, splits[cfg["eval_split"]])
     if cfg["metric"] == "macro_f2":
         report = evaluation.macro_prf2(runs, qrels)
     else:
@@ -561,17 +553,16 @@ def cmd_eval(cfg):
         "recall_at": {str(k): evaluation.recall_at_k(runs, qrels, k) for k in (5, 10, 30)},
         "queries": len(set(runs) | set(qrels)),
     }
-    out = _atomic_write(work / "eval_report.json",
-                        lambda tmp: evaluation.write_report(report, tmp, extra=extra))
-    _record_artifact(cfg, "eval", out, [run_path])
+    out = stage.write("eval_report.json",
+                      lambda tmp: evaluation.write_report(report, tmp, extra=extra))
     print(
         f"eval[{cfg['metric']}]: P={report.precision:.4f} R={report.recall:.4f} "
         f"F={report.f_measure:.4f} -> {out}"
     )
-    return 0
 
 
-def cmd_synth(cfg):
+def cmd_synth(stage):
+    cfg = stage.cfg
     if not cfg.get("synth_dir"):
         raise ConfigError("config key 'synth_dir' is required for synth")
     spec = synth.SyntheticSpec(
@@ -588,7 +579,6 @@ def cmd_synth(cfg):
         f"synth: {summary['documents']} documents, {summary['queries']} queries, "
         f"{summary['relevant_pairs']} relevant pairs -> {cfg['synth_dir']}"
     )
-    return 0
 
 
 _COMMANDS = {
@@ -616,8 +606,6 @@ def _build_parser():
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="flat JSON config file")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="cap on worker threads (stages may use fewer)")
     return parser
 
 
@@ -625,10 +613,14 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config)
-        if args.threads is not None:
-            cfg["threads"] = args.threads
-        return _COMMANDS[args.command](cfg)
+        stage = Stage(load_config(args.config), args.command)
+        try:
+            _COMMANDS[args.command](stage)
+        finally:
+            # Outputs written before a failure are on disk too; the
+            # manifest must describe them.
+            stage.record()
+        return 0
     except ConfigError as exc:
         print(f"lexfuse: usage error: {exc}", file=sys.stderr)
         return 1

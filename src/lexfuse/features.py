@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .scorers import ScoredList
+from .scorers import read_score_dump
 
 
 class AssemblyError(ValueError):
@@ -125,73 +125,35 @@ class FeatureTable:
                 parts = line.split("\t")
                 if len(parts) != 3 + len(names):
                     raise ExternalScoreError(f"{path}:{lineno}: expected {3 + len(names)} fields")
-                label = int(parts[2])
+                try:
+                    label = int(parts[2])
+                    values = tuple(float(v) for v in parts[3:])
+                except ValueError:
+                    raise ExternalScoreError(
+                        f"{path}:{lineno}: bad label or feature value"
+                    ) from None
                 rows.append(FeatureRow(
                     query_id=parts[0],
                     candidate_id=parts[1],
-                    values=tuple(float(v) for v in parts[3:]),
+                    values=values,
                     label=None if label < 0 else label,
                 ))
         return cls(schema, rows)
 
 
+@dataclass
 class ExternalScoreFile:
-    """Precomputed (query, doc) scores, e.g. dense-model inner products."""
+    """Precomputed per-query score lists, e.g. dense-model inner products."""
 
-    def __init__(self, name, scores):
-        self.name = name
-        self.scores = scores  # (query_id, doc_id) -> float
-        self._per_query = None
-        self._ranks = {}
+    name: str
+    lists: dict  # query_id -> ScoredList
 
     @classmethod
     def load(cls, name, path):
-        path = Path(path)
-        scores = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ExternalScoreError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields"
-                    )
-                qid, doc_id, raw = parts
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ExternalScoreError(
-                        f"{path}:{lineno}: bad score {raw!r}"
-                    ) from None
-                if (qid, doc_id) in scores:
-                    raise ExternalScoreError(
-                        f"{path}:{lineno}: duplicate pair ({qid}, {doc_id})"
-                    )
-                scores[(qid, doc_id)] = value
-        return cls(name, scores)
-
-    def _query_lists(self):
-        if self._per_query is None:
-            grouped = {}
-            for (qid, doc_id), score in self.scores.items():
-                grouped.setdefault(qid, {})[doc_id] = score
-            self._per_query = {
-                qid: ScoredList.from_scores(qid, docs) for qid, docs in grouped.items()
-            }
-        return self._per_query
-
-    def score(self, qid, doc_id):
-        return self.scores.get((qid, doc_id), 0.0)
-
-    def rank(self, qid, doc_id):
-        slist = self._query_lists().get(qid)
-        if slist is None:
-            return 1
-        if qid not in self._ranks:
-            self._ranks[qid] = rank_feature(slist)
-        return self._ranks[qid].get(doc_id, len(slist) + 1)
+        try:
+            return cls(name, read_score_dump(path))
+        except ValueError as exc:
+            raise ExternalScoreError(str(exc)) from None
 
 
 def rank_feature(slist):
@@ -212,16 +174,15 @@ _META_FEATURES = {
 
 
 class _SourceView:
-    """Uniform score/rank lookups over one internal scorer or external file."""
+    """Score and rank lookups over one source's per-query lists."""
 
-    def __init__(self, per_query_lists=None, external=None):
+    def __init__(self, per_query_lists):
         self._lists = per_query_lists
-        self._external = external
         self._cache = {}
 
     def _for_query(self, qid):
         if qid not in self._cache:
-            slist = self._lists.get(qid) if self._lists is not None else None
+            slist = self._lists.get(qid)
             if slist is None:
                 self._cache[qid] = ({}, {}, 0)
             else:
@@ -230,14 +191,10 @@ class _SourceView:
         return self._cache[qid]
 
     def score(self, qid, doc_id):
-        if self._external is not None:
-            return self._external.score(qid, doc_id)
         scores, _, _ = self._for_query(qid)
         return scores.get(doc_id, 0.0)
 
     def rank(self, qid, doc_id):
-        if self._external is not None:
-            return self._external.rank(qid, doc_id)
         _, ranks, length = self._for_query(qid)
         return ranks.get(doc_id, length + 1)
 
@@ -252,11 +209,11 @@ def assemble(queries, candidates, internal_scores, externals, schema):
     """
     sources = {}
     for name in internal_scores:
-        sources[name] = _SourceView(per_query_lists=internal_scores[name])
+        sources[name] = _SourceView(internal_scores[name])
     for ext in externals:
         if ext.name in sources:
             raise AssemblyError(f"duplicate feature source: {ext.name!r}")
-        sources[ext.name] = _SourceView(external=ext)
+        sources[ext.name] = _SourceView(ext.lists)
 
     def resolve(name, qid, cid, qdoc, cdoc):
         meta = _META_FEATURES.get(name)

@@ -142,10 +142,14 @@ def dynamic_cutoff(runs, params):
         if not entries:
             out[qid] = ScoredList(qid, [])
             continue
-        top = entries[0][1]
-        threshold = params.p * top
-        passing = sum(1 for _, score in entries if score > threshold)
-        count = min(params.h, passing)
+        threshold = params.p * entries[0][1]
+        # Entries are sorted by score, so the passing ones form a prefix;
+        # counting stops at the first failure or at h.
+        count = 0
+        for _, score in entries:
+            if count == params.h or not score > threshold:
+                break
+            count += 1
         if count < params.l:
             count = min(params.l, len(entries))
         out[qid] = ScoredList(qid, list(entries[:count]))

@@ -190,9 +190,13 @@ def read_score_dump(path):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qid, doc_id, score = parts
-            per_query.setdefault(qid, {})
-            if doc_id in per_query[qid]:
+            qid, doc_id, raw = parts
+            try:
+                score = float(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad score {raw!r}") from None
+            scores = per_query.setdefault(qid, {})
+            if doc_id in scores:
                 raise ValueError(f"{path}:{lineno}: duplicate pair ({qid}, {doc_id})")
-            per_query[qid][doc_id] = float(score)
+            scores[doc_id] = score
     return {qid: ScoredList.from_scores(qid, scores) for qid, scores in per_query.items()}

@@ -61,6 +61,21 @@ def small_pipeline(tmp_path_factory):
     return root, synth_dir, work, cfg
 
 
+def tiny_chain_config(root):
+    synth_dir = root / "synth"
+    return write_config(
+        root / "cfg.json",
+        synth_dir=str(synth_dir), synth_num_queries=4, synth_num_candidates=40,
+        corpus_dir=str(synth_dir / "corpus"),
+        queries_file=str(synth_dir / "queries.json"),
+        qrels_file=str(synth_dir / "qrels.json"),
+        external_scores={name: str(synth_dir / f"external_{name}.tsv")
+                         for name in ("SAILER", "DELTA")},
+        work_dir=str(root / "work"), rerank_depth=10,
+        ltr_num_trees=3, ltr_max_leaves=2, ltr_min_samples_leaf=1,
+    )
+
+
 class TestPipelineArtifacts:
     def test_all_artifacts_exist(self, small_pipeline):
         _, synth_dir, work, _ = small_pipeline
@@ -79,6 +94,21 @@ class TestPipelineArtifacts:
         assert entry["command"] == "postprocess"
         assert len(entry["sha256"]) == 64
         assert entry["inputs"]
+
+    def test_manifest_records_every_input_read(self, small_pipeline):
+        _, synth_dir, work, _ = small_pipeline
+        artifacts = json.loads((work / "manifest.json").read_text())["artifacts"]
+
+        def inputs(name):
+            return set(artifacts[name]["inputs"])
+
+        assert str(synth_dir / "corpus") in inputs("clean.jsonl")
+        assert {str(work / "clean.jsonl"), str(synth_dir / "queries.json"),
+                str(synth_dir / "qrels.json"), str(synth_dir / "external_SAILER.tsv"),
+                str(synth_dir / "external_DELTA.tsv")} <= inputs("features.tsv")
+        assert {str(synth_dir / "qrels.json"),
+                str(synth_dir / "splits.json")} <= inputs("tuning_report.tsv")
+        assert str(work / "tuned_params.json") in inputs("run_final.tsv")
 
     def test_final_run_parses_and_scores(self, small_pipeline):
         _, synth_dir, work, _ = small_pipeline
@@ -297,6 +327,8 @@ class TestStatuteTask:
         report = json.loads((work / "eval_report.json").read_text())
         assert report["metric"] == "macro_f2"
         assert report["f_measure"] > 0.5
+        manifest = json.loads((work / "manifest.json").read_text())
+        assert str(questions) in manifest["artifacts"]["queries.jsonl"]["inputs"]
 
     def test_top200_is_the_default_rerank_depth(self):
         assert cli.DEFAULTS["rerank_depth"] == 200
@@ -402,6 +434,41 @@ class TestErrors:
     def test_stage_out_of_order_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"))
         assert run("index", cfg) == 2
+
+    def test_threads_flag_and_key_are_usage_errors(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"))
+        assert cli.main(["index", "--config", cfg, "--threads", "2"]) == 1
+        cfg = write_config(tmp_path / "cfg2.json", work_dir=str(tmp_path / "w"), threads=1)
+        assert run("index", cfg) == 1
+
+    def test_stale_upstream_artifact_is_data_error(self, tmp_path, capsys):
+        cfg = tiny_chain_config(tmp_path)
+        synth_dir = tmp_path / "synth"
+        for command in ("synth", "ingest", "index"):
+            assert run(command, cfg) == 0, command
+        changed = sorted((synth_dir / "corpus").glob("*.txt"))[-1]
+        changed.write_text(changed.read_text() + "\nA further paragraph.\n")
+        assert run("ingest", cfg) == 0
+        capsys.readouterr()
+        assert run("score", cfg) == 2
+        err = capsys.readouterr().err
+        assert "index_plain.json" in err and "clean.jsonl" in err
+        assert run("index", cfg) == 0
+        assert run("score", cfg) == 0
+
+    def test_outputs_before_a_failure_are_recorded(self, tmp_path, monkeypatch):
+        cfg = tiny_chain_config(tmp_path)
+        for command in ("synth", "ingest", "index", "score", "features"):
+            assert run(command, cfg) == 0, command
+
+        def fail(history, path):
+            raise RuntimeError("log writer failed")
+
+        monkeypatch.setattr(cli.ltr, "write_training_log", fail)
+        assert run("train", cfg) == 3
+        work = tmp_path / "work"
+        manifest = json.loads((work / "manifest.json").read_text())
+        assert manifest["artifacts"]["model.json"]["sha256"] == cli._sha256(work / "model.json")
 
     def test_bad_task_value_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="weird")

@@ -83,8 +83,8 @@ def small_setup():
 class TestAssemble:
     def test_full_task1_row(self):
         queries, candidates, internal = small_setup()
-        sailer = ExternalScoreFile("SAILER", {("q1", "A"): 0.8, ("q1", "B"): 0.6})
-        delta = ExternalScoreFile("DELTA", {("q1", "A"): 0.7})
+        sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8), ("B", 0.6)])})
+        delta = ExternalScoreFile("DELTA", {"q1": ScoredList("q1", [("A", 0.7)])})
         table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
         assert len(table) == 2
         row_a = table.rows[0]
@@ -105,8 +105,8 @@ class TestAssemble:
 
     def test_missing_external_pair_policy(self):
         queries, candidates, internal = small_setup()
-        delta = ExternalScoreFile("DELTA", {("q1", "A"): 0.7})
-        sailer = ExternalScoreFile("SAILER", {("q1", "A"): 0.8})
+        delta = ExternalScoreFile("DELTA", {"q1": ScoredList("q1", [("A", 0.7)])})
+        sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8)])})
         table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
         row_b = table.rows[1]
         named = dict(zip(TASK1_SCHEMA.feature_names, row_b.values))
@@ -168,10 +168,17 @@ class TestExternalScoreFile:
         path = tmp_path / "ext.tsv"
         path.write_text("q1\tA\t0.900000\nq1\tB\t0.100000\n")
         ext = ExternalScoreFile.load("SAILER", path)
-        assert ext.score("q1", "A") == 0.9
-        assert ext.rank("q1", "B") == 2
-        assert ext.score("q1", "missing") == 0.0
-        assert ext.rank("q1", "missing") == 3
+        # Lookups go through assemble, the one score/rank path.
+        queries = {"q1": doc("q1")}
+        candidates = {c: doc(c) for c in ("A", "B", "missing")}
+        lexical = {"q1": ScoredList("q1", [("A", 3.0), ("B", 2.0), ("missing", 1.0)])}
+        schema = FeatureSchema("mini", ("BM25", "SAILER", "SAILER_rank"))
+        table = assemble(queries, candidates, {"BM25": lexical}, [ext], schema)
+        named = {r.candidate_id: dict(zip(schema.feature_names, r.values)) for r in table.rows}
+        assert named["A"]["SAILER"] == 0.9
+        assert named["B"]["SAILER_rank"] == 2
+        assert named["missing"]["SAILER"] == 0.0
+        assert named["missing"]["SAILER_rank"] == 3
 
     def test_malformed_line_names_file_and_lineno(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -221,7 +228,7 @@ class TestAttachLabels:
 class TestFeatureTableTsv:
     def test_round_trip_builtin_schema(self, tmp_path):
         queries, candidates, internal = small_setup()
-        sailer = ExternalScoreFile("SAILER", {("q1", "A"): 0.8})
+        sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8)])})
         delta = ExternalScoreFile("DELTA", {})
         table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
         table, _ = attach_labels(table, {"q1": {"A"}})
@@ -239,6 +246,15 @@ class TestFeatureTableTsv:
         assemble(queries, candidates, internal, [], schema).to_tsv(p1)
         assemble(queries, candidates, internal, [], schema).to_tsv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bad_label_or_value_names_file_and_lineno(self, tmp_path):
+        header = "query_id\tcandidate_id\tlabel\tf\n"
+        for name, row in (("label.tsv", "q1\tA\tyes\t1.0\n"),
+                          ("value.tsv", "q1\tA\t1\tmany\n")):
+            path = tmp_path / name
+            path.write_text(header + "q1\tB\t0\t2.0\n" + row)
+            with pytest.raises(ExternalScoreError, match=rf"{name.replace('.', '[.]')}:3"):
+                FeatureTable.from_tsv(path)
 
     def test_schema_length_enforced(self):
         schema = FeatureSchema("mini", ("a", "b"))

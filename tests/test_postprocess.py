@@ -193,6 +193,31 @@ class TestInvariants:
                             assert score > threshold
                 checked += 1
 
+    def test_dynamic_cutoff_matches_whole_list_count(self):
+        # Reference: count every entry above p*S over the whole list.
+        def reference(runs, params):
+            out = {}
+            for qid, slist in runs.items():
+                entries = slist.entries
+                passing = sum(1 for _, sc in entries if entries and sc > params.p * entries[0][1])
+                count = min(params.h, passing)
+                if count < params.l:
+                    count = min(params.l, len(entries))
+                out[qid] = tuple(entries[:count])
+            return out
+
+        rng = random.Random(31)
+        for _ in range(500):
+            runs = random_runs(rng, n_queries=5, max_len=15)
+            if rng.random() < 0.5:  # coarse scores give ties at the threshold
+                runs = {qid: ScoredList.from_scores(
+                            qid, {d: round(sc, 1) for d, sc in slist.entries})
+                        for qid, slist in runs.items()}
+            h = rng.randrange(1, 12)
+            params = CutoffParams(h=h, l=rng.randrange(0, h + 1),
+                                  p=rng.choice([0.0, 1.0, rng.random()]))
+            assert _entries(dynamic_cutoff(runs, params)) == reference(runs, params)
+
     def test_filters_idempotent(self):
         rng = random.Random(29)
         dates = {}

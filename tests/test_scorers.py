@@ -273,3 +273,9 @@ class TestScoreDump:
         path.write_text("q1\td1\t1.0\nq1\td1\t2.0\n")
         with pytest.raises(ValueError, match="duplicate pair"):
             read_score_dump(path)
+
+    def test_bad_score_names_file_and_lineno(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("q1\td1\t1.0\nq1\td2\tNaN?\n")
+        with pytest.raises(ValueError, match=r"bad\.tsv:2: bad score"):
+            read_score_dump(path)
