@@ -257,13 +257,16 @@ def _load_query_ids(stage):
     return ids
 
 
-def _query_docs(stage):
+def _query_docs(stage, corpus=None):
     """Cleaned documents of the configured queries.
 
-    Queries are corpus documents (case task) or separate files (statute).
+    Queries are corpus documents (case task; ``corpus`` is the loaded
+    ``clean.jsonl`` when the caller has it) or separate files (statute).
     """
-    name = "queries.jsonl" if stage.cfg["task"] == "statute" else "clean.jsonl"
-    docs = _load_docs(stage.artifact(name))
+    if stage.cfg["task"] == "statute":
+        docs = _load_docs(stage.artifact("queries.jsonl"))
+    else:
+        docs = corpus if corpus is not None else _load_docs(stage.artifact("clean.jsonl"))
     query_ids = _load_query_ids(stage)
     missing = [q for q in query_ids if q not in docs]
     if missing:
@@ -364,7 +367,7 @@ def cmd_features(stage):
     cfg = stage.cfg
     schema = features.get_schema(cfg["schema"])
     candidates = _load_docs(stage.artifact("clean.jsonl"))
-    queries = _query_docs(stage)
+    queries = _query_docs(stage, candidates)
 
     depth = int(cfg["rerank_depth"])
     internal = {}

@@ -3,14 +3,17 @@
 import json
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 # Letters and digits only; "_" is a boundary, so n-gram joints stay unambiguous.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 INDEX_FORMAT = "lexfuse-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 class DuplicateDocumentError(ValueError):
@@ -37,10 +40,6 @@ class TokenizerConfig:
             raise ValueError("ngram_hi must be >= ngram_lo")
 
 
-#: Range used for the n-gram BM25 feature unless configured otherwise.
-NGRAM_DEFAULT = TokenizerConfig(ngram_lo=1, ngram_hi=3)
-
-
 def tokenize(text, config=TokenizerConfig()):
     """Split ``text`` on non-alphanumeric boundaries and expand n-grams.
 
@@ -63,50 +62,53 @@ def tokenize(text, config=TokenizerConfig()):
     return out
 
 
-class InvertedIndex:
-    """Immutable term statistics for a fixed corpus.
+class Postings(Mapping):
+    """term -> ``(df, 2)`` int64 ``(ordinal, tf)`` rows sorted by ordinal: a view of ``rows``."""
 
-    Holds everything the scorers need: postings (term frequency per
-    document), document frequencies, per-document and average lengths,
-    and collection frequencies for the smoothed language model.
-    """
+    def __init__(self, terms, doc_freq, rows):
+        self.rows = rows
+        self.bounds = np.concatenate(([0], np.cumsum(doc_freq, dtype=np.int64)))
+        self._slot = dict(zip(terms, range(len(doc_freq))))
+
+    def __getitem__(self, term):
+        i = self._slot[term]
+        return self.rows[self.bounds[i]:self.bounds[i + 1]]
+
+    def __iter__(self):
+        return iter(self._slot)
+
+    def __len__(self):
+        return len(self._slot)
+
+
+_NO_ROWS = np.zeros((0, 2), dtype=np.int64)
+
+
+class InvertedIndex:
+    """Immutable term statistics of a fixed corpus; frequencies are read off the postings."""
 
     def __init__(self, config, doc_ids, doc_len, postings):
         self.config = config
         self.doc_ids = tuple(doc_ids)
-        self.doc_len = tuple(doc_len)
-        self.postings = postings  # term -> list[(ordinal, tf)] sorted by ordinal
-        self.doc_freq = {t: len(p) for t, p in postings.items()}
-        self.coll_freq = {t: sum(tf for _, tf in p) for t, p in postings.items()}
-        self.total_coll_tokens = sum(self.doc_len)
-        self.avgdl = self.total_coll_tokens / len(self.doc_len) if self.doc_len else 0.0
-        self._ordinals = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        self.doc_len = np.asarray(doc_len, dtype=np.int64)
+        self.postings = postings
+        self.total_coll_tokens = int(self.doc_len.sum())
+        self.avgdl = self.total_coll_tokens / len(self.doc_ids) if self.doc_ids else 0.0
 
     @property
     def num_docs(self):
         return len(self.doc_ids)
 
-    def ordinal_of(self, doc_id):
-        try:
-            return self._ordinals[doc_id]
-        except KeyError:
-            raise UnknownDocumentError(f"unknown document id: {doc_id!r}") from None
-
     def term_frequency(self, term, ordinal):
         if not 0 <= ordinal < self.num_docs:
             raise UnknownDocumentError(f"unknown document ordinal: {ordinal}")
-        for doc, tf in self.postings.get(term, ()):
-            if doc == ordinal:
-                return tf
-            if doc > ordinal:
-                break
-        return 0
+        rows = self.postings.get(term, _NO_ROWS)
+        return int(rows[rows[:, 0] == ordinal, 1].sum())
 
     def collection_prob(self, term):
         """p(term | collection); 0 for unseen terms or an empty collection."""
-        if self.total_coll_tokens == 0:
-            return 0.0
-        return self.coll_freq.get(term, 0) / self.total_coll_tokens
+        coll_freq = int(self.postings.get(term, _NO_ROWS)[:, 1].sum())
+        return coll_freq / self.total_coll_tokens if coll_freq else 0.0
 
     # -- serialization -----------------------------------------------------
 
@@ -116,8 +118,10 @@ class InvertedIndex:
             "version": INDEX_VERSION,
             "config": asdict(self.config),
             "doc_ids": list(self.doc_ids),
-            "doc_len": list(self.doc_len),
-            "postings": {t: [[d, tf] for d, tf in p] for t, p in self.postings.items()},
+            "doc_len": self.doc_len.tolist(),
+            "terms": list(self.postings),
+            "doc_freq": np.diff(self.postings.bounds).tolist(),
+            "postings": self.postings.rows.ravel().tolist(),
         }
 
     @classmethod
@@ -126,48 +130,46 @@ class InvertedIndex:
             raise ValueError(f"not an index snapshot: format={data.get('format')!r}")
         if data.get("version") != INDEX_VERSION:
             raise ValueError(f"unsupported index version: {data.get('version')!r}")
-        config = TokenizerConfig(**data["config"])
-        postings = {t: [(d, tf) for d, tf in p] for t, p in data["postings"].items()}
-        return cls(config, data["doc_ids"], data["doc_len"], postings)
+        terms, doc_freq, flat = data["terms"], data["doc_freq"], data["postings"]
+        if len(terms) != len(doc_freq) or 2 * sum(doc_freq) != len(flat):
+            raise ValueError("index snapshot: terms, doc_freq and postings disagree")
+        rows = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        return cls(TokenizerConfig(**data["config"]), data["doc_ids"], data["doc_len"],
+                   Postings(terms, doc_freq, rows))
 
     def save(self, path):
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False),
-            encoding="utf-8",
-        )
+        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False),
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path):
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _doc_pairs(docs):
-    for doc in docs:
-        if isinstance(doc, tuple):
-            yield doc
-        else:
-            yield doc.id, doc.text
-
-
 def build_index(docs, config=TokenizerConfig()):
-    """Build an InvertedIndex from ``docs``.
+    """Build an InvertedIndex from ``(id, text)`` pairs; duplicate ids are rejected.
 
-    ``docs`` is an iterable of ``(id, text)`` pairs or of objects with
-    ``id`` and ``text`` attributes. Deterministic given input order;
-    duplicate ids are rejected.
+    Terms are numbered in order of first occurrence, so the index is
+    deterministic given input order.
     """
-    doc_ids = []
-    doc_len = []
-    postings = {}
+    doc_ids, doc_len, distinct = [], [], []  # distinct: terms per document
+    keys, tfs = [], []  # term and tf of each posting, document by document
     seen = set()
-    for doc_id, text in _doc_pairs(docs):
+    for doc_id, text in docs:
         if doc_id in seen:
             raise DuplicateDocumentError(f"duplicate document id: {doc_id!r}")
         seen.add(doc_id)
-        ordinal = len(doc_ids)
         doc_ids.append(doc_id)
         terms = tokenize(text, config)
         doc_len.append(len(terms))
-        for term, tf in Counter(terms).items():
-            postings.setdefault(term, []).append((ordinal, tf))
-    return InvertedIndex(config, doc_ids, doc_len, postings)
+        counts = Counter(terms)
+        distinct.append(len(counts))
+        keys.extend(counts)
+        tfs.extend(counts.values())
+    slot = dict(zip(dict.fromkeys(keys), range(len(keys))))
+    term_of = np.fromiter(map(slot.__getitem__, keys), dtype=np.int64, count=len(keys))
+    ordinals = np.repeat(np.arange(len(doc_ids), dtype=np.int64), distinct)
+    order = np.argsort(term_of, kind="stable")  # each term's rows stay in document order
+    rows = np.column_stack((ordinals, np.array(tfs, dtype=np.int64)))[order]
+    doc_freq = np.bincount(term_of, minlength=len(slot))
+    return InvertedIndex(config, doc_ids, doc_len, Postings(slot, doc_freq, rows))

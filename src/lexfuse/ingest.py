@@ -144,8 +144,13 @@ def _is_non_english(paragraph):
     return eng < _ENGLISH_RATIO_FLOOR and fra >= _FRENCH_RATIO_FLOOR
 
 
-def _filter_non_english(text):
-    """Return (text, dropped_count, kept_verbatim)."""
+def filter_non_english(text):
+    """Drop paragraphs classified as French by the stopword-ratio heuristic.
+
+    Returns ``(text, dropped_count, kept_verbatim)``. Documents that are
+    mostly French are returned verbatim with ``kept_verbatim`` set (the
+    pipeline records a flag instead of translating them).
+    """
     if not text.strip():
         return text, 0, False
     paragraphs = re.split(r"\n\s*\n", text)
@@ -158,16 +163,6 @@ def _filter_non_english(text):
         return text, 0, True
     kept = [p for p, bad in zip(paragraphs, flags) if not bad]
     return "\n\n".join(kept), dropped, False
-
-
-def filter_non_english(text):
-    """Drop paragraphs classified as French by the stopword-ratio heuristic.
-
-    Documents that are mostly French are returned verbatim (the pipeline
-    records a flag instead of translating them).
-    """
-    filtered, _, _ = _filter_non_english(text)
-    return filtered
 
 
 def _looks_like_heading(stripped):
@@ -184,7 +179,7 @@ def _looks_like_heading(stripped):
     return all(w[0].isupper() for w in words if w[0].isalpha() and len(w) > 3)
 
 
-def _find_summary(text):
+def extract_summary(text):
     """Locate the summary section; return (heading_line, end_line, body) or None.
 
     The section runs from the line after a standalone "summary"/"summary:"
@@ -210,12 +205,6 @@ def _find_summary(text):
     return start, end, section
 
 
-def extract_summary(text):
-    """Return the text of the summary section, or None when absent/empty."""
-    found = _find_summary(text)
-    return found[2] if found else None
-
-
 def extract_trial_date(text):
     """Latest parseable date in the text, or None.
 
@@ -238,24 +227,20 @@ def extract_trial_date(text):
 def preprocess_case(raw, tokenizer_config=None):
     """Run the full case-cleaning pipeline on one raw document.
 
-    The trial date and the placeholder count are taken from the original
-    text so earlier cleaning steps cannot destroy their evidence.
+    Returns ``(doc, (paragraphs_dropped, kept_verbatim))``. The trial
+    date and the placeholder count are taken from the original text so
+    earlier cleaning steps cannot destroy their evidence.
     """
-    doc, _ = _preprocess_case_ex(raw, tokenizer_config)
-    return doc
-
-
-def _preprocess_case_ex(raw, tokenizer_config=None):
     config = tokenizer_config or TokenizerConfig()
     trial = extract_trial_date(raw.text)
     _, placeholder_count = remove_placeholders(raw.text)
 
     body = strip_preamble(raw.text)
     body, _ = remove_placeholders(body)
-    body, dropped, kept_verbatim = _filter_non_english(body)
+    body, dropped, kept_verbatim = filter_non_english(body)
 
     summary = None
-    found = _find_summary(body)
+    found = extract_summary(body)
     if found:
         start, end, summary = found
         lines = body.splitlines()
@@ -305,7 +290,7 @@ def preprocess_corpus(raws, tokenizer_config=None):
     stats = IngestStats()
     docs = []
     for raw in raws:
-        doc, (dropped, kept_verbatim) = _preprocess_case_ex(raw, tokenizer_config)
+        doc, (dropped, kept_verbatim) = preprocess_case(raw, tokenizer_config)
         docs.append(doc)
         stats.documents += 1
         stats.placeholders_removed += doc.placeholder_count

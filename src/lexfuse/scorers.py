@@ -16,6 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .indexing import UnknownDocumentError, tokenize
 
 
@@ -31,9 +33,7 @@ class Bm25Params:
             raise ValueError("b must be in [0, 1]")
 
 
-#: Case-retrieval feature setting and statute-retrieval setting.
-TASK1_BM25 = Bm25Params(k1=3.0, b=1.0)
-TASK3_BM25 = Bm25Params(k1=0.99, b=0.75)
+TASK1_BM25 = Bm25Params(k1=3.0, b=1.0)  # case-retrieval feature setting
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,19 @@ class ScoredList:
 
 
 def _idf(index, term):
-    df = index.doc_freq.get(term, 0)
+    df = len(index.postings.get(term, ()))
     return math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
 
 
 def _length_norm(index, ordinal, params):
     ratio = index.doc_len[ordinal] / index.avgdl if index.avgdl > 0 else 0.0
     return params.k1 * (1.0 - params.b + params.b * ratio)
+
+
+def _logs(values, shift):
+    """``math.log(v + shift)`` per int v, called once per distinct v (np.log may differ)."""
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([math.log(v + shift) for v in distinct.tolist()])[where]
 
 
 def bm25_score(index, query_terms, doc, params=TASK1_BM25):
@@ -133,33 +139,24 @@ def score_all(index, query_id, query_text, scorer="bm25", params=None):
     """
     if scorer not in SCORER_NAMES:
         raise ValueError(f"unknown scorer: {scorer!r}")
-    terms = tokenize(query_text, index.config)
-    n = index.num_docs
-    scores = [0.0] * n
+    counts = sorted(Counter(tokenize(query_text, index.config)).items())
+    live = [(term, q_count) for term, q_count in counts if term in index.postings]
     if scorer in ("bm25", "bm25_ngram"):
         p = params or TASK1_BM25
-        norms = [_length_norm(index, d, p) for d in range(n)]
-        for term, q_count in sorted(Counter(terms).items()):
-            postings = index.postings.get(term)
-            if not postings:
-                continue
-            idf = _idf(index, term)
-            for doc, tf in postings:
-                scores[doc] += q_count * idf * tf * (p.k1 + 1.0) / (tf + norms[doc])
+        scores = np.zeros(index.num_docs)
+        for term, q_count in live:
+            docs, tf = index.postings[term].T
+            scores[docs] += (q_count * _idf(index, term) * tf * (p.k1 + 1.0)
+                             / (tf + _length_norm(index, docs, p)))
     else:
-        p = params or QldParams()
-        mu = p.mu
-        live = [(t, c, index.collection_prob(t)) for t, c in sorted(Counter(terms).items())
-                if index.collection_prob(t) > 0.0]
-        base = sum(c * math.log(mu * pc) for _, c, pc in live)
-        for doc in range(n):
-            scores[doc] = base - sum(c for _, c, _ in live) * math.log(index.doc_len[doc] + mu)
-        for term, q_count, p_coll in live:
-            for doc, tf in index.postings.get(term, ()):
-                scores[doc] += q_count * (
-                    math.log(tf + mu * p_coll) - math.log(mu * p_coll)
-                )
-    return ScoredList.from_scores(query_id, {index.doc_ids[d]: scores[d] for d in range(n)})
+        mu = (params or QldParams()).mu
+        smooth = [(term, q_count, mu * index.collection_prob(term)) for term, q_count in live]
+        base = sum(q_count * math.log(s) for _, q_count, s in smooth)
+        scores = base - sum(q_count for _, q_count in live) * _logs(index.doc_len, mu)
+        for term, q_count, s in smooth:
+            docs, tf = index.postings[term].T
+            scores[docs] += q_count * (_logs(tf, s) - math.log(s))
+    return ScoredList.from_scores(query_id, dict(zip(index.doc_ids, scores.tolist())))
 
 
 def top_k(scored, k):

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .evaluation import write_qrels
+
 _CONSONANTS = "bcdfglmnprstv"
 _VOWELS = "aeiou"
 
@@ -215,11 +217,7 @@ def generate(spec, out_dir):
     (out / "queries.json").write_text(
         json.dumps(query_ids, indent=1), encoding="utf-8"
     )
-    (out / "qrels.json").write_text(
-        json.dumps({q: sorted(d) for q, d in sorted(qrels.items())},
-                   sort_keys=True, indent=1),
-        encoding="utf-8",
-    )
+    write_qrels(qrels, out / "qrels.json")
 
     shuffled = list(query_ids)
     rng.shuffle(shuffled)

@@ -456,6 +456,22 @@ class TestErrors:
         assert run("index", cfg) == 0
         assert run("score", cfg) == 0
 
+    def test_version_1_index_is_data_error(self, tmp_path, capsys):
+        cfg = tiny_chain_config(tmp_path)
+        for command in ("synth", "ingest", "index"):
+            assert run(command, cfg) == 0, command
+        path = tmp_path / "work" / "index_plain.json"
+        data = json.loads(path.read_text())
+        pairs = iter(zip(data["postings"][::2], data["postings"][1::2]))
+        # The version-1 layout: a {term: [[ordinal, tf], ...]} dict.
+        data["postings"] = {term: [list(next(pairs)) for _ in range(df)]
+                            for term, df in zip(data.pop("terms"), data.pop("doc_freq"))}
+        data["version"] = 1
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("score", cfg) == 2
+        assert "unsupported index version" in capsys.readouterr().err
+
     def test_outputs_before_a_failure_are_recorded(self, tmp_path, monkeypatch):
         cfg = tiny_chain_config(tmp_path)
         for command in ("synth", "ingest", "index", "score", "features"):
@@ -473,6 +489,23 @@ class TestErrors:
     def test_bad_task_value_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="weird")
         assert run("ingest", cfg) == 1
+
+
+class TestStageReads:
+    def test_case_features_reads_clean_jsonl_once(self, tmp_path, monkeypatch):
+        cfg = tiny_chain_config(tmp_path)
+        for command in ("synth", "ingest", "index", "score"):
+            assert run(command, cfg) == 0, command
+        calls = []
+        read = cli.ingest.read_clean_jsonl
+
+        def counting(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(cli.ingest, "read_clean_jsonl", counting)
+        assert run("features", cfg) == 0
+        assert [p.name for p in calls] == ["clean.jsonl"]
 
 
 class TestAtomicWrite:

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from lexfuse.indexing import (
     build_index,
     tokenize,
 )
+from lexfuse.scorers import SCORER_NAMES, score_all
 
 
 def sliding_ngrams(words, lo, hi):
@@ -57,9 +59,9 @@ class TestTokenize:
 class TestBuildIndex:
     def test_hand_counted_statistics(self):
         index = build_index([("d1", "a b"), ("d2", "b c")])
-        assert index.doc_freq == {"a": 1, "b": 2, "c": 1}
+        assert {t: len(rows) for t, rows in index.postings.items()} == {"a": 1, "b": 2, "c": 1}
         assert index.avgdl == 2
-        assert index.doc_len == (2, 2)
+        assert index.doc_len.tolist() == [2, 2]
         assert index.total_coll_tokens == 4
 
     def test_empty_corpus(self):
@@ -70,21 +72,11 @@ class TestBuildIndex:
     def test_repeated_term(self):
         index = build_index([("d1", "a a a")])
         assert index.term_frequency("a", 0) == 3
-        assert index.doc_len == (3,)
+        assert index.doc_len.tolist() == [3]
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(DuplicateDocumentError, match="dup1"):
             build_index([("dup1", "x"), ("dup1", "y")])
-
-    def test_accepts_objects_with_id_and_text(self):
-        class Doc:
-            def __init__(self, id, text):
-                self.id = id
-                self.text = text
-
-        index = build_index([Doc("d1", "hello world")])
-        assert index.doc_ids == ("d1",)
-        assert index.doc_len == (2,)
 
     def test_postings_sum_equals_collection_frequency(self):
         rng = random.Random(13)
@@ -96,10 +88,39 @@ class TestBuildIndex:
             ]
             index = build_index(docs)
             for term, postings in index.postings.items():
-                assert sum(tf for _, tf in postings) == index.coll_freq[term]
-                assert len(postings) == index.doc_freq[term]
+                assert (sum(tf for _, tf in postings) / index.total_coll_tokens
+                        == index.collection_prob(term))
+                assert postings.shape == (len(postings), 2)
                 assert [d for d, _ in postings] == sorted(d for d, _ in postings)
             assert sum(index.doc_len) == index.total_coll_tokens
+
+    def test_statistics_match_counter_oracle(self):
+        rng = random.Random(17)
+        vocab = [f"w{i}" for i in range(20)]
+        configs = (TokenizerConfig(), TokenizerConfig(ngram_lo=1, ngram_hi=3),
+                   TokenizerConfig(ngram_lo=2, ngram_hi=2, min_token_len=2))
+        for _ in range(40):
+            docs = [
+                (f"d{i}", " ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 30))))
+                for i in range(rng.randrange(1, 15))
+            ]
+            for config in configs:
+                index = build_index(docs, config)
+                counts = [Counter(tokenize(text, config)) for _, text in docs]
+                coll = sum(counts, Counter())
+                total = sum(coll.values())
+                assert index.total_coll_tokens == total
+                assert index.doc_len.tolist() == [sum(c.values()) for c in counts]
+                assert sorted(index.postings) == sorted(coll)
+                for term in coll:
+                    rows = index.postings[term]
+                    assert len(rows) == sum(1 for c in counts if term in c)
+                    assert int(rows[:, 1].sum()) == coll[term]
+                    assert index.collection_prob(term) == coll[term] / total
+                    for ordinal, c in enumerate(counts):
+                        assert index.term_frequency(term, ordinal) == c[term]
+                assert index.term_frequency("unseen", 0) == 0
+                assert index.collection_prob("unseen") == 0.0
 
     def test_ngram_range_1_1_equals_plain(self):
         docs = [("d1", "the cat sat"), ("d2", "the dog ran far")]
@@ -119,8 +140,33 @@ class TestSerialization:
         loaded = InvertedIndex.load(path)
         assert loaded.to_dict() == index.to_dict()
         assert loaded.avgdl == index.avgdl
-        assert loaded.doc_freq == index.doc_freq
+        assert {t: r.tolist() for t, r in loaded.postings.items()} == {
+            t: r.tolist() for t, r in index.postings.items()}
         assert loaded.config == index.config
+
+    def test_loaded_index_scores_bit_equal(self, tmp_path):
+        rng = random.Random(29)
+        vocab = [f"t{i}" for i in range(25)]
+        docs = [(f"d{i:02d}", " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 40))))
+                for i in range(30)]
+        queries = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 12)))
+                   for _ in range(10)]
+        for config in (TokenizerConfig(), TokenizerConfig(ngram_lo=1, ngram_hi=3)):
+            index = build_index(docs, config)
+            path = tmp_path / "index.json"
+            index.save(path)
+            loaded = InvertedIndex.load(path)
+            for scorer in SCORER_NAMES:
+                for n, query in enumerate(queries):
+                    want = score_all(index, f"q{n}", query, scorer).entries
+                    got = score_all(loaded, f"q{n}", query, scorer).entries
+                    assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
+
+    def test_inconsistent_snapshot_rejected(self, tmp_path):
+        data = build_index([("d1", "x y"), ("d2", "y")]).to_dict()
+        data["doc_freq"][0] += 1
+        with pytest.raises(ValueError, match="disagree"):
+            InvertedIndex.from_dict(data)
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         docs = [("d1", "alpha beta beta"), ("d2", "gamma alpha")]
@@ -135,7 +181,7 @@ class TestSerialization:
         index.save(path)
         data = json.loads(path.read_text())
         assert data["format"] == "lexfuse-index"
-        assert data["version"] == 1
+        assert data["version"] == 2
         data["format"] = "something-else"
         with pytest.raises(ValueError, match="not an index snapshot"):
             InvertedIndex.from_dict(data)

@@ -70,20 +70,21 @@ class TestRemovePlaceholders:
 class TestFilterNonEnglish:
     def test_french_paragraph_removed(self):
         text = ENGLISH_PARAGRAPH + "\n\n" + FRENCH_PARAGRAPH + "\n\n" + ENGLISH_PARAGRAPH
-        filtered = filter_non_english(text)
+        filtered, dropped, kept_verbatim = filter_non_english(text)
+        assert (dropped, kept_verbatim) == (1, False)
         assert "tribunal" not in filtered
         assert filtered.count(ENGLISH_PARAGRAPH) == 2
 
     def test_all_english_unchanged(self):
         text = ENGLISH_PARAGRAPH + "\n\n" + ENGLISH_PARAGRAPH
-        assert filter_non_english(text) == text
+        assert filter_non_english(text) == (text, 0, False)
 
     def test_empty_string(self):
-        assert filter_non_english("") == ""
+        assert filter_non_english("") == ("", 0, False)
 
     def test_majority_french_kept_verbatim(self):
         text = "\n\n".join([FRENCH_PARAGRAPH] * 5)
-        assert filter_non_english(text) == text
+        assert filter_non_english(text) == (text, 0, True)
 
 
 class TestExtractSummary:
@@ -92,7 +93,7 @@ class TestExtractSummary:
             "Decision text first.\n\nSummary:\nFirst summary paragraph.\n\n"
             "Second summary paragraph.\n\nReasons:\nLong reasons follow here."
         )
-        assert extract_summary(text) == "First summary paragraph.\n\nSecond summary paragraph."
+        assert extract_summary(text)[2] == "First summary paragraph.\n\nSecond summary paragraph."
 
     def test_absent_heading(self):
         assert extract_summary("No heading here.\n\nJust text.") is None
@@ -101,17 +102,17 @@ class TestExtractSummary:
         assert extract_summary("Body text.\n\nSummary:") is None
 
     def test_case_insensitive_standalone_line(self):
-        assert extract_summary("SUMMARY\nKey facts here.") == "Key facts here."
+        assert extract_summary("SUMMARY\nKey facts here.")[2] == "Key facts here."
 
     def test_title_case_heading_terminates_section(self):
         text = "Summary:\nShort holding text\n\nReasons for Judgment\nLong reasons."
-        assert extract_summary(text) == "Short holding text"
+        assert extract_summary(text)[2] == "Short holding text"
 
     def test_plain_sentence_fragment_does_not_terminate(self):
         # A short capitalized fragment after a blank line is body text,
         # not a heading, when its words are not title-cased.
         text = "Summary:\nFirst part\n\nClaim allowed overall\n\nMore summary text."
-        assert extract_summary(text) == (
+        assert extract_summary(text)[2] == (
             "First part\n\nClaim allowed overall\n\nMore summary text.")
 
 
@@ -146,7 +147,7 @@ class TestPreprocessCase:
                 "Reasons:\nFull reasons follow."
             ),
         )
-        doc = preprocess_case(raw)
+        doc, _ = preprocess_case(raw)
         assert doc.summary == "Key holding stated."
         assert doc.placeholder_count == 1
         assert doc.trial_date == date(2003, 6, 5)
@@ -156,26 +157,26 @@ class TestPreprocessCase:
         assert "Key holding stated." not in doc.body  # and removed from body
 
     def test_empty_document(self):
-        doc = preprocess_case(RawDocument(id="e", text=""))
+        doc, _ = preprocess_case(RawDocument(id="e", text=""))
         assert doc.body == ""
         assert doc.placeholder_count == 0
         assert doc.trial_date is None
         assert doc.token_length == 0
 
     def test_preamble_only_document(self):
-        doc = preprocess_case(RawDocument(id="p", text="Nothing but procedure."))
+        doc, _ = preprocess_case(RawDocument(id="p", text="Nothing but procedure."))
         # Marker absent: text kept, nothing else changes.
         assert doc.body == "Nothing but procedure."
         raw = RawDocument(id="p2", text="Procedural text only, then [1]")
-        assert preprocess_case(raw).body == "[1]"
+        assert preprocess_case(raw)[0].body == "[1]"
 
     def test_reprocessing_clean_body_is_stable(self):
         raw = RawDocument(
             id="c",
             text="[1] The appeal CITATION_SUPPRESSED is dismissed.\n\nCosts to the respondent.",
         )
-        doc = preprocess_case(raw)
-        again = preprocess_case(RawDocument(id="c", text=doc.body))
+        doc, _ = preprocess_case(raw)
+        again, _ = preprocess_case(RawDocument(id="c", text=doc.body))
         assert again.body == doc.body
         assert again.summary == doc.summary
 
@@ -187,7 +188,7 @@ class TestPreprocessCase:
                 for _ in range(rng.randrange(0, 5))
             ]
             body = " and ".join(d.strftime("%B %d, %Y") for d in dates)
-            doc = preprocess_case(RawDocument(id="x", text=f"intro {body} [1] tail"))
+            doc, _ = preprocess_case(RawDocument(id="x", text=f"intro {body} [1] tail"))
             if not dates:
                 assert doc.trial_date is None
             else:

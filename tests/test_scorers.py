@@ -66,6 +66,39 @@ def oracle_qld_eq8(doc_tokens, all_docs_tokens, query_terms, mu):
     return seen_part + len(terms) * math.log(alpha_d) + const_part
 
 
+def loop_scores(index, query_text, scorer, params):
+    """Per-posting Python loops over the index, in sorted query-term order.
+
+    The same floating-point operations per document as the array path of
+    ``score_all``, so the two must agree to the last bit.
+    """
+    counts = sorted(Counter(tokenize(query_text, index.config)).items())
+    doc_len = index.doc_len.tolist()
+    n = index.num_docs
+    if scorer == "qld":
+        mu = params.mu
+        live = [(t, c, index.collection_prob(t)) for t, c in counts
+                if index.collection_prob(t) > 0.0]
+        base = sum(c * math.log(mu * pc) for _, c, pc in live)
+        scores = [base - sum(c for _, c, _ in live) * math.log(doc_len[d] + mu)
+                  for d in range(n)]
+        for term, c, pc in live:
+            for doc, tf in index.postings[term].tolist():
+                scores[doc] += c * (math.log(tf + mu * pc) - math.log(mu * pc))
+        return scores
+    avgdl = index.avgdl
+    norms = [params.k1 * (1.0 - params.b + params.b * (dl / avgdl)) for dl in doc_len]
+    scores = [0.0] * n
+    for term, c in counts:
+        if term not in index.postings:
+            continue
+        df = len(index.postings[term])
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for doc, tf in index.postings[term].tolist():
+            scores[doc] += c * idf * tf * (params.k1 + 1.0) / (tf + norms[doc])
+    return scores
+
+
 def toy_index():
     return build_index([("d1", "a b a"), ("d2", "b c")])
 
@@ -217,6 +250,25 @@ class TestScoreAll:
             for ordinal in range(index.num_docs):
                 expected = fn(index, query_terms, ordinal, params)
                 assert scores[index.doc_ids[ordinal]] == pytest.approx(expected, abs=1e-9)
+
+    def test_bit_equal_to_per_posting_loops(self):
+        rng = random.Random(77)
+        vocab = [f"t{i}" for i in range(30)]
+        for _ in range(60):
+            docs = [(f"d{i:02d}", " ".join(rng.choice(vocab)
+                                           for _ in range(rng.randrange(1, 60))))
+                    for i in range(rng.randrange(1, 25))]
+            config = TokenizerConfig(ngram_lo=1, ngram_hi=rng.randrange(1, 4))
+            index = build_index(docs, config)
+            query = " ".join(rng.choice(vocab + ["unseen"]) for _ in range(rng.randrange(1, 30)))
+            for scorer, params in (
+                ("bm25", Bm25Params(rng.uniform(0.2, 3.0), rng.uniform(0.0, 1.0))),
+                ("bm25_ngram", Bm25Params()),
+                ("qld", QldParams(rng.uniform(1.0, 3000.0))),
+            ):
+                got = dict(score_all(index, "q", query, scorer, params).entries)
+                want = loop_scores(index, query, scorer, params)
+                assert [got[d].hex() for d in index.doc_ids] == [w.hex() for w in want]
 
     def test_ngram_range_1_1_identical_to_plain(self):
         docs = [("d1", "alpha beta gamma"), ("d2", "beta gamma delta"), ("d3", "epsilon")]
