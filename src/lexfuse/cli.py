@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -394,6 +395,13 @@ def cmd_features(stage):
 
 def cmd_train(stage):
     cfg = stage.cfg
+    try:
+        # Every TrainConfig field but the seed is the config key ltr_<field>.
+        config = ltr.TrainConfig(seed=int(cfg["seed"]), **{
+            f.name: f.type(cfg[f"ltr_{f.name}"])
+            for f in dataclasses.fields(ltr.TrainConfig) if f.name != "seed"})
+    except ltr.SettingError as exc:
+        raise ConfigError(f"config key 'ltr_{exc.name}': {exc}") from None
     table = features.FeatureTable.from_tsv(stage.artifact("features.tsv"))
     splits = _load_splits(stage)
     if splits:
@@ -403,16 +411,7 @@ def cmd_train(stage):
         keep = set(splits["train"])
         table = features.FeatureTable(
             table.schema, [r for r in table.rows if r.query_id in keep])
-    model = ltr.train(table, ltr.TrainConfig(
-        num_trees=int(cfg["ltr_num_trees"]),
-        max_leaves=int(cfg["ltr_max_leaves"]),
-        learning_rate=float(cfg["ltr_learning_rate"]),
-        min_samples_leaf=int(cfg["ltr_min_samples_leaf"]),
-        ndcg_truncation=int(cfg["ltr_ndcg_truncation"]),
-        seed=int(cfg["seed"]),
-        validation_fraction=float(cfg["ltr_validation_fraction"]),
-        patience=int(cfg["ltr_patience"]),
-    ))
+    model = ltr.train(table, config)
     out = stage.write("model.json", lambda tmp: model.save(tmp))
     stage.write("train_log.tsv", lambda tmp: ltr.write_training_log(model.history, tmp))
     best = model.config["best_iteration"]

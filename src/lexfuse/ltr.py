@@ -5,8 +5,11 @@ irrelevant) pair contributes a lambda weighted by the NDCG@K change from
 swapping the pair in the current ranking; each iteration fits a regression
 tree to the lambdas with second-order (Newton) leaf values, and the
 returned ensemble is truncated at the iteration with the best validation
-NDCG. Split search is exact over sorted feature values (no histograms),
-so training is fully deterministic under a fixed seed.
+NDCG. Split search is exact (no histograms): each feature column is
+sorted once per training run and every node keeps its rows in that order
+(the presorted layout of XGBoost). The objective runs over batches of
+queries with the same number of rows and of relevant rows. Training is
+fully deterministic under a fixed seed.
 """
 
 import json
@@ -24,6 +27,9 @@ MODEL_VERSION = 1
 
 _EPS = 1e-12
 _MIN_GAIN = 1e-12
+# Most (relevant, irrelevant) pairs one objective batch holds, which bounds
+# the memory of its (queries, relevant, irrelevant) arrays.
+_BATCH_PAIRS = 1 << 16
 
 
 class TrainingError(ValueError):
@@ -32,6 +38,14 @@ class TrainingError(ValueError):
 
 class SchemaMismatchError(ValueError):
     """Prediction input does not match the model's feature schema."""
+
+
+class SettingError(ValueError):
+    """A TrainConfig value is out of range; ``name`` is its field."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -49,39 +63,20 @@ class TrainConfig:
     ndcg_truncation: int = 10
     seed: int = 0
     validation_fraction: float = 0.2
-    validation_queries: tuple = None
     patience: int = 50
 
     def __post_init__(self):
-        if self.num_trees < 1 or self.max_leaves < 2 or self.min_samples_leaf < 1:
-            raise ValueError("num_trees, max_leaves, min_samples_leaf must be positive")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if self.ndcg_truncation < 1:
-            raise ValueError("ndcg_truncation must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.validation_queries is None and not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1) without an explicit list")
-
-
-def ndcg_at_k(labels, k):
-    """NDCG@k of binary labels in ranked order; 0.0 when nothing is relevant.
-
-    Gains are 2^label - 1 and the discount at 1-based rank r is
-    1 / log2(r + 1).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    dcg = 0.0
-    for i, label in enumerate(labels[:k]):
-        if label:
-            dcg += (2.0 ** label - 1.0) / math.log2(i + 2)
-    idcg = 0.0
-    for i, label in enumerate(sorted(labels, reverse=True)[:k]):
-        if label:
-            idcg += (2.0 ** label - 1.0) / math.log2(i + 2)
-    return dcg / idcg if idcg > 0 else 0.0
+        for name, ok, rule in (
+            ("num_trees", self.num_trees >= 1, ">= 1"),
+            ("max_leaves", self.max_leaves >= 2, ">= 2"),
+            ("learning_rate", 0.0 < self.learning_rate <= 1.0, "in (0, 1]"),
+            ("min_samples_leaf", self.min_samples_leaf >= 1, ">= 1"),
+            ("ndcg_truncation", self.ndcg_truncation >= 1, ">= 1"),
+            ("validation_fraction", 0.0 < self.validation_fraction < 1.0, "in (0, 1)"),
+            ("patience", self.patience >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise SettingError(name, f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -180,153 +175,159 @@ class TreeEnsemble:
 
 # -- tree fitting -------------------------------------------------------------
 
-def _best_split(X, grad, hess, idx, min_samples_leaf):
-    """Exact greedy split for the rows ``idx``; returns (gain, feature, thr)."""
-    g = grad[idx]
-    h = hess[idx]
-    total_g = g.sum()
-    total_h = h.sum()
-    parent = total_g * total_g / (total_h + _EPS)
-    n = len(idx)
-    best = None
-    for f in range(X.shape[1]):
-        values = X[idx, f]
-        order = np.argsort(values, kind="mergesort")
-        sorted_values = values[order]
-        if sorted_values[0] == sorted_values[-1]:
-            continue
-        cum_g = np.cumsum(g[order])
-        cum_h = np.cumsum(h[order])
-        cuts = np.nonzero(sorted_values[:-1] < sorted_values[1:])[0]
-        cuts = cuts[(cuts + 1 >= min_samples_leaf) & (n - cuts - 1 >= min_samples_leaf)]
-        if cuts.size == 0:
-            continue
-        left_g = cum_g[cuts]
-        left_h = cum_h[cuts]
-        gains = (
-            left_g * left_g / (left_h + _EPS)
-            + (total_g - left_g) ** 2 / (total_h - left_h + _EPS)
-            - parent
-        )
-        j = int(np.argmax(gains))
-        if gains[j] > _MIN_GAIN and (best is None or gains[j] > best[0]):
-            thr = (sorted_values[cuts[j]] + sorted_values[cuts[j] + 1]) / 2.0
-            best = (float(gains[j]), f, float(thr))
-    return best
+def _best_split(XT, grad, hess, order, g_sum, h_sum, min_samples_leaf):
+    """Exact greedy split of one node over every feature at once.
+
+    ``order[f]`` holds the node's rows sorted by feature f, ties by row id,
+    so each cumulative sum runs over the rows in the order a stable sort of
+    the node's values gives. Returns (gain, feature, threshold) or None.
+    """
+    n_features, n = order.shape
+    # A cut after sorted position i leaves i + 1 rows on the left; both
+    # sides need min_samples_leaf rows, so lo <= i < hi.
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    if lo >= hi:
+        return None
+    values = np.take_along_axis(XT, order, axis=1)
+    left_g = np.cumsum(grad[order], axis=1)[:, lo:hi]
+    left_h = np.cumsum(hess[order], axis=1)[:, lo:hi]
+    parent = g_sum * g_sum / (h_sum + _EPS)
+    gains = (
+        left_g * left_g / (left_h + _EPS)
+        + (g_sum - left_g) ** 2 / (h_sum - left_h + _EPS)
+        - parent
+    )
+    gains = np.where(values[:, lo:hi] < values[:, lo + 1:hi + 1], gains, -np.inf)
+    best_cut = np.argmax(gains, axis=1)
+    best_gain = gains[np.arange(n_features), best_cut]
+    best_gain = np.where(best_gain > _MIN_GAIN, best_gain, -np.inf)
+    f = int(np.argmax(best_gain))
+    if not best_gain[f] > _MIN_GAIN:
+        return None
+    j = lo + best_cut[f]
+    return float(best_gain[f]), f, float((values[f, j] + values[f, j + 1]) / 2.0)
 
 
-def _leaf_value(grad, hess, idx):
-    return float(grad[idx].sum() / (hess[idx].sum() + _EPS))
+def _fit_tree(XT, grad, hess, presorted, max_leaves, min_samples_leaf):
+    """Grow one tree best-first; returns it and the value it gives each row.
 
+    ``XT`` is the (features, rows) matrix and ``presorted[f]`` every row
+    sorted by feature f. A node keeps its rows in row order and in each
+    feature's order; a split divides both with one row mask, which keeps
+    every order, so no node sorts.
+    """
+    tree = RegressionTree([], [], [], [], [])
+    members = {}
+    pending = {}
 
-def _fit_tree(X, grad, hess, max_leaves, min_samples_leaf):
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    value = [_leaf_value(grad, hess, np.arange(len(X)))]
-    members = {0: np.arange(len(X))}
-    pending = {0: _best_split(X, grad, hess, members[0], min_samples_leaf)}
-    n_leaves = 1
-    while n_leaves < max_leaves:
-        chosen = None
-        for node in sorted(pending):
-            split = pending[node]
-            if split is None:
-                continue
-            if chosen is None or split[0] > pending[chosen][0]:
-                chosen = node
-        if chosen is None:
+    def open_leaf(rows, order):
+        node = len(tree.feature)
+        g_sum = grad[rows].sum()
+        h_sum = hess[rows].sum()
+        tree.feature.append(-1)
+        tree.threshold.append(0.0)
+        tree.left.append(-1)
+        tree.right.append(-1)
+        tree.value.append(float(g_sum / (h_sum + _EPS)))
+        members[node] = (rows, order)
+        pending[node] = _best_split(XT, grad, hess, order, g_sum, h_sum, min_samples_leaf)
+
+    open_leaf(np.arange(XT.shape[1]), presorted)
+    goes_left = np.zeros(XT.shape[1], dtype=bool)
+    for _ in range(max_leaves - 1):
+        splittable = [node for node in sorted(pending) if pending[node] is not None]
+        if not splittable:
             break
-        gain, f, thr = pending.pop(chosen)
-        idx = members.pop(chosen)
-        mask = X[idx, f] <= thr
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        left_id = len(feature)
-        right_id = left_id + 1
-        for child_idx in (left_idx, right_idx):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(_leaf_value(grad, hess, child_idx))
-        feature[chosen] = f
-        threshold[chosen] = thr
-        left[chosen] = left_id
-        right[chosen] = right_id
-        value[chosen] = 0.0
-        members[left_id] = left_idx
-        members[right_id] = right_idx
-        pending[left_id] = _best_split(X, grad, hess, left_idx, min_samples_leaf)
-        pending[right_id] = _best_split(X, grad, hess, right_idx, min_samples_leaf)
-        n_leaves += 1
-    return RegressionTree(feature, threshold, left, right, value)
+        chosen = max(splittable, key=lambda node: pending[node][0])
+        _, f, thr = pending.pop(chosen)
+        rows, order = members.pop(chosen)
+        goes_left[rows] = XT[f, rows] <= thr
+        in_left = goes_left[order]
+        tree.feature[chosen] = f
+        tree.threshold[chosen] = thr
+        tree.left[chosen] = len(tree.feature)
+        tree.right[chosen] = len(tree.feature) + 1
+        tree.value[chosen] = 0.0
+        open_leaf(rows[goes_left[rows]], order[in_left].reshape(len(order), -1))
+        open_leaf(rows[~goes_left[rows]], order[~in_left].reshape(len(order), -1))
+    fitted = np.empty(XT.shape[1], dtype=np.float64)
+    for node, (rows, _) in members.items():
+        fitted[rows] = tree.value[node]
+    return tree, fitted
 
 
 # -- lambda gradients ----------------------------------------------------------
 
-def _ranked_order(scores):
-    """Indices by score desc, ties by row position (stable)."""
-    return np.lexsort((np.arange(len(scores)), -scores))
+def _batches(labels, groups):
+    """Query groups batched by shape: (rows, relevant rows).
+
+    Returns (queries, rows, relevant, irrelevant) tuples: the index of each
+    query in ``groups`` and its row ids, one query per array row, in row
+    order. Labels never change in a training run, so this runs once.
+    """
+    shapes = {}
+    for q, (start, end) in enumerate(groups):
+        shapes.setdefault((end - start, int(labels[start:end].sum())), []).append(q)
+    batches = []
+    for (n, n_pos), queries in shapes.items():
+        step = max(1, _BATCH_PAIRS // max(n, n_pos * (n - n_pos)))
+        for i in range(0, len(queries), step):
+            q = np.asarray(queries[i:i + step])
+            rows = np.asarray([groups[j][0] for j in q])[:, None] + np.arange(n)
+            relevant = labels[rows] == 1
+            batches.append((q, rows, rows[relevant].reshape(len(q), n_pos),
+                            rows[~relevant].reshape(len(q), n - n_pos)))
+    return batches
 
 
-def _query_ndcg(scores, labels, k):
-    if labels.sum() == 0:
-        return None
-    order = _ranked_order(scores)
-    ranked = labels[order][:k]
-    positions = np.arange(1, len(ranked) + 1)
-    dcg = float(np.sum(ranked / np.log2(positions + 1)))
-    n_ideal = min(k, int(labels.sum()))
-    idcg = float(np.sum(1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)))
-    return dcg / idcg
+def _ranked(scores, rows):
+    """Each query's rows by score desc, ties by row position (stable)."""
+    return np.take_along_axis(rows, np.argsort(-scores[rows], axis=1, kind="stable"), axis=1)
 
 
-def _mean_ndcg(scores, labels, groups, k):
-    values = []
-    for start, end in groups:
-        v = _query_ndcg(scores[start:end], labels[start:end], k)
-        if v is not None:
-            values.append(v)
-    return float(np.mean(values)) if values else 0.0
+def _mean_ndcg(scores, labels, batches, k):
+    """Mean NDCG@k over the queries with a relevant row; 0.0 if none.
 
-
-def _precision_at_1(scores, labels, groups):
-    hits = []
-    for start, end in groups:
-        if labels[start:end].sum() == 0:
+    The per-query values are averaged in ``groups`` order, as one array.
+    With binary labels, NDCG@1 is precision at 1.
+    """
+    queries, values = [], []
+    for q, rows, relevant, _ in batches:
+        n_pos = relevant.shape[1]
+        if n_pos == 0:
             continue
-        top = _ranked_order(scores[start:end])[0]
-        hits.append(float(labels[start:end][top]))
-    return float(np.mean(hits)) if hits else 0.0
+        ranked = labels[_ranked(scores, rows)][:, :k]
+        positions = np.arange(1, ranked.shape[1] + 1)
+        dcg = np.sum(ranked / np.log2(positions + 1), axis=1)
+        idcg = float(np.sum(1.0 / np.log2(np.arange(1, min(k, n_pos) + 1) + 1)))
+        queries.append(q)
+        values.append(dcg / idcg)
+    if not values:
+        return 0.0
+    return float(np.mean(np.concatenate(values)[np.argsort(np.concatenate(queries))]))
 
 
-def _lambda_gradients(scores, labels, groups, k):
+def _lambda_gradients(scores, batches, k):
+    batches = [(rows, pos, neg) for _, rows, pos, neg in batches
+               if pos.shape[1] and neg.shape[1]]
+    rank = np.full(len(scores), k + 1, dtype=np.int64)
+    for rows, _, _ in batches:
+        rank[_ranked(scores, rows)] = np.arange(1, rows.shape[1] + 1)
+    discount = np.where(rank <= k, 1.0 / np.log2(rank + 1.0), 0.0)
     lam = np.zeros(len(scores), dtype=np.float64)
     hess = np.zeros(len(scores), dtype=np.float64)
-    for start, end in groups:
-        y = labels[start:end]
-        pos = np.nonzero(y == 1)[0]
-        neg = np.nonzero(y == 0)[0]
-        if pos.size == 0 or neg.size == 0:
-            continue
-        s = scores[start:end]
-        order = _ranked_order(s)
-        rank = np.empty(len(s), dtype=np.int64)
-        rank[order] = np.arange(1, len(s) + 1)
-        discount = np.where(rank <= k, 1.0 / np.log2(rank + 1.0), 0.0)
-        n_ideal = min(k, pos.size)
+    for _, pos, neg in batches:
+        n_ideal = min(k, pos.shape[1])
         idcg = float(np.sum(1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)))
-        diff = np.clip(s[pos][:, None] - s[neg][None, :], -60.0, 60.0)
+        diff = np.clip(scores[pos][:, :, None] - scores[neg][:, None, :], -60.0, 60.0)
         rho = 1.0 / (1.0 + np.exp(diff))
-        delta = np.abs(discount[pos][:, None] - discount[neg][None, :]) / idcg
+        delta = np.abs(discount[pos][:, :, None] - discount[neg][:, None, :]) / idcg
         weighted = rho * delta
-        lam[start + pos] += weighted.sum(axis=1)
-        lam[start + neg] -= weighted.sum(axis=0)
+        lam[pos] += weighted.sum(axis=2)
+        lam[neg] -= weighted.sum(axis=1)
         curvature = rho * (1.0 - rho) * delta
-        hess[start + pos] += curvature.sum(axis=1)
-        hess[start + neg] += curvature.sum(axis=0)
+        hess[pos] += curvature.sum(axis=2)
+        hess[neg] += curvature.sum(axis=1)
     return lam, hess
 
 
@@ -358,21 +359,16 @@ def _table_arrays(table):
     return X, y, groups, qids
 
 
-def _split_queries(qids, groups, y, config):
-    if config.validation_queries is not None:
-        valid = set(config.validation_queries)
-    else:
-        rng = random.Random(config.seed)
-        shuffled = sorted(qids)
-        rng.shuffle(shuffled)
-        n_valid = max(1, round(config.validation_fraction * len(shuffled)))
-        if n_valid >= len(shuffled):
-            raise TrainingError("validation fraction leaves no training queries")
-        valid = set(shuffled[:n_valid])
+def _split_queries(qids, groups, config):
+    rng = random.Random(config.seed)
+    shuffled = sorted(qids)
+    rng.shuffle(shuffled)
+    n_valid = max(1, round(config.validation_fraction * len(shuffled)))
+    if n_valid >= len(shuffled):
+        raise TrainingError("validation fraction leaves no training queries")
+    valid = set(shuffled[:n_valid])
     train_groups = [(q, g) for q, g in zip(qids, groups) if q not in valid]
     valid_groups = [(q, g) for q, g in zip(qids, groups) if q in valid]
-    if not valid_groups:
-        raise TrainingError("no validation queries selected")
     if not train_groups:
         raise TrainingError("no training queries left after the validation split")
     return train_groups, valid_groups
@@ -409,9 +405,13 @@ def train(table, config=TrainConfig()):
             f"got {mixed}"
         )
 
-    train_named, valid_named = _split_queries(qids, groups, y, config)
+    train_named, valid_named = _split_queries(qids, groups, config)
     X_tr, y_tr, groups_tr = _subset(X, y, train_named)
     X_va, y_va, groups_va = _subset(X, y, valid_named)
+    batches_tr = _batches(y_tr, groups_tr)
+    batches_va = _batches(y_va, groups_va)
+    XT = np.ascontiguousarray(X_tr.T)
+    presorted = np.argsort(XT, axis=1, kind="mergesort")
 
     k = config.ndcg_truncation
     scores_tr = np.zeros(len(X_tr), dtype=np.float64)
@@ -421,13 +421,14 @@ def train(table, config=TrainConfig()):
     best_iter = -1
     best_valid = -math.inf
     for iteration in range(config.num_trees):
-        lam, hess = _lambda_gradients(scores_tr, y_tr, groups_tr, k)
-        tree = _fit_tree(X_tr, lam, hess, config.max_leaves, config.min_samples_leaf)
+        lam, hess = _lambda_gradients(scores_tr, batches_tr, k)
+        tree, fitted = _fit_tree(XT, lam, hess, presorted, config.max_leaves,
+                                 config.min_samples_leaf)
         trees.append(tree)
-        scores_tr += config.learning_rate * tree.predict(X_tr)
+        scores_tr += config.learning_rate * fitted
         scores_va += config.learning_rate * tree.predict(X_va)
-        train_ndcg = _mean_ndcg(scores_tr, y_tr, groups_tr, k)
-        valid_ndcg = _mean_ndcg(scores_va, y_va, groups_va, k)
+        train_ndcg = _mean_ndcg(scores_tr, y_tr, batches_tr, k)
+        valid_ndcg = _mean_ndcg(scores_va, y_va, batches_va, k)
         history.append((iteration, train_ndcg, valid_ndcg))
         if valid_ndcg > best_valid:
             best_valid = valid_ndcg
@@ -453,7 +454,7 @@ def train(table, config=TrainConfig()):
         history=history,
     )
     best_scores = ensemble.predict_matrix(X_va)
-    ensemble.validation_precision_at_1 = _precision_at_1(best_scores, y_va, groups_va)
+    ensemble.validation_precision_at_1 = _mean_ndcg(best_scores, y_va, batches_va, 1)
     return ensemble
 
 

@@ -22,7 +22,7 @@ from lexfuse import cli
 from lexfuse.evaluation import load_qrels, macro_prf2, micro_prf1
 from lexfuse.features import FeatureRow, FeatureSchema, FeatureTable
 from lexfuse.indexing import TokenizerConfig, build_index
-from lexfuse.ltr import TrainConfig, ndcg_at_k, train
+from lexfuse.ltr import TrainConfig, train
 from lexfuse.postprocess import (
     TASK1_RUN3_PARAMS,
     CutoffParams,
@@ -48,6 +48,7 @@ from lexfuse.scorers import (
     score_all,
     top_k,
 )
+from test_ltr import ndcg_at_k
 
 
 @contextmanager

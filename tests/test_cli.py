@@ -486,6 +486,13 @@ class TestErrors:
         manifest = json.loads((work / "manifest.json").read_text())
         assert manifest["artifacts"]["model.json"]["sha256"] == cli._sha256(work / "model.json")
 
+    @pytest.mark.parametrize("key, value", [("ltr_learning_rate", 2.0),
+                                            ("ltr_min_samples_leaf", 0)])
+    def test_out_of_range_ltr_value_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"), **{key: value})
+        assert run("train", cfg) == 1
+        assert f"usage error: config key '{key}'" in capsys.readouterr().err
+
     def test_bad_task_value_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="weird")
         assert run("ingest", cfg) == 1

@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from lexfuse import ltr
 from lexfuse.features import FeatureRow, FeatureSchema, FeatureTable
 from lexfuse.ltr import (
     RegressionTree,
@@ -11,13 +13,31 @@ from lexfuse.ltr import (
     TrainConfig,
     TrainingError,
     TreeEnsemble,
-    ndcg_at_k,
     predict,
     train,
     write_training_log,
 )
 
 SCHEMA3 = FeatureSchema("synthetic3", ("signal", "noise_a", "noise_b"))
+
+
+def ndcg_at_k(labels, k):
+    """NDCG@k of binary labels in ranked order; 0.0 when nothing is relevant.
+
+    Gains are 2^label - 1 and the discount at 1-based rank r is
+    1 / log2(r + 1).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    dcg = 0.0
+    for i, label in enumerate(labels[:k]):
+        if label:
+            dcg += (2.0 ** label - 1.0) / math.log2(i + 2)
+    idcg = 0.0
+    for i, label in enumerate(sorted(labels, reverse=True)[:k]):
+        if label:
+            idcg += (2.0 ** label - 1.0) / math.log2(i + 2)
+    return dcg / idcg if idcg > 0 else 0.0
 
 
 def make_table(n_queries, n_rows, n_pos, rng, signal_noise=0.01, shuffle_labels=False):
@@ -243,14 +263,6 @@ class TestSerializationAndDeterminism:
         train(table_b, config).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_explicit_validation_queries(self):
-        rng = random.Random(12)
-        table = make_table(8, 10, 2, rng)
-        valid = ("q000", "q001")
-        model = train(table, quick_config(num_trees=8, min_samples_leaf=2,
-                                          validation_queries=valid))
-        assert model.validation_precision_at_1 is not None
-
     def test_training_log_format(self, tmp_path):
         history = [(0, 0.5, 0.4), (1, 0.75, 0.6)]
         path = tmp_path / "log.tsv"
@@ -258,3 +270,269 @@ class TestSerializationAndDeterminism:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration\ttrain_ndcg\tvalid_ndcg"
         assert lines[1] == "0\t0.500000\t0.400000"
+
+
+# -- reference trainer: one argsort per node and feature, one query at a time --
+
+def ref_best_split(X, grad, hess, idx, min_samples_leaf):
+    g = grad[idx]
+    h = hess[idx]
+    total_g = g.sum()
+    total_h = h.sum()
+    parent = total_g * total_g / (total_h + ltr._EPS)
+    n = len(idx)
+    best = None
+    for f in range(X.shape[1]):
+        values = X[idx, f]
+        order = np.argsort(values, kind="mergesort")
+        sorted_values = values[order]
+        if sorted_values[0] == sorted_values[-1]:
+            continue
+        cum_g = np.cumsum(g[order])
+        cum_h = np.cumsum(h[order])
+        cuts = np.nonzero(sorted_values[:-1] < sorted_values[1:])[0]
+        cuts = cuts[(cuts + 1 >= min_samples_leaf) & (n - cuts - 1 >= min_samples_leaf)]
+        if cuts.size == 0:
+            continue
+        left_g = cum_g[cuts]
+        left_h = cum_h[cuts]
+        gains = (
+            left_g * left_g / (left_h + ltr._EPS)
+            + (total_g - left_g) ** 2 / (total_h - left_h + ltr._EPS)
+            - parent
+        )
+        j = int(np.argmax(gains))
+        if gains[j] > ltr._MIN_GAIN and (best is None or gains[j] > best[0]):
+            thr = (sorted_values[cuts[j]] + sorted_values[cuts[j] + 1]) / 2.0
+            best = (float(gains[j]), f, float(thr))
+    return best
+
+
+def ref_leaf_value(grad, hess, idx):
+    return float(grad[idx].sum() / (hess[idx].sum() + ltr._EPS))
+
+
+def ref_fit_tree(X, grad, hess, max_leaves, min_samples_leaf):
+    feature = [-1]
+    threshold = [0.0]
+    left = [-1]
+    right = [-1]
+    value = [ref_leaf_value(grad, hess, np.arange(len(X)))]
+    members = {0: np.arange(len(X))}
+    pending = {0: ref_best_split(X, grad, hess, members[0], min_samples_leaf)}
+    n_leaves = 1
+    while n_leaves < max_leaves:
+        chosen = None
+        for node in sorted(pending):
+            split = pending[node]
+            if split is None:
+                continue
+            if chosen is None or split[0] > pending[chosen][0]:
+                chosen = node
+        if chosen is None:
+            break
+        gain, f, thr = pending.pop(chosen)
+        idx = members.pop(chosen)
+        mask = X[idx, f] <= thr
+        left_idx = idx[mask]
+        right_idx = idx[~mask]
+        left_id = len(feature)
+        right_id = left_id + 1
+        for child_idx in (left_idx, right_idx):
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(ref_leaf_value(grad, hess, child_idx))
+        feature[chosen] = f
+        threshold[chosen] = thr
+        left[chosen] = left_id
+        right[chosen] = right_id
+        value[chosen] = 0.0
+        members[left_id] = left_idx
+        members[right_id] = right_idx
+        pending[left_id] = ref_best_split(X, grad, hess, left_idx, min_samples_leaf)
+        pending[right_id] = ref_best_split(X, grad, hess, right_idx, min_samples_leaf)
+        n_leaves += 1
+    return RegressionTree(feature, threshold, left, right, value)
+
+
+def ref_ranked_order(scores):
+    return np.lexsort((np.arange(len(scores)), -scores))
+
+
+def ref_query_ndcg(scores, labels, k):
+    if labels.sum() == 0:
+        return None
+    order = ref_ranked_order(scores)
+    ranked = labels[order][:k]
+    positions = np.arange(1, len(ranked) + 1)
+    dcg = float(np.sum(ranked / np.log2(positions + 1)))
+    n_ideal = min(k, int(labels.sum()))
+    idcg = float(np.sum(1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)))
+    return dcg / idcg
+
+
+def ref_mean_ndcg(scores, labels, groups, k):
+    values = []
+    for start, end in groups:
+        v = ref_query_ndcg(scores[start:end], labels[start:end], k)
+        if v is not None:
+            values.append(v)
+    return float(np.mean(values)) if values else 0.0
+
+
+def ref_precision_at_1(scores, labels, groups):
+    hits = []
+    for start, end in groups:
+        if labels[start:end].sum() == 0:
+            continue
+        top = ref_ranked_order(scores[start:end])[0]
+        hits.append(float(labels[start:end][top]))
+    return float(np.mean(hits)) if hits else 0.0
+
+
+def ref_lambda_gradients(scores, labels, groups, k):
+    lam = np.zeros(len(scores), dtype=np.float64)
+    hess = np.zeros(len(scores), dtype=np.float64)
+    for start, end in groups:
+        y = labels[start:end]
+        pos = np.nonzero(y == 1)[0]
+        neg = np.nonzero(y == 0)[0]
+        if pos.size == 0 or neg.size == 0:
+            continue
+        s = scores[start:end]
+        order = ref_ranked_order(s)
+        rank = np.empty(len(s), dtype=np.int64)
+        rank[order] = np.arange(1, len(s) + 1)
+        discount = np.where(rank <= k, 1.0 / np.log2(rank + 1.0), 0.0)
+        n_ideal = min(k, pos.size)
+        idcg = float(np.sum(1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)))
+        diff = np.clip(s[pos][:, None] - s[neg][None, :], -60.0, 60.0)
+        rho = 1.0 / (1.0 + np.exp(diff))
+        delta = np.abs(discount[pos][:, None] - discount[neg][None, :]) / idcg
+        weighted = rho * delta
+        lam[start + pos] += weighted.sum(axis=1)
+        lam[start + neg] -= weighted.sum(axis=0)
+        curvature = rho * (1.0 - rho) * delta
+        hess[start + pos] += curvature.sum(axis=1)
+        hess[start + neg] += curvature.sum(axis=0)
+    return lam, hess
+
+
+def ref_train(table, config):
+    """``train`` as it was before the presorted layout: the bit-level oracle."""
+    X, y, groups, qids = ltr._table_arrays(table)
+    train_named, valid_named = ltr._split_queries(qids, groups, config)
+    X_tr, y_tr, groups_tr = ltr._subset(X, y, train_named)
+    X_va, y_va, groups_va = ltr._subset(X, y, valid_named)
+    k = config.ndcg_truncation
+    scores_tr = np.zeros(len(X_tr), dtype=np.float64)
+    scores_va = np.zeros(len(X_va), dtype=np.float64)
+    trees = []
+    history = []
+    best_iter = -1
+    best_valid = -math.inf
+    for iteration in range(config.num_trees):
+        lam, hess = ref_lambda_gradients(scores_tr, y_tr, groups_tr, k)
+        tree = ref_fit_tree(X_tr, lam, hess, config.max_leaves, config.min_samples_leaf)
+        trees.append(tree)
+        scores_tr += config.learning_rate * tree.predict(X_tr)
+        scores_va += config.learning_rate * tree.predict(X_va)
+        train_ndcg = ref_mean_ndcg(scores_tr, y_tr, groups_tr, k)
+        valid_ndcg = ref_mean_ndcg(scores_va, y_va, groups_va, k)
+        history.append((iteration, train_ndcg, valid_ndcg))
+        if valid_ndcg > best_valid:
+            best_valid = valid_ndcg
+            best_iter = iteration
+        if iteration - best_iter >= config.patience:
+            break
+    ensemble = TreeEnsemble(
+        trees=trees[:best_iter + 1],
+        base_score=0.0,
+        schema_name=table.schema.name,
+        feature_names=tuple(table.schema.feature_names),
+        config={
+            "num_trees": config.num_trees,
+            "max_leaves": config.max_leaves,
+            "learning_rate": config.learning_rate,
+            "min_samples_leaf": config.min_samples_leaf,
+            "ndcg_truncation": config.ndcg_truncation,
+            "seed": config.seed,
+            "best_iteration": best_iter,
+        },
+        history=history,
+    )
+    ensemble.validation_precision_at_1 = ref_precision_at_1(
+        ensemble.predict_matrix(X_va), y_va, groups_va)
+    return ensemble
+
+
+SCHEMA6 = FeatureSchema(
+    "synthetic6", ("signal", "coarse", "constant", "noise", "ordinal", "coarse_reversed"))
+
+
+def awkward_table(rng):
+    """Random table with ties, a constant column and degenerate groups.
+
+    Group lengths run from 1 to 150 (some repeat, so queries share a batch;
+    150 passes the 128-element block of NumPy's pairwise sums); groups may
+    be all relevant, all irrelevant or hold one irrelevant row among many
+    relevant ones; feature values are rounded so ties are common. The last
+    column is "coarse" reversed: its cuts make the same partitions with the
+    sums taken from the other end, so which of the two wins depends on the
+    last bits of the gains.
+    """
+    rows = []
+    for q in range(rng.randrange(12, 40)):
+        n = rng.choice([1, 2, 3, 5, 8, 8, 9, 12, 12, 20, 40, 150])
+        kind = rng.random()
+        if kind < 0.1:
+            labels = [0] * n
+        elif kind < 0.2:
+            labels = [1] * n
+        elif kind < 0.3:
+            labels = [1] * (n - 1) + [0]
+        else:
+            labels = [1 if rng.random() < 0.3 else 0 for _ in range(n)]
+        for i, label in enumerate(labels):
+            coarse = float(rng.randrange(3))
+            values = (
+                round(label * 0.5 + rng.gauss(0.0, 0.5), 1),
+                coarse,
+                1.0,
+                rng.gauss(0.0, 1.0),
+                float(i // 3),
+                2.0 - coarse,
+            )
+            rows.append(FeatureRow(f"q{q:03d}", f"c{i:03d}", values, label))
+    return FeatureTable(SCHEMA6, rows)
+
+
+class TestPresortedBitEquality:
+    """``train`` on presorted columns and batched queries equals the
+    per-node-argsort, per-query reference to the last bit."""
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3, 20])
+    @pytest.mark.parametrize("max_leaves", [2, 7, 31])
+    @pytest.mark.parametrize("ndcg_truncation", [1, 10])
+    def test_matches_reference_trainer(self, min_samples_leaf, max_leaves, ndcg_truncation):
+        for seed in range(3):
+            rng = random.Random(1000 * max_leaves + 10 * min_samples_leaf + seed)
+            table = awkward_table(rng)
+            config = TrainConfig(
+                num_trees=12, max_leaves=max_leaves, learning_rate=rng.choice([0.1, 0.5, 1.0]),
+                min_samples_leaf=min_samples_leaf, ndcg_truncation=ndcg_truncation,
+                seed=seed, validation_fraction=0.3, patience=6)
+            try:
+                expected = ref_train(table, config)
+            except TrainingError:
+                with pytest.raises(TrainingError):
+                    train(table, config)
+                continue
+            got = train(table, config)
+            assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+            assert [(i, a.hex(), b.hex()) for i, a, b in got.history] == [
+                (i, a.hex(), b.hex()) for i, a, b in expected.history]
+            assert got.validation_precision_at_1.hex() == (
+                expected.validation_precision_at_1.hex())
