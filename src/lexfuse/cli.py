@@ -8,6 +8,9 @@ manifest with the hash of every input the command read, so identical
 config and seed reproduce byte-identical files and stale artifacts are
 refused.
 
+Commands import ``indexing``, ``scorers``, ``features`` and ``ltr`` when
+they run, so the stages that need none of them never load numpy.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal.
 """
 
@@ -20,14 +23,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from . import evaluation, features, ingest, ltr, postprocess, scorers, synth
-from .indexing import (
-    DuplicateDocumentError,
-    InvertedIndex,
-    TokenizerConfig,
-    build_index,
-    tokenize,
-)
+from . import evaluation, ingest, postprocess, synth
 
 
 class ConfigError(Exception):
@@ -238,7 +234,7 @@ class Stage:
 
 
 def _tokenizer_config(cfg, ngram=False):
-    return TokenizerConfig(
+    return ingest.TokenizerConfig(
         lowercase=bool(cfg["lowercase"]),
         min_token_len=int(cfg["min_token_len"]),
         ngram_lo=int(cfg["ngram_lo"]) if ngram else 1,
@@ -295,7 +291,7 @@ def _restrict(runs, qids):
 
 def _tokenized_doc(doc_id, body, tokenizer):
     doc = ingest.CleanDocument(id=doc_id, body=body)
-    doc.token_length = len(tokenize(doc.text, tokenizer))
+    doc.token_length = len(ingest.tokenize(doc.text, tokenizer))
     return doc
 
 
@@ -318,23 +314,19 @@ def cmd_ingest(stage):
         docs, stats = ingest.preprocess_corpus(raws, tokenizer)
 
     out = stage.write("clean.jsonl", lambda tmp: ingest.write_clean_jsonl(docs, tmp))
-    stats_payload = {
-        "documents": stats.documents,
-        "placeholders_removed": stats.placeholders_removed,
-        "paragraphs_dropped": stats.paragraphs_dropped,
-        "kept_verbatim_ids": sorted(stats.kept_verbatim_ids),
-        "dated_documents": stats.dated_documents,
-    }
+    stats_payload = dataclasses.asdict(stats)
+    stats_payload["kept_verbatim_ids"].sort()
     stage.write("ingest_stats.json", lambda tmp: tmp.write_text(
         json.dumps(stats_payload, sort_keys=True, indent=1), encoding="utf-8"))
     print(f"ingest: {stats.documents} documents -> {out}")
 
 
 def cmd_index(stage):
+    from . import indexing
     docs = ingest.read_clean_jsonl(stage.artifact("clean.jsonl"))
     pairs = [(d.id, d.text) for d in docs]
     for name, ngram in (("index_plain.json", False), ("index_ngram.json", True)):
-        index = build_index(pairs, _tokenizer_config(stage.cfg, ngram=ngram))
+        index = indexing.build_index(pairs, _tokenizer_config(stage.cfg, ngram=ngram))
         out = stage.write(name, lambda tmp: index.save(tmp))
         print(f"index: {index.num_docs} docs, {len(index.postings)} terms -> {out}")
 
@@ -344,12 +336,13 @@ _INDEX_SCORERS = (("index_plain.json", ("bm25", "qld")),
 
 
 def cmd_score(stage):
+    from . import indexing, scorers
     cfg = stage.cfg
     queries = _query_docs(stage)
     bm25_params = scorers.Bm25Params(k1=float(cfg["bm25_k1"]), b=float(cfg["bm25_b"]))
     qld_params = scorers.QldParams(mu=float(cfg["qld_mu"]))
     for index_name, names in _INDEX_SCORERS:
-        index = InvertedIndex.load(stage.artifact(index_name))
+        index = indexing.InvertedIndex.load(stage.artifact(index_name))
         for scorer in names:
             params = qld_params if scorer == "qld" else bm25_params
             lists = [
@@ -365,6 +358,7 @@ _SCORER_FEATURE = {"bm25": "BM25", "qld": "QLD", "bm25_ngram": "BM25_ngram"}
 
 
 def cmd_features(stage):
+    from . import features, scorers
     cfg = stage.cfg
     schema = features.get_schema(cfg["schema"])
     candidates = _load_docs(stage.artifact("clean.jsonl"))
@@ -394,6 +388,7 @@ def cmd_features(stage):
 
 
 def cmd_train(stage):
+    from . import features, ltr
     cfg = stage.cfg
     try:
         # Every TrainConfig field but the seed is the config key ltr_<field>.
@@ -449,11 +444,12 @@ def _calibrate_positive(runs):
                 (doc_id, _SCORE_FLOOR + scale * (score - bottom) / span)
                 for doc_id, score in slist.entries
             ]
-        out[qid] = scorers.ScoredList(qid, entries)
+        out[qid] = evaluation.ScoredList(qid, entries)
     return out
 
 
 def cmd_rerank(stage):
+    from . import features, ltr
     table = features.FeatureTable.from_tsv(stage.artifact("features.tsv"))
     model = ltr.TreeEnsemble.load(stage.artifact("model.json"))
     runs = _calibrate_positive(ltr.predict(model, table))
@@ -626,8 +622,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"lexfuse: usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, ValueError, KeyError, DuplicateDocumentError,
-            features.ExternalScoreError, ltr.TrainingError) as exc:
+    except (DataError, OSError, ValueError, KeyError) as exc:
         print(f"lexfuse: data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,4 +1,8 @@
-"""Competition-style retrieval metrics.
+"""Ranked lists, their query/doc/score files, and competition-style metrics.
+
+A ``ScoredList`` is one query's ranking. Score dumps and run files are one
+query/doc/score table (3 and 5 fields) with one reader that names
+``path:line`` for a bad row.
 
 Case retrieval pools true/false positives and misses over all queries
 before computing precision, recall, and F1 (micro average). Statute
@@ -12,7 +16,25 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .scorers import ScoredList
+
+@dataclass
+class ScoredList:
+    """Per-query ranking: (doc_id, score) sorted by score desc, id asc."""
+
+    query_id: str
+    entries: list
+
+    @classmethod
+    def from_scores(cls, query_id, scores):
+        """Build from a {doc_id: score} mapping, applying the sort order."""
+        items = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        return cls(query_id=query_id, entries=items)
+
+    def doc_ids(self):
+        return [doc_id for doc_id, _ in self.entries]
+
+    def __len__(self):
+        return len(self.entries)
 
 
 @dataclass
@@ -145,7 +167,15 @@ def recall_at_k(runs, qrels, k):
 
 def load_qrels(path):
     """Read ``{"query_id": ["doc_id", ...]}`` into {query_id: set}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: qrels are not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or not all(
+            isinstance(docs, list) and all(isinstance(d, str) for d in docs)
+            for docs in data.values()):
+        raise ValueError(f"{path}: qrels must be a JSON object mapping query ids "
+                         "to lists of document ids")
     return {qid: set(docs) for qid, docs in data.items()}
 
 
@@ -162,23 +192,38 @@ def write_run_file(runs, path, tag="lexfuse"):
                 fh.write(f"{qid}\t{doc_id}\t{rank}\t{score:.6f}\t{tag}\n")
 
 
-def read_run_file(path):
+def _read_scored_table(path, width, score_field):
+    """Rows of a query/doc/score table as {query_id: {doc_id: score}}, in file order.
+
+    Each non-empty line has ``width`` tab-separated fields: the query id,
+    the document id, and the score at ``score_field``.
+    """
     per_query = {}
-    seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
-            qid, doc_id, _rank, score, _tag = parts
-            if (qid, doc_id) in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate candidate {doc_id!r}")
-            seen.add((qid, doc_id))
-            per_query.setdefault(qid, []).append((doc_id, float(score)))
-    return {qid: ScoredList(qid, entries) for qid, entries in per_query.items()}
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields")
+            qid, doc_id, raw = parts[0], parts[1], parts[score_field]
+            try:
+                score = float(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad score {raw!r}") from None
+            scores = per_query.setdefault(qid, {})
+            if doc_id in scores:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate candidate {doc_id!r} for query {qid!r}")
+            scores[doc_id] = score
+    return per_query
+
+
+def read_run_file(path):
+    """Parse a run file into {query_id: ScoredList}, keeping file order."""
+    return {qid: ScoredList(qid, list(scores.items()))
+            for qid, scores in _read_scored_table(path, 5, 3).items()}
 
 
 def write_report(report, path, extra=None):

@@ -1,16 +1,18 @@
-"""Tokenization and the immutable inverted index behind the lexical scorers."""
+"""The immutable inverted index behind the lexical scorers.
+
+Documents are tokenized with ``ingest.tokenize``; postings are int64
+``(ordinal, tf)`` rows, one contiguous block per term.
+"""
 
 import json
-import re
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-# Letters and digits only; "_" is a boundary, so n-gram joints stay unambiguous.
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+from .ingest import TokenizerConfig, tokenize
 
 INDEX_FORMAT = "lexfuse-index"
 INDEX_VERSION = 2
@@ -18,48 +20,6 @@ INDEX_VERSION = 2
 
 class DuplicateDocumentError(ValueError):
     """Two documents in one corpus share an id."""
-
-
-class UnknownDocumentError(KeyError):
-    """A document ordinal or id is not present in the index."""
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    lowercase: bool = True
-    min_token_len: int = 1
-    ngram_lo: int = 1
-    ngram_hi: int = 1
-
-    def __post_init__(self):
-        if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
-        if self.ngram_lo < 1:
-            raise ValueError("ngram_lo must be >= 1")
-        if self.ngram_hi < self.ngram_lo:
-            raise ValueError("ngram_hi must be >= ngram_lo")
-
-
-def tokenize(text, config=TokenizerConfig()):
-    """Split ``text`` on non-alphanumeric boundaries and expand n-grams.
-
-    Tokens shorter than ``min_token_len`` are dropped before expansion.
-    Every contiguous n-gram for n in [ngram_lo, ngram_hi] is emitted,
-    joined with "_".
-    """
-    source = text.lower() if config.lowercase else text
-    words = _WORD_RE.findall(source)
-    if config.min_token_len > 1:
-        words = [w for w in words if len(w) >= config.min_token_len]
-    if config.ngram_lo == 1 and config.ngram_hi == 1:
-        return words
-    out = []
-    for n in range(config.ngram_lo, config.ngram_hi + 1):
-        if n == 1:
-            out.extend(words)
-        else:
-            out.extend("_".join(words[i:i + n]) for i in range(len(words) - n + 1))
-    return out
 
 
 class Postings(Mapping):
@@ -81,9 +41,6 @@ class Postings(Mapping):
         return len(self._slot)
 
 
-_NO_ROWS = np.zeros((0, 2), dtype=np.int64)
-
-
 class InvertedIndex:
     """Immutable term statistics of a fixed corpus; frequencies are read off the postings."""
 
@@ -99,16 +56,10 @@ class InvertedIndex:
     def num_docs(self):
         return len(self.doc_ids)
 
-    def term_frequency(self, term, ordinal):
-        if not 0 <= ordinal < self.num_docs:
-            raise UnknownDocumentError(f"unknown document ordinal: {ordinal}")
-        rows = self.postings.get(term, _NO_ROWS)
-        return int(rows[rows[:, 0] == ordinal, 1].sum())
-
     def collection_prob(self, term):
-        """p(term | collection); 0 for unseen terms or an empty collection."""
-        coll_freq = int(self.postings.get(term, _NO_ROWS)[:, 1].sum())
-        return coll_freq / self.total_coll_tokens if coll_freq else 0.0
+        """p(term | collection); 0 for unseen terms."""
+        rows = self.postings.get(term)
+        return 0.0 if rows is None else int(rows[:, 1].sum()) / self.total_coll_tokens
 
     # -- serialization -----------------------------------------------------
 

@@ -4,16 +4,15 @@ Case cleaning: drop the procedural preamble before the "[1]" marker,
 strip suppression placeholders, remove French passages, hoist the summary
 section to the front, and record the latest date found as the trial date.
 Article cleaning: drop structural lead-in lines and parenthesized caption
-headings.
+headings. The tokenizer shared by ingest (token lengths), indexing and
+query scoring lives here too.
 """
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-
-from .indexing import TokenizerConfig, tokenize
 
 PREAMBLE_MARKER = "[1]"
 
@@ -70,6 +69,48 @@ _DATE_PATTERNS = (
 )
 
 
+# Letters and digits only; "_" is a boundary, so n-gram joints stay unambiguous.
+_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+@dataclass(frozen=True)
+class TokenizerConfig:
+    lowercase: bool = True
+    min_token_len: int = 1
+    ngram_lo: int = 1
+    ngram_hi: int = 1
+
+    def __post_init__(self):
+        if self.min_token_len < 1:
+            raise ValueError("min_token_len must be >= 1")
+        if self.ngram_lo < 1:
+            raise ValueError("ngram_lo must be >= 1")
+        if self.ngram_hi < self.ngram_lo:
+            raise ValueError("ngram_hi must be >= ngram_lo")
+
+
+def tokenize(text, config=TokenizerConfig()):
+    """Split ``text`` on non-alphanumeric boundaries and expand n-grams.
+
+    Tokens shorter than ``min_token_len`` are dropped before expansion.
+    Every contiguous n-gram for n in [ngram_lo, ngram_hi] is emitted,
+    joined with "_".
+    """
+    source = text.lower() if config.lowercase else text
+    words = _WORD_RE.findall(source)
+    if config.min_token_len > 1:
+        words = [w for w in words if len(w) >= config.min_token_len]
+    if config.ngram_lo == 1 and config.ngram_hi == 1:
+        return words
+    out = []
+    for n in range(config.ngram_lo, config.ngram_hi + 1):
+        if n == 1:
+            out.extend(words)
+        else:
+            out.extend("_".join(words[i:i + n]) for i in range(len(words) - n + 1))
+    return out
+
+
 @dataclass(frozen=True)
 class RawDocument:
     id: str
@@ -104,12 +145,8 @@ class IngestStats:
     documents: int = 0
     placeholders_removed: int = 0
     paragraphs_dropped: int = 0
-    kept_verbatim_ids: list = None
+    kept_verbatim_ids: list = field(default_factory=list)
     dated_documents: int = 0
-
-    def __post_init__(self):
-        if self.kept_verbatim_ids is None:
-            self.kept_verbatim_ids = []
 
 
 def strip_preamble(text):
@@ -224,14 +261,13 @@ def extract_trial_date(text):
     return best
 
 
-def preprocess_case(raw, tokenizer_config=None):
+def preprocess_case(raw, tokenizer_config=TokenizerConfig()):
     """Run the full case-cleaning pipeline on one raw document.
 
     Returns ``(doc, (paragraphs_dropped, kept_verbatim))``. The trial
     date and the placeholder count are taken from the original text so
     earlier cleaning steps cannot destroy their evidence.
     """
-    config = tokenizer_config or TokenizerConfig()
     trial = extract_trial_date(raw.text)
     _, placeholder_count = remove_placeholders(raw.text)
 
@@ -253,7 +289,7 @@ def preprocess_case(raw, tokenizer_config=None):
         trial_date=trial,
         placeholder_count=placeholder_count,
     )
-    doc.token_length = len(tokenize(doc.text, config))
+    doc.token_length = len(tokenize(doc.text, tokenizer_config))
     return doc, (dropped, kept_verbatim)
 
 
@@ -278,14 +314,11 @@ def preprocess_article(raw):
 
 def load_raw_corpus(corpus_dir):
     """Read ``<id>.txt`` files from a directory, sorted by id."""
-    root = Path(corpus_dir)
-    docs = []
-    for path in sorted(root.glob("*.txt")):
-        docs.append(RawDocument(id=path.stem, text=path.read_text(encoding="utf-8")))
-    return docs
+    return [RawDocument(id=path.stem, text=path.read_text(encoding="utf-8"))
+            for path in sorted(Path(corpus_dir).glob("*.txt"))]
 
 
-def preprocess_corpus(raws, tokenizer_config=None):
+def preprocess_corpus(raws, tokenizer_config=TokenizerConfig()):
     """Clean every raw case document; return (docs, stats)."""
     stats = IngestStats()
     docs = []

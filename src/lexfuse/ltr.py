@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scorers import ScoredList
+from .evaluation import ScoredList
 
 MODEL_FORMAT = "lexfuse-ltr"
 MODEL_VERSION = 1

@@ -12,8 +12,7 @@ kept.
 import itertools
 from dataclasses import dataclass
 
-from .evaluation import macro_prf2, micro_prf1
-from .scorers import ScoredList
+from .evaluation import ScoredList, macro_prf2, micro_prf1
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ Query likelihood with Dirichlet smoothing:
     Query terms with zero collection frequency are dropped first.
 
 "bm25_ngram" is plain BM25 evaluated over an n-gram-expanded index.
+Rankings are ``evaluation.ScoredList``s; score dumps use its table reader.
 """
 
 import math
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import UnknownDocumentError, tokenize
+from .evaluation import ScoredList, _read_scored_table
+from .ingest import tokenize
 
 
 @dataclass(frozen=True)
@@ -48,38 +50,6 @@ class QldParams:
 SCORER_NAMES = ("bm25", "qld", "bm25_ngram")
 
 
-@dataclass
-class ScoredList:
-    """Per-query ranking: (doc_id, score) sorted by score desc, id asc."""
-
-    query_id: str
-    entries: list
-
-    @classmethod
-    def from_scores(cls, query_id, scores):
-        """Build from a {doc_id: score} mapping, applying the sort order."""
-        items = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        return cls(query_id=query_id, entries=items)
-
-    def validate(self):
-        seen = set()
-        for doc_id, _ in self.entries:
-            if doc_id in seen:
-                raise ValueError(f"duplicate doc id in list: {doc_id!r}")
-            seen.add(doc_id)
-        keys = [(-score, doc_id) for doc_id, score in self.entries]
-        for a, b in zip(keys, keys[1:]):
-            if a >= b:
-                raise ValueError(f"entries out of order near {b[1]!r}")
-        return self
-
-    def doc_ids(self):
-        return [doc_id for doc_id, _ in self.entries]
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _idf(index, term):
     df = len(index.postings.get(term, ()))
     return math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
@@ -94,40 +64,6 @@ def _logs(values, shift):
     """``math.log(v + shift)`` per int v, called once per distinct v (np.log may differ)."""
     distinct, where = np.unique(values, return_inverse=True)
     return np.array([math.log(v + shift) for v in distinct.tolist()])[where]
-
-
-def bm25_score(index, query_terms, doc, params=TASK1_BM25):
-    """BM25 score of document ordinal ``doc`` for the given query terms.
-
-    Repeated query terms contribute once per occurrence; terms absent
-    from the document contribute exactly 0.
-    """
-    if not 0 <= doc < index.num_docs:
-        raise UnknownDocumentError(f"unknown document ordinal: {doc}")
-    norm = _length_norm(index, doc, params)
-    score = 0.0
-    for term in query_terms:
-        tf = index.term_frequency(term, doc)
-        if tf == 0:
-            continue
-        score += _idf(index, term) * tf * (params.k1 + 1.0) / (tf + norm)
-    return score
-
-
-def qld_score(index, query_terms, doc, params=QldParams()):
-    """Dirichlet-smoothed query log-likelihood for document ordinal ``doc``."""
-    if not 0 <= doc < index.num_docs:
-        raise UnknownDocumentError(f"unknown document ordinal: {doc}")
-    mu = params.mu
-    denom = index.doc_len[doc] + mu
-    score = 0.0
-    for term in query_terms:
-        p_coll = index.collection_prob(term)
-        if p_coll == 0.0:
-            continue
-        tf = index.term_frequency(term, doc)
-        score += math.log((tf + mu * p_coll) / denom)
-    return score
 
 
 def score_all(index, query_id, query_text, scorer="bm25", params=None):
@@ -177,23 +113,6 @@ def write_score_dump(lists, path):
 
 
 def read_score_dump(path):
-    """Parse a score dump back into {query_id: ScoredList}."""
-    per_query = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qid, doc_id, raw = parts
-            try:
-                score = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad score {raw!r}") from None
-            scores = per_query.setdefault(qid, {})
-            if doc_id in scores:
-                raise ValueError(f"{path}:{lineno}: duplicate pair ({qid}, {doc_id})")
-            scores[doc_id] = score
-    return {qid: ScoredList.from_scores(qid, scores) for qid, scores in per_query.items()}
+    """Parse a score dump into {query_id: ScoredList}, re-sorted per query."""
+    return {qid: ScoredList.from_scores(qid, scores)
+            for qid, scores in _read_scored_table(path, 3, 2).items()}

@@ -19,9 +19,10 @@ from contextlib import contextmanager
 import pytest
 
 from lexfuse import cli
-from lexfuse.evaluation import load_qrels, macro_prf2, micro_prf1
+from lexfuse.evaluation import ScoredList, load_qrels, macro_prf2, micro_prf1
 from lexfuse.features import FeatureRow, FeatureSchema, FeatureTable
-from lexfuse.indexing import TokenizerConfig, build_index
+from lexfuse.indexing import build_index
+from lexfuse.ingest import TokenizerConfig
 from lexfuse.ltr import TrainConfig, train
 from lexfuse.postprocess import (
     TASK1_RUN3_PARAMS,
@@ -38,17 +39,9 @@ from lexfuse.postprocess import (
     write_tuning_report,
     ThresholdParams,
 )
-from lexfuse.scorers import (
-    Bm25Params,
-    QldParams,
-    ScoredList,
-    bm25_score,
-    qld_score,
-    read_score_dump,
-    score_all,
-    top_k,
-)
+from lexfuse.scorers import Bm25Params, QldParams, read_score_dump, score_all, top_k
 from test_ltr import ndcg_at_k
+from test_scorers import bm25_score, qld_score
 
 
 @contextmanager

@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lexfuse import cli
+from lexfuse import cli, ltr
 from lexfuse.evaluation import load_qrels, micro_prf1, read_run_file
 
 
@@ -61,7 +62,7 @@ def small_pipeline(tmp_path_factory):
     return root, synth_dir, work, cfg
 
 
-def tiny_chain_config(root):
+def tiny_chain_config(root, **overrides):
     synth_dir = root / "synth"
     return write_config(
         root / "cfg.json",
@@ -72,7 +73,7 @@ def tiny_chain_config(root):
         external_scores={name: str(synth_dir / f"external_{name}.tsv")
                          for name in ("SAILER", "DELTA")},
         work_dir=str(root / "work"), rerank_depth=10,
-        ltr_num_trees=3, ltr_max_leaves=2, ltr_min_samples_leaf=1,
+        ltr_num_trees=3, ltr_max_leaves=2, ltr_min_samples_leaf=1, **overrides,
     )
 
 
@@ -480,7 +481,7 @@ class TestErrors:
         def fail(history, path):
             raise RuntimeError("log writer failed")
 
-        monkeypatch.setattr(cli.ltr, "write_training_log", fail)
+        monkeypatch.setattr(ltr, "write_training_log", fail)
         assert run("train", cfg) == 3
         work = tmp_path / "work"
         manifest = json.loads((work / "manifest.json").read_text())
@@ -492,6 +493,19 @@ class TestErrors:
         cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"), **{key: value})
         assert run("train", cfg) == 1
         assert f"usage error: config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"q1": 5}', '{"q1": ["A",'],
+                             ids=["not-a-list", "truncated"])
+    def test_malformed_qrels_is_data_error_naming_the_file(self, tmp_path, capsys, text):
+        run_path = tmp_path / "run.tsv"
+        run_path.write_text("q1\tA\t1\t1.000000\tx\n")
+        qrels_path = tmp_path / "qrels.json"
+        qrels_path.write_text(text)
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"),
+                           qrels_file=str(qrels_path), eval_run=str(run_path))
+        capsys.readouterr()
+        assert run("eval", cfg) == 2
+        assert f"data error: {qrels_path}" in capsys.readouterr().err
 
     def test_bad_task_value_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="weird")
@@ -543,3 +557,42 @@ class TestAtomicWrite:
         assert all(t.parent == tmp_path and t.name.endswith(".tmp") for t in seen)
         assert target.read_text() == "2"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+# Runs CLI stages in a fresh interpreter; argv: results path, then a JSON list
+# of [command, config] pairs. Records whether numpy is loaded after each step.
+_NUMPY_PROBE = """
+import json, sys
+from lexfuse import cli
+seen = [["import", 0, "numpy" in sys.modules]]
+for command, cfg in json.loads(sys.argv[2]):
+    seen.append([command, cli.main([command, "--config", cfg]), "numpy" in sys.modules])
+with open(sys.argv[1], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+class TestNumpyFreeStages:
+    def test_light_stages_never_import_numpy(self, tmp_path):
+        grid = dict(grid_p=[0.0, 0.5], grid_h=[4], grid_l=[0], grid_t=[1], grid_s=[0])
+        cfg = tiny_chain_config(tmp_path, **grid)
+        for command in ("synth", "ingest", "index", "score", "features", "train", "rerank"):
+            assert run(command, cfg) == 0, command
+        statute = tmp_path / "statute"
+        statute.mkdir()
+        articles, questions, _ = build_statute_fixture(statute)
+        statute_cfg = write_config(
+            statute / "cfg.json", task="statute", corpus_dir=str(articles),
+            queries_dir=str(questions), work_dir=str(statute / "work"))
+        steps = [["synth", cfg], ["ingest", cfg], ["ingest", statute_cfg],
+                 ["tune", cfg], ["postprocess", cfg], ["eval", cfg]]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        results = tmp_path / "numpy_probe.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, str(results), json.dumps(steps)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        expected = [["import", 0, False]] + [[command, 0, False] for command, _ in steps]
+        assert json.loads(results.read_text()) == expected

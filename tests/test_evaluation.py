@@ -4,6 +4,7 @@ import random
 import pytest
 
 from lexfuse.evaluation import (
+    ScoredList,
     load_qrels,
     macro_prf2,
     mean_average_precision,
@@ -14,7 +15,6 @@ from lexfuse.evaluation import (
     write_report,
     write_run_file,
 )
-from lexfuse.scorers import ScoredList
 
 
 def runs_from(lists):
@@ -191,8 +191,32 @@ class TestFileFormats:
             "q1\tB\t2\t0.700000\tx\n"
             "q1\tA\t3\t0.500000\tx\n"
         )
-        with pytest.raises(ValueError, match=r"bad\.tsv:4: duplicate candidate 'A'"):
+        with pytest.raises(ValueError, match=r"bad\.tsv:4: duplicate candidate 'A' for query 'q1'"):
             read_run_file(path)
+
+    def test_run_file_bad_score_names_file_and_lineno(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("q1\tA\t1\t1.000000\tx\nq1\tB\t2\tabc\tx\n")
+        with pytest.raises(ValueError, match=r"bad\.tsv:2: bad score 'abc'"):
+            read_run_file(path)
+
+    def test_run_file_wrong_field_count_names_file_and_lineno(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("q1\tA\t1\t1.000000\tx\nq1\tB\t0.5\n")
+        with pytest.raises(ValueError, match=r"bad\.tsv:2: expected 5 tab-separated fields"):
+            read_run_file(path)
+
+    def test_run_file_keeps_file_order(self, tmp_path):
+        path = tmp_path / "run.tsv"
+        path.write_text("q1\tB\t1\t0.500000\tx\nq1\tA\t2\t0.900000\tx\n")
+        assert read_run_file(path)["q1"].entries == [("B", 0.5), ("A", 0.9)]
+
+    @pytest.mark.parametrize("text", ['{"q1": 5}', '["q1"]', '{"q1": [1]}', '{"q1": ["A",'])
+    def test_malformed_qrels_name_the_file(self, tmp_path, text):
+        path = tmp_path / "qrels.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"qrels\.json"):
+            load_qrels(path)
 
     def test_qrels_round_trip(self, tmp_path):
         path = tmp_path / "qrels.json"

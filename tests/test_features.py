@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lexfuse.evaluation import ScoredList
 from lexfuse.features import (
     TASK1_SCHEMA,
     TASK3_SCHEMA,
@@ -17,7 +18,6 @@ from lexfuse.features import (
     rank_feature,
 )
 from lexfuse.ingest import CleanDocument
-from lexfuse.scorers import ScoredList
 
 
 def doc(doc_id, length=10, refs=0):

@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from lexfuse import postprocess
-from lexfuse.evaluation import macro_prf2, micro_prf1
+from lexfuse.evaluation import ScoredList, macro_prf2, micro_prf1
 from lexfuse.postprocess import (
     TASK1_RUN3_PARAMS,
     CutoffParams,
@@ -22,7 +22,6 @@ from lexfuse.postprocess import (
     tune_threshold_by_proportion,
     write_tuning_report,
 )
-from lexfuse.scorers import ScoredList
 
 
 def runs_from(lists):

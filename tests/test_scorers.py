@@ -4,18 +4,73 @@ from collections import Counter
 
 import pytest
 
-from lexfuse.indexing import TokenizerConfig, UnknownDocumentError, build_index, tokenize
+from lexfuse.evaluation import ScoredList
+from lexfuse.indexing import build_index
+from lexfuse.ingest import TokenizerConfig, tokenize
 from lexfuse.scorers import (
+    TASK1_BM25,
     Bm25Params,
     QldParams,
-    ScoredList,
-    bm25_score,
-    qld_score,
     read_score_dump,
     score_all,
     top_k,
     write_score_dump,
 )
+from test_indexing import UnknownDocumentError, term_frequency
+
+
+# -- single-document scorers over the index: one document ordinal at a time,
+# -- term by term, reading each frequency off the postings.
+
+def bm25_score(index, query_terms, doc, params=TASK1_BM25):
+    """BM25 score of document ordinal ``doc`` for the given query terms.
+
+    Repeated query terms contribute once per occurrence; terms absent
+    from the document contribute exactly 0.
+    """
+    if not 0 <= doc < index.num_docs:
+        raise UnknownDocumentError(f"unknown document ordinal: {doc}")
+    ratio = index.doc_len[doc] / index.avgdl if index.avgdl > 0 else 0.0
+    norm = params.k1 * (1.0 - params.b + params.b * ratio)
+    score = 0.0
+    for term in query_terms:
+        tf = term_frequency(index, term, doc)
+        if tf == 0:
+            continue
+        df = len(index.postings[term])
+        idf = math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
+        score += idf * tf * (params.k1 + 1.0) / (tf + norm)
+    return score
+
+
+def qld_score(index, query_terms, doc, params=QldParams()):
+    """Dirichlet-smoothed query log-likelihood for document ordinal ``doc``."""
+    if not 0 <= doc < index.num_docs:
+        raise UnknownDocumentError(f"unknown document ordinal: {doc}")
+    mu = params.mu
+    denom = index.doc_len[doc] + mu
+    score = 0.0
+    for term in query_terms:
+        p_coll = index.collection_prob(term)
+        if p_coll == 0.0:
+            continue
+        tf = term_frequency(index, term, doc)
+        score += math.log((tf + mu * p_coll) / denom)
+    return score
+
+
+def validate(slist):
+    """Raise ValueError unless ``slist`` has unique ids sorted by score desc, id asc."""
+    seen = set()
+    for doc_id, _ in slist.entries:
+        if doc_id in seen:
+            raise ValueError(f"duplicate doc id in list: {doc_id!r}")
+        seen.add(doc_id)
+    keys = [(-score, doc_id) for doc_id, score in slist.entries]
+    for a, b in zip(keys, keys[1:]):
+        if a >= b:
+            raise ValueError(f"entries out of order near {b[1]!r}")
+    return slist
 
 
 # -- independent oracles: direct evaluation of the scoring formulas over raw
@@ -223,7 +278,7 @@ class TestScoreAll:
         index = build_index([("d1", "a"), ("d2", "b"), ("d3", "a b")])
         result = score_all(index, "q", "a b", "bm25")
         assert len(result) == 3
-        result.validate()
+        validate(result)
 
     def test_identical_documents_tie_by_id(self):
         index = build_index([("z", "same text"), ("a", "same text")])
@@ -323,7 +378,8 @@ class TestScoreDump:
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q1\td1\t1.0\nq1\td1\t2.0\n")
-        with pytest.raises(ValueError, match="duplicate pair"):
+        with pytest.raises(ValueError,
+                           match=r"bad\.tsv:2: duplicate candidate 'd1' for query 'q1'"):
             read_score_dump(path)
 
     def test_bad_score_names_file_and_lineno(self, tmp_path):
