@@ -233,6 +233,15 @@ class Stage:
         )
 
 
+def _settings(cls, cfg, prefix, **fixed):
+    """``cls`` from config keys ``<prefix><field>``; a bad value is a usage error."""
+    try:
+        return cls(**fixed, **{f.name: f.type(cfg[prefix + f.name])
+                               for f in dataclasses.fields(cls) if f.name not in fixed})
+    except evaluation.SettingError as exc:
+        raise ConfigError(f"config key '{prefix}{exc.name}': {exc}") from None
+
+
 def _tokenizer_config(cfg, ngram=False):
     return ingest.TokenizerConfig(
         lowercase=bool(cfg["lowercase"]),
@@ -275,7 +284,7 @@ def _load_splits(stage):
     if not stage.cfg.get("splits_file"):
         return None
     path = stage.file("splits_file")
-    splits = json.loads(path.read_text(encoding="utf-8"))
+    splits = evaluation.load_id_lists(path, "splits", "split names to lists of query ids")
     for name in ("train", "tune", "test"):
         if name not in splits:
             raise DataError(f"{path}: missing split {name!r}")
@@ -337,10 +346,9 @@ _INDEX_SCORERS = (("index_plain.json", ("bm25", "qld")),
 
 def cmd_score(stage):
     from . import indexing, scorers
-    cfg = stage.cfg
+    bm25_params = _settings(scorers.Bm25Params, stage.cfg, "bm25_")
+    qld_params = _settings(scorers.QldParams, stage.cfg, "qld_")
     queries = _query_docs(stage)
-    bm25_params = scorers.Bm25Params(k1=float(cfg["bm25_k1"]), b=float(cfg["bm25_b"]))
-    qld_params = scorers.QldParams(mu=float(cfg["qld_mu"]))
     for index_name, names in _INDEX_SCORERS:
         index = indexing.InvertedIndex.load(stage.artifact(index_name))
         for scorer in names:
@@ -389,14 +397,7 @@ def cmd_features(stage):
 
 def cmd_train(stage):
     from . import features, ltr
-    cfg = stage.cfg
-    try:
-        # Every TrainConfig field but the seed is the config key ltr_<field>.
-        config = ltr.TrainConfig(seed=int(cfg["seed"]), **{
-            f.name: f.type(cfg[f"ltr_{f.name}"])
-            for f in dataclasses.fields(ltr.TrainConfig) if f.name != "seed"})
-    except ltr.SettingError as exc:
-        raise ConfigError(f"config key 'ltr_{exc.name}': {exc}") from None
+    config = _settings(ltr.TrainConfig, stage.cfg, "ltr_", seed=int(stage.cfg["seed"]))
     table = features.FeatureTable.from_tsv(stage.artifact("features.tsv"))
     splits = _load_splits(stage)
     if splits:
@@ -404,8 +405,10 @@ def cmd_train(stage):
         # stays unseen so the post-processing grid search is not biased
         # by model selection.
         keep = set(splits["train"])
+        rows = [i for i, qid in enumerate(table.query_ids) if qid in keep]
         table = features.FeatureTable(
-            table.schema, [r for r in table.rows if r.query_id in keep])
+            table.schema, [table.query_ids[i] for i in rows],
+            [table.candidate_ids[i] for i in rows], table.X[rows], table.labels[rows])
     model = ltr.train(table, config)
     out = stage.write("model.json", lambda tmp: model.save(tmp))
     stage.write("train_log.tsv", lambda tmp: ltr.write_training_log(model.history, tmp))

@@ -17,6 +17,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
+class SettingError(ValueError):
+    """A setting is out of range; ``name`` is its field."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
 @dataclass
 class ScoredList:
     """Per-query ranking: (doc_id, score) sorted by score desc, id asc."""
@@ -165,17 +173,22 @@ def recall_at_k(runs, qrels, k):
 
 # -- file formats -------------------------------------------------------------
 
-def load_qrels(path):
-    """Read ``{"query_id": ["doc_id", ...]}`` into {query_id: set}."""
+def load_id_lists(path, what, mapping):
+    """Read a JSON object of id lists; errors name ``path``, ``what`` and ``mapping``."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: qrels are not valid JSON: {exc}") from None
+        raise ValueError(f"{path}: {what} are not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not all(
-            isinstance(docs, list) and all(isinstance(d, str) for d in docs)
-            for docs in data.values()):
-        raise ValueError(f"{path}: qrels must be a JSON object mapping query ids "
-                         "to lists of document ids")
+            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+            for ids in data.values()):
+        raise ValueError(f"{path}: {what} must be a JSON object mapping {mapping}")
+    return data
+
+
+def load_qrels(path):
+    """Read ``{"query_id": ["doc_id", ...]}`` into {query_id: set}."""
+    data = load_id_lists(path, "qrels", "query ids to lists of document ids")
     return {qid: set(docs) for qid, docs in data.items()}
 
 

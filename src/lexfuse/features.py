@@ -10,7 +10,10 @@ score 0.0 and rank list_length + 1.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from .scorers import read_score_dump
 
@@ -66,44 +69,46 @@ def get_schema(name):
         raise AssemblyError(f"unknown schema: {name!r}") from None
 
 
-@dataclass
-class FeatureRow:
-    query_id: str
-    candidate_id: str
-    values: tuple
-    label: int | None = None
-
-
 class FeatureTable:
-    """Rows sorted by (query_id, candidate_id), all matching one schema."""
+    """Feature columns of (query, candidate) pairs sorted by (query_id, candidate_id).
 
-    def __init__(self, schema, rows):
-        for row in rows:
-            if len(row.values) != len(schema):
-                raise AssemblyError(
-                    f"row ({row.query_id}, {row.candidate_id}) has "
-                    f"{len(row.values)} values, schema has {len(schema)}"
-                )
+    ``query_ids`` and ``candidate_ids`` are lists of str; ``X`` is the
+    (rows, len(schema)) float64 matrix and ``labels`` the int64 label of
+    each row, -1 where a row is unlabeled.
+    """
+
+    def __init__(self, schema, query_ids, candidate_ids, X, labels=None):
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape != (len(query_ids), len(schema)):
+            raise AssemblyError(f"feature matrix has shape {X.shape}, schema has "
+                                f"{len(schema)} features for {len(query_ids)} rows")
+        if labels is None:
+            labels = np.full(len(query_ids), -1)
+        labels = np.asarray(labels, dtype=np.int64)
+        pairs = zip(query_ids, islice(query_ids, 1, None),
+                    candidate_ids, islice(candidate_ids, 1, None))
+        if not all(q < q2 or (q == q2 and c <= c2) for q, q2, c, c2 in pairs):
+            order = sorted(range(len(query_ids)),
+                           key=lambda i: (query_ids[i], candidate_ids[i]))
+            query_ids = [query_ids[i] for i in order]
+            candidate_ids = [candidate_ids[i] for i in order]
+            X, labels = X[order], labels[order]
         self.schema = schema
-        self.rows = sorted(rows, key=lambda r: (r.query_id, r.candidate_id))
+        self.query_ids = query_ids
+        self.candidate_ids = candidate_ids
+        self.X = X
+        self.labels = labels
 
     def __len__(self):
-        return len(self.rows)
-
-    def query_ids(self):
-        out = []
-        for row in self.rows:
-            if not out or out[-1] != row.query_id:
-                out.append(row.query_id)
-        return out
+        return len(self.query_ids)
 
     def to_tsv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("query_id\tcandidate_id\tlabel\t" + "\t".join(self.schema.feature_names) + "\n")
-            for row in self.rows:
-                label = -1 if row.label is None else row.label
-                values = "\t".join(f"{v:.6f}" for v in row.values)
-                fh.write(f"{row.query_id}\t{row.candidate_id}\t{label}\t{values}\n")
+            for qid, cid, label, row in zip(self.query_ids, self.candidate_ids,
+                                            self.labels.tolist(), self.X.tolist()):
+                values = "\t".join(f"{v:.6f}" for v in row)
+                fh.write(f"{qid}\t{cid}\t{label}\t{values}\n")
 
     @classmethod
     def from_tsv(cls, path):
@@ -113,11 +118,15 @@ class FeatureTable:
             if header[:3] != ["query_id", "candidate_id", "label"]:
                 raise ExternalScoreError(f"{path}:1: bad feature table header")
             names = tuple(header[3:])
-            schema = next(
-                (s for s in _BUILTIN_SCHEMAS.values() if s.feature_names == names),
-                None,
-            ) or FeatureSchema("custom", names)
-            rows = []
+            try:
+                schema = next(
+                    (s for s in _BUILTIN_SCHEMAS.values() if s.feature_names == names),
+                    None,
+                ) or FeatureSchema("custom", names)
+            except ValueError as exc:
+                raise ExternalScoreError(f"{path}:1: {exc}") from None
+            query_ids, candidate_ids, labels, values = [], [], [], []
+            seen = {}  # query_id -> candidate ids read so far
             for lineno, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
                 if not line:
@@ -125,20 +134,23 @@ class FeatureTable:
                 parts = line.split("\t")
                 if len(parts) != 3 + len(names):
                     raise ExternalScoreError(f"{path}:{lineno}: expected {3 + len(names)} fields")
+                qid, cid = parts[0], parts[1]
                 try:
-                    label = int(parts[2])
-                    values = tuple(float(v) for v in parts[3:])
+                    labels.append(max(int(parts[2]), -1))
+                    values.extend(map(float, parts[3:]))
                 except ValueError:
                     raise ExternalScoreError(
                         f"{path}:{lineno}: bad label or feature value"
                     ) from None
-                rows.append(FeatureRow(
-                    query_id=parts[0],
-                    candidate_id=parts[1],
-                    values=values,
-                    label=None if label < 0 else label,
-                ))
-        return cls(schema, rows)
+                cids = seen.setdefault(qid, set())
+                if cid in cids:
+                    raise ExternalScoreError(
+                        f"{path}:{lineno}: duplicate candidate {cid!r} for query {qid!r}")
+                cids.add(cid)
+                query_ids.append(qid)
+                candidate_ids.append(cid)
+        X = np.array(values, dtype=np.float64).reshape(len(query_ids), len(names))
+        return cls(schema, query_ids, candidate_ids, X, labels)
 
 
 @dataclass
@@ -173,103 +185,72 @@ _META_FEATURES = {
 }
 
 
-class _SourceView:
-    """Score and rank lookups over one source's per-query lists."""
-
-    def __init__(self, per_query_lists):
-        self._lists = per_query_lists
-        self._cache = {}
-
-    def _for_query(self, qid):
-        if qid not in self._cache:
-            slist = self._lists.get(qid)
-            if slist is None:
-                self._cache[qid] = ({}, {}, 0)
-            else:
-                scores = dict(slist.entries)
-                self._cache[qid] = (scores, rank_feature(slist), len(slist))
-        return self._cache[qid]
-
-    def score(self, qid, doc_id):
-        scores, _, _ = self._for_query(qid)
-        return scores.get(doc_id, 0.0)
-
-    def rank(self, qid, doc_id):
-        _, ranks, length = self._for_query(qid)
-        return ranks.get(doc_id, length + 1)
+def _lookups(slist):
+    """(scores, ranks, length) of one query's list; empty if the query has none."""
+    if slist is None:
+        return {}, {}, 0
+    return dict(slist.entries), rank_feature(slist), len(slist)
 
 
 def assemble(queries, candidates, internal_scores, externals, schema):
-    """Build one FeatureRow per (query, candidate) pair.
+    """Build the FeatureTable of every (query, candidate) pair.
 
     ``queries`` and ``candidates`` map ids to cleaned documents (anything
     with ``token_length`` and ``placeholder_count``). The candidate pool
     for each query is the union of that query's entries across all
     internal scorer lists, so pairs outside any list produce no row.
     """
-    sources = {}
-    for name in internal_scores:
-        sources[name] = _SourceView(internal_scores[name])
+    sources = dict(internal_scores)
     for ext in externals:
         if ext.name in sources:
             raise AssemblyError(f"duplicate feature source: {ext.name!r}")
-        sources[ext.name] = _SourceView(ext.lists)
+        sources[ext.name] = ext.lists
 
-    def resolve(name, qid, cid, qdoc, cdoc):
+    def resolve(name, views, cid, qdoc, cdoc):
         meta = _META_FEATURES.get(name)
         if meta is not None:
             return float(meta(qdoc, cdoc))
-        if name.endswith("_rank"):
-            base = name[:-5]
-            if base not in sources:
-                raise AssemblyError(f"no source for feature {name!r}")
-            return float(sources[base].rank(qid, cid))
-        if name not in sources:
+        base = name[:-5] if name.endswith("_rank") else name
+        if base not in views:
             raise AssemblyError(f"no source for feature {name!r}")
-        return float(sources[name].score(qid, cid))
+        scores, ranks, length = views[base]
+        return float(scores.get(cid, 0.0) if base == name else ranks.get(cid, length + 1))
 
-    rows = []
+    query_ids, candidate_ids, values = [], [], []
     for qid in sorted(queries):
         qdoc = queries[qid]
-        pool = set()
-        for name in internal_scores:
-            slist = internal_scores[name].get(qid)
-            if slist is not None:
-                pool.update(slist.doc_ids())
-        for cid in sorted(pool):
+        views = {name: _lookups(lists.get(qid)) for name, lists in sources.items()}
+        for cid in sorted(set().union(*(views[name][0] for name in internal_scores))):
             try:
                 cdoc = candidates[cid]
             except KeyError:
                 raise AssemblyError(f"candidate {cid!r} has no cleaned document") from None
-            values = tuple(resolve(n, qid, cid, qdoc, cdoc) for n in schema.feature_names)
-            for name, value in zip(schema.feature_names, values):
+            row = [resolve(n, views, cid, qdoc, cdoc) for n in schema.feature_names]
+            for name, value in zip(schema.feature_names, row):
                 if not math.isfinite(value):
                     raise AssemblyError(
                         f"non-finite feature {name!r} for pair ({qid}, {cid})"
                     )
-            rows.append(FeatureRow(query_id=qid, candidate_id=cid, values=values))
-    return FeatureTable(schema, rows)
+            values.extend(row)
+            query_ids.append(qid)
+            candidate_ids.append(cid)
+    X = np.array(values, dtype=np.float64).reshape(len(query_ids), len(schema))
+    return FeatureTable(schema, query_ids, candidate_ids, X)
 
 
 def attach_labels(table, qrels):
     """Label rows 1/0 from qrels; return (table, count of unseen qrel pairs).
 
-    Qrel entries naming candidates that never appear in the table are
-    ignored; the second return value counts them.
+    The labeled table shares the ids and ``X`` of ``table``. Qrel entries
+    naming candidates that never appear in the table are ignored; the
+    second return value counts them.
     """
-    pairs = {(r.query_id, r.candidate_id) for r in table.rows}
-    unseen = 0
-    for qid, docs in qrels.items():
-        for doc_id in docs:
-            if (qid, doc_id) not in pairs:
-                unseen += 1
-    rows = [
-        FeatureRow(
-            query_id=r.query_id,
-            candidate_id=r.candidate_id,
-            values=r.values,
-            label=1 if r.candidate_id in qrels.get(r.query_id, ()) else 0,
-        )
-        for r in table.rows
-    ]
-    return FeatureTable(table.schema, rows), unseen
+    per_query = {}
+    for qid, cid in zip(table.query_ids, table.candidate_ids):
+        per_query.setdefault(qid, set()).add(cid)
+    unseen = sum(1 for qid, docs in qrels.items() for doc_id in docs
+                 if doc_id not in per_query.get(qid, ()))
+    labels = [1 if cid in qrels.get(qid, ()) else 0
+              for qid, cid in zip(table.query_ids, table.candidate_ids)]
+    return FeatureTable(table.schema, table.query_ids, table.candidate_ids,
+                        table.X, labels), unseen

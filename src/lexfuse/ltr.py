@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import ScoredList
+from .evaluation import ScoredList, SettingError
 
 MODEL_FORMAT = "lexfuse-ltr"
 MODEL_VERSION = 1
@@ -38,14 +38,6 @@ class TrainingError(ValueError):
 
 class SchemaMismatchError(ValueError):
     """Prediction input does not match the model's feature schema."""
-
-
-class SettingError(ValueError):
-    """A TrainConfig value is out of range; ``name`` is its field."""
-
-    def __init__(self, name, message):
-        super().__init__(message)
-        self.name = name
 
 
 @dataclass(frozen=True)
@@ -334,29 +326,20 @@ def _lambda_gradients(scores, batches, k):
 # -- training -------------------------------------------------------------------
 
 def _table_arrays(table):
-    n = len(table.rows)
-    X = np.empty((n, len(table.schema)), dtype=np.float64)
-    y = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(table.rows):
-        if row.label is None:
-            raise TrainingError(f"row ({row.query_id}, {row.candidate_id}) has no label")
-        if row.label not in (0, 1):
-            raise TrainingError(f"row ({row.query_id}, {row.candidate_id}) label must be 0/1")
-        X[i] = row.values
-        y[i] = row.label
-    bad = np.nonzero(~np.isfinite(X))[0]
+    """(X, labels, groups, query ids) of a labeled table; groups are row ranges."""
+    X, y, qids = table.X, table.labels, table.query_ids
+    bad = np.flatnonzero((y != 0) & (y != 1))
     if bad.size:
-        row = table.rows[int(bad[0])]
-        raise TrainingError(f"non-finite feature in row ({row.query_id}, {row.candidate_id})")
-    groups = []
-    qids = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or table.rows[i].query_id != table.rows[start].query_id:
-            groups.append((start, i))
-            qids.append(table.rows[start].query_id)
-            start = i
-    return X, y, groups, qids
+        i = int(bad[0])
+        problem = "has no label" if y[i] < 0 else "label must be 0/1"
+        raise TrainingError(f"row ({qids[i]}, {table.candidate_ids[i]}) {problem}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise TrainingError(f"non-finite feature in row ({qids[i]}, {table.candidate_ids[i]})")
+    starts = [i for i in range(len(qids)) if i == 0 or qids[i] != qids[i - 1]]
+    groups = list(zip(starts, starts[1:] + [len(qids)]))
+    return X, y, groups, [qids[i] for i in starts]
 
 
 def _split_queries(qids, groups, config):
@@ -465,13 +448,10 @@ def predict(model, table):
             f"table schema {table.schema.name!r} does not match model "
             f"schema {model.schema_name!r}"
         )
-    if not table.rows:
-        return {}
-    X = np.asarray([row.values for row in table.rows], dtype=np.float64)
-    scores = model.predict_matrix(X)
+    scores = model.predict_matrix(table.X).tolist()
     per_query = {}
-    for row, score in zip(table.rows, scores):
-        per_query.setdefault(row.query_id, {})[row.candidate_id] = float(score)
+    for qid, cid, score in zip(table.query_ids, table.candidate_ids, scores):
+        per_query.setdefault(qid, {})[cid] = score
     return {qid: ScoredList.from_scores(qid, docs) for qid, docs in per_query.items()}
 
 

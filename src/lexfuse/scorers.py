@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import ScoredList, _read_scored_table
+from .evaluation import ScoredList, SettingError, _read_scored_table
 from .ingest import tokenize
 
 
@@ -30,9 +30,9 @@ class Bm25Params:
 
     def __post_init__(self):
         if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
+            raise SettingError("k1", f"k1 must be >= 0, got {self.k1!r}")
         if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+            raise SettingError("b", f"b must be in [0, 1], got {self.b!r}")
 
 
 TASK1_BM25 = Bm25Params(k1=3.0, b=1.0)  # case-retrieval feature setting
@@ -44,7 +44,7 @@ class QldParams:
 
     def __post_init__(self):
         if self.mu <= 0:
-            raise ValueError("mu must be > 0")
+            raise SettingError("mu", f"mu must be > 0, got {self.mu!r}")
 
 
 SCORER_NAMES = ("bm25", "qld", "bm25_ngram")

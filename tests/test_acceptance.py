@@ -20,7 +20,7 @@ import pytest
 
 from lexfuse import cli
 from lexfuse.evaluation import ScoredList, load_qrels, macro_prf2, micro_prf1
-from lexfuse.features import FeatureRow, FeatureSchema, FeatureTable
+from lexfuse.features import FeatureSchema
 from lexfuse.indexing import build_index
 from lexfuse.ingest import TokenizerConfig
 from lexfuse.ltr import TrainConfig, train
@@ -40,6 +40,7 @@ from lexfuse.postprocess import (
     ThresholdParams,
 )
 from lexfuse.scorers import Bm25Params, QldParams, read_score_dump, score_all, top_k
+from test_features import FeatureRow, table_from_rows
 from test_ltr import ndcg_at_k
 from test_scorers import bm25_score, qld_score
 
@@ -187,7 +188,7 @@ def separable_table(n_queries, n_rows, n_pos, rng, shuffle_labels=False):
             rng.shuffle(labels)
         for i, (label, vals) in enumerate(zip(labels, values)):
             rows.append(FeatureRow(f"q{q:03d}", f"c{i:03d}", vals, label))
-    return FeatureTable(SCHEMA3, rows)
+    return table_from_rows(SCHEMA3, rows)
 
 
 def test_criterion_4_ltr_sanity():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from lexfuse import cli, ltr
 from lexfuse.evaluation import load_qrels, micro_prf1, read_run_file
 
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(path, **overrides):
@@ -507,6 +509,28 @@ class TestErrors:
         assert run("eval", cfg) == 2
         assert f"data error: {qrels_path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"train": [], "tune": [], "test": 5}', '{"train": [],\n'],
+                             ids=["not-a-list", "truncated"])
+    def test_malformed_splits_is_data_error_naming_the_file(self, tmp_path, capsys, text):
+        run_path = tmp_path / "run.tsv"
+        run_path.write_text("q1\tA\t1\t1.000000\tx\n")
+        qrels_path = tmp_path / "qrels.json"
+        qrels_path.write_text('{"q1": ["A"]}')
+        splits_path = tmp_path / "splits.json"
+        splits_path.write_text(text)
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"),
+                           qrels_file=str(qrels_path), eval_run=str(run_path),
+                           splits_file=str(splits_path), eval_split="test")
+        capsys.readouterr()
+        assert run("eval", cfg) == 2
+        assert f"data error: {splits_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("bm25_k1", -0.5), ("bm25_b", 2.0), ("qld_mu", 0)])
+    def test_out_of_range_scorer_value_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"), **{key: value})
+        assert run("score", cfg) == 1
+        assert f"usage error: config key '{key}'" in capsys.readouterr().err
+
     def test_bad_task_value_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="weird")
         assert run("ingest", cfg) == 1
@@ -527,6 +551,26 @@ class TestStageReads:
         monkeypatch.setattr(cli.ingest, "read_clean_jsonl", counting)
         assert run("features", cfg) == 0
         assert [p.name for p in calls] == ["clean.jsonl"]
+
+
+class TestTracerContract:
+    """The names the benchmark's tracer (perfbench/launcher.py) wraps exist."""
+
+    def test_traced_class_methods_and_spans_resolve(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        launcher = importlib.import_module("launcher")
+        layers = importlib.import_module("layers")
+        for cls, attr in launcher.CLASS_METHODS:
+            assert attr in vars(cls), f"{cls.__name__}.{attr}"
+        assert isinstance(vars(launcher.features.FeatureTable)["from_tsv"], classmethod)
+        names = [name for names in layers._SPAN_SECONDS.values() for name in names]
+        names += list(layers._SPAN_CALLS.values()) + list(layers._REPORT_FNS)
+        for name in names:
+            module, *path = name.split(".")
+            obj = importlib.import_module(f"lexfuse.{module}")
+            for attr in path:
+                assert hasattr(obj, attr), name
+                obj = getattr(obj, attr)
 
 
 class TestAtomicWrite:

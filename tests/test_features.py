@@ -1,15 +1,20 @@
+import math
 import random
+from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lexfuse import ltr
 from lexfuse.evaluation import ScoredList
 from lexfuse.features import (
+    _BUILTIN_SCHEMAS,
     TASK1_SCHEMA,
     TASK3_SCHEMA,
     AssemblyError,
     ExternalScoreError,
     ExternalScoreFile,
-    FeatureRow,
     FeatureSchema,
     FeatureTable,
     assemble,
@@ -18,6 +23,131 @@ from lexfuse.features import (
     rank_feature,
 )
 from lexfuse.ingest import CleanDocument
+
+# -- reference: the row-based table that the columnar FeatureTable replaced ----
+
+
+@dataclass
+class FeatureRow:
+    query_id: str
+    candidate_id: str
+    values: tuple
+    label: int | None = None
+
+
+class RowTable:
+    """Rows sorted by (query_id, candidate_id), all matching one schema."""
+
+    def __init__(self, schema, rows):
+        for row in rows:
+            if len(row.values) != len(schema):
+                raise AssemblyError(
+                    f"row ({row.query_id}, {row.candidate_id}) has "
+                    f"{len(row.values)} values, schema has {len(schema)}"
+                )
+        self.schema = schema
+        self.rows = sorted(rows, key=lambda r: (r.query_id, r.candidate_id))
+
+    def to_tsv(self, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("query_id\tcandidate_id\tlabel\t"
+                     + "\t".join(self.schema.feature_names) + "\n")
+            for row in self.rows:
+                label = -1 if row.label is None else row.label
+                values = "\t".join(f"{v:.6f}" for v in row.values)
+                fh.write(f"{row.query_id}\t{row.candidate_id}\t{label}\t{values}\n")
+
+    @classmethod
+    def from_tsv(cls, path):
+        path = Path(path)
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split("\t")
+            if header[:3] != ["query_id", "candidate_id", "label"]:
+                raise ExternalScoreError(f"{path}:1: bad feature table header")
+            names = tuple(header[3:])
+            schema = next(
+                (s for s in _BUILTIN_SCHEMAS.values() if s.feature_names == names),
+                None,
+            ) or FeatureSchema("custom", names)
+            rows = []
+            for lineno, line in enumerate(fh, 2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3 + len(names):
+                    raise ExternalScoreError(f"{path}:{lineno}: expected {3 + len(names)} fields")
+                try:
+                    label = int(parts[2])
+                    values = tuple(float(v) for v in parts[3:])
+                except ValueError:
+                    raise ExternalScoreError(
+                        f"{path}:{lineno}: bad label or feature value"
+                    ) from None
+                rows.append(FeatureRow(
+                    query_id=parts[0],
+                    candidate_id=parts[1],
+                    values=values,
+                    label=None if label < 0 else label,
+                ))
+        return cls(schema, rows)
+
+
+def row_table_arrays(table):
+    """``ltr._table_arrays`` as a loop over the rows of a RowTable."""
+    n = len(table.rows)
+    X = np.empty((n, len(table.schema)), dtype=np.float64)
+    y = np.empty(n, dtype=np.int64)
+    for i, row in enumerate(table.rows):
+        if row.label is None:
+            raise ltr.TrainingError(f"row ({row.query_id}, {row.candidate_id}) has no label")
+        if row.label not in (0, 1):
+            raise ltr.TrainingError(
+                f"row ({row.query_id}, {row.candidate_id}) label must be 0/1")
+        X[i] = row.values
+        y[i] = row.label
+    bad = np.nonzero(~np.isfinite(X))[0]
+    if bad.size:
+        row = table.rows[int(bad[0])]
+        raise ltr.TrainingError(
+            f"non-finite feature in row ({row.query_id}, {row.candidate_id})")
+    groups = []
+    qids = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or table.rows[i].query_id != table.rows[start].query_id:
+            groups.append((start, i))
+            qids.append(table.rows[start].query_id)
+            start = i
+    return X, y, groups, qids
+
+
+def row_predict(model, table):
+    """``ltr.predict`` over the rows of a RowTable."""
+    if not table.rows:
+        return {}
+    X = np.asarray([row.values for row in table.rows], dtype=np.float64)
+    scores = model.predict_matrix(X)
+    per_query = {}
+    for row, score in zip(table.rows, scores):
+        per_query.setdefault(row.query_id, {})[row.candidate_id] = float(score)
+    return {qid: ScoredList.from_scores(qid, docs) for qid, docs in per_query.items()}
+
+
+def table_from_rows(schema, rows):
+    """The columnar FeatureTable of reference rows; a None label becomes -1."""
+    X = (np.array([r.values for r in rows], dtype=np.float64).reshape(len(rows), -1)
+         if rows else np.empty((0, len(schema))))
+    return FeatureTable(schema, [r.query_id for r in rows], [r.candidate_id for r in rows],
+                        X, [-1 if r.label is None else r.label for r in rows])
+
+
+def rows_of(table):
+    """The reference rows of a columnar FeatureTable, in table order."""
+    return [FeatureRow(qid, cid, tuple(values), None if label < 0 else label)
+            for qid, cid, values, label in zip(table.query_ids, table.candidate_ids,
+                                               table.X.tolist(), table.labels.tolist())]
+
 
 
 def doc(doc_id, length=10, refs=0):
@@ -87,7 +217,7 @@ class TestAssemble:
         delta = ExternalScoreFile("DELTA", {"q1": ScoredList("q1", [("A", 0.7)])})
         table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
         assert len(table) == 2
-        row_a = table.rows[0]
+        row_a = rows_of(table)[0]
         assert (row_a.query_id, row_a.candidate_id) == ("q1", "A")
         named = dict(zip(TASK1_SCHEMA.feature_names, row_a.values))
         assert named["query_length"] == 50
@@ -108,7 +238,7 @@ class TestAssemble:
         delta = ExternalScoreFile("DELTA", {"q1": ScoredList("q1", [("A", 0.7)])})
         sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8)])})
         table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
-        row_b = table.rows[1]
+        row_b = rows_of(table)[1]
         named = dict(zip(TASK1_SCHEMA.feature_names, row_b.values))
         # B is absent from both external files: score 0.0, rank len+1 = 2.
         assert named["SAILER"] == 0.0
@@ -127,7 +257,7 @@ class TestAssemble:
         sailer = ExternalScoreFile("SAILER", {})
         delta = ExternalScoreFile("DELTA", {})
         table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
-        assert [r.query_id for r in table.rows] == ["q1"]
+        assert [r.query_id for r in rows_of(table)] == ["q1"]
 
     def test_pool_is_union_of_scorer_lists(self):
         queries = {"q1": doc("q1")}
@@ -139,8 +269,8 @@ class TestAssemble:
         }
         schema = FeatureSchema("mini", ("BM25", "QLD", "BM25_ngram"))
         table = assemble(queries, candidates, internal, [], schema)
-        assert [r.candidate_id for r in table.rows] == ["A", "B"]
-        named = dict(zip(schema.feature_names, table.rows[1].values))
+        assert [r.candidate_id for r in rows_of(table)] == ["A", "B"]
+        named = dict(zip(schema.feature_names, rows_of(table)[1].values))
         assert named["BM25"] == 0.0  # B missing from the BM25 list
 
     def test_unresolvable_feature_name(self):
@@ -159,8 +289,8 @@ class TestAssemble:
         t1 = assemble(queries, candidates, internal, [], schema)
         t2 = assemble(dict(reversed(list(queries.items()))),
                       dict(reversed(list(candidates.items()))), flipped, [], schema)
-        assert [(r.query_id, r.candidate_id, r.values) for r in t1.rows] == \
-               [(r.query_id, r.candidate_id, r.values) for r in t2.rows]
+        assert [(r.query_id, r.candidate_id, r.values) for r in rows_of(t1)] == \
+               [(r.query_id, r.candidate_id, r.values) for r in rows_of(t2)]
 
 
 class TestExternalScoreFile:
@@ -174,7 +304,7 @@ class TestExternalScoreFile:
         lexical = {"q1": ScoredList("q1", [("A", 3.0), ("B", 2.0), ("missing", 1.0)])}
         schema = FeatureSchema("mini", ("BM25", "SAILER", "SAILER_rank"))
         table = assemble(queries, candidates, {"BM25": lexical}, [ext], schema)
-        named = {r.candidate_id: dict(zip(schema.feature_names, r.values)) for r in table.rows}
+        named = {r.candidate_id: dict(zip(schema.feature_names, r.values)) for r in rows_of(table)}
         assert named["A"]["SAILER"] == 0.9
         assert named["B"]["SAILER_rank"] == 2
         assert named["missing"]["SAILER"] == 0.0
@@ -206,23 +336,23 @@ class TestAttachLabels:
             FeatureRow("q1", "A", (1.0,)),
             FeatureRow("q1", "B", (2.0,)),
         ]
-        return FeatureTable(schema, rows)
+        return table_from_rows(schema, rows)
 
     def test_basic_labeling(self):
         table, unseen = attach_labels(self.make_table(), {"q1": {"A"}})
-        assert [r.label for r in table.rows] == [1, 0]
+        assert [r.label for r in rows_of(table)] == [1, 0]
         assert unseen == 0
 
     def test_empty_qrels_all_zero(self):
         table, unseen = attach_labels(self.make_table(), {})
-        assert [r.label for r in table.rows] == [0, 0]
+        assert [r.label for r in rows_of(table)] == [0, 0]
         assert unseen == 0
 
     def test_unseen_candidate_counted(self):
         # Set-difference oracle: {(q1, GHOST)} minus table pairs has size 1.
         table, unseen = attach_labels(self.make_table(), {"q1": {"A", "GHOST"}})
         assert unseen == 1
-        assert [r.label for r in table.rows] == [1, 0]
+        assert [r.label for r in rows_of(table)] == [1, 0]
 
 
 class TestFeatureTableTsv:
@@ -236,8 +366,8 @@ class TestFeatureTableTsv:
         table.to_tsv(path)
         loaded = FeatureTable.from_tsv(path)
         assert loaded.schema.name == "task1_v1"
-        assert [r.label for r in loaded.rows] == [1, 0]
-        assert loaded.rows[0].values == pytest.approx(table.rows[0].values)
+        assert [r.label for r in rows_of(loaded)] == [1, 0]
+        assert rows_of(loaded)[0].values == pytest.approx(rows_of(table)[0].values)
 
     def test_dumps_are_byte_identical(self, tmp_path):
         queries, candidates, internal = small_setup()
@@ -259,4 +389,125 @@ class TestFeatureTableTsv:
     def test_schema_length_enforced(self):
         schema = FeatureSchema("mini", ("a", "b"))
         with pytest.raises(AssemblyError):
-            FeatureTable(schema, [FeatureRow("q", "c", (1.0,))])
+            table_from_rows(schema, [FeatureRow("q", "c", (1.0,))])
+
+    def test_bad_header_names_file_and_line_1(self, tmp_path):
+        for name, features in (("repeated.tsv", "\tf\tf"), ("none.tsv", "")):
+            path = tmp_path / name
+            path.write_text(f"query_id\tcandidate_id\tlabel{features}\nq1\tA\t1{features}\n")
+            with pytest.raises(ExternalScoreError, match=rf"{name.replace('.', '[.]')}:1: "):
+                FeatureTable.from_tsv(path)
+
+    def test_duplicate_pair_names_file_and_line(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("query_id\tcandidate_id\tlabel\tf\n"
+                        "q1\tA\t1\t1.0\nq2\tA\t0\t2.0\nq1\tB\t0\t3.0\nq1\tA\t0\t4.0\n")
+        with pytest.raises(ExternalScoreError,
+                           match=r"dup[.]tsv:5: duplicate candidate 'A' for query 'q1'"):
+            FeatureTable.from_tsv(path)
+
+
+SCHEMA_MIXED = FeatureSchema("mixed", ("tied", "wide", "fine"))
+
+
+def random_rows(rng, labels=(None, 0, 1, 1)):
+    """Unsorted reference rows with tied values; ``labels`` are drawn per row."""
+    pairs = {(f"q{rng.randrange(6)}", f"c{rng.randrange(15):02d}")
+             for _ in range(rng.randrange(0, 60))}
+    rows = [
+        FeatureRow(qid, cid, (
+            float(rng.randrange(3)),
+            rng.choice([0.0, -2.25, 1 / 3, 123456.789012345, 0.0000004, rng.gauss(0, 1)]),
+            round(rng.random(), 1),
+        ), rng.choice(labels))
+        for qid, cid in sorted(pairs)
+    ]
+    rng.shuffle(rows)
+    return rows
+
+
+def random_model(rng):
+    """A small ensemble whose thresholds sit on and between the tied values."""
+    trees = []
+    for _ in range(rng.randrange(0, 4)):
+        feature = [rng.randrange(len(SCHEMA_MIXED)), -1, -1]
+        threshold = [rng.choice([0.0, 0.5, 1.0, 0.3]), 0.0, 0.0]
+        value = [0.0, rng.choice([-1.0, 0.25]), rng.choice([2.0, 0.25])]
+        trees.append(ltr.RegressionTree(feature, threshold, [1, -1, -1], [2, -1, -1], value))
+    return ltr.TreeEnsemble(trees=trees, base_score=rng.choice([0.0, 0.5]),
+                            schema_name=SCHEMA_MIXED.name,
+                            feature_names=SCHEMA_MIXED.feature_names)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the TrainingError it raises."""
+    try:
+        return fn(*args)
+    except ltr.TrainingError as exc:
+        return f"TrainingError: {exc}"
+
+
+class TestColumnarMatchesRowReference:
+    """The columnar FeatureTable and its readers against the row-based reference."""
+
+    def cases(self, **kwargs):
+        yield []
+        for seed in range(40):
+            yield random_rows(random.Random(seed), **kwargs)
+
+    def assert_same(self, table, ref):
+        assert table.query_ids == [r.query_id for r in ref.rows]
+        assert table.candidate_ids == [r.candidate_id for r in ref.rows]
+        assert table.X.shape == (len(ref.rows), len(ref.schema))
+        assert table.X.tolist() == [list(r.values) for r in ref.rows]
+        assert table.labels.tolist() == [-1 if r.label is None else r.label for r in ref.rows]
+
+    def test_tables_and_tsv_bytes_match(self, tmp_path):
+        for i, rows in enumerate(self.cases()):
+            table, ref = table_from_rows(SCHEMA_MIXED, rows), RowTable(SCHEMA_MIXED, rows)
+            self.assert_same(table, ref)
+            got, want = tmp_path / f"got{i}.tsv", tmp_path / f"want{i}.tsv"
+            table.to_tsv(got)
+            ref.to_tsv(want)
+            assert got.read_bytes() == want.read_bytes()
+            loaded = FeatureTable.from_tsv(got)
+            self.assert_same(loaded, RowTable.from_tsv(want))
+            loaded.to_tsv(got)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_train_arrays_match(self):
+        for labels in ((0, 1), (None, 0, 1, 1, 1, 1), (0, 1, 1, 2)):
+            for rows in self.cases(labels=labels):
+                if rows and random.Random(len(rows)).random() < 0.3:
+                    rows[len(rows) // 2].values = (math.nan, 1.0, math.inf)
+                got = outcome(ltr._table_arrays, table_from_rows(SCHEMA_MIXED, rows))
+                want = outcome(row_table_arrays, RowTable(SCHEMA_MIXED, rows))
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert np.array_equal(got[0], want[0])
+                assert got[0].shape == want[0].shape
+                assert np.array_equal(got[1], want[1])
+                assert got[2:] == want[2:]
+
+    def test_predict_entries_match(self):
+        rng = random.Random(5)
+        for rows in self.cases():
+            model = random_model(rng)
+            got = ltr.predict(model, table_from_rows(SCHEMA_MIXED, rows))
+            want = row_predict(model, RowTable(SCHEMA_MIXED, rows))
+            assert list(got) == list(want)
+            assert all(got[qid].entries == want[qid].entries for qid in want)
+
+    def test_labels_share_columns(self):
+        for seed, rows in enumerate(self.cases()):
+            table = table_from_rows(SCHEMA_MIXED, rows)
+            qrels = {f"q{q}": {f"c{random.Random(seed).randrange(15):02d}", "ghost"}
+                     for q in range(4)}
+            labeled, unseen = attach_labels(table, qrels)
+            assert labeled.X is table.X and labeled.query_ids is table.query_ids
+            assert labeled.labels.tolist() == [
+                1 if r.candidate_id in qrels.get(r.query_id, ()) else 0
+                for r in RowTable(SCHEMA_MIXED, rows).rows]
+            pairs = set(zip(table.query_ids, table.candidate_ids))
+            assert unseen == sum((q, d) not in pairs for q, docs in qrels.items() for d in docs)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lexfuse import ltr
-from lexfuse.features import FeatureRow, FeatureSchema, FeatureTable
+from lexfuse.features import FeatureSchema
 from lexfuse.ltr import (
     RegressionTree,
     SchemaMismatchError,
@@ -17,6 +17,7 @@ from lexfuse.ltr import (
     train,
     write_training_log,
 )
+from test_features import FeatureRow, rows_of, table_from_rows
 
 SCHEMA3 = FeatureSchema("synthetic3", ("signal", "noise_a", "noise_b"))
 
@@ -61,7 +62,7 @@ def make_table(n_queries, n_rows, n_pos, rng, signal_noise=0.01, shuffle_labels=
             rng.shuffle(labels)
         for i, (label, values) in enumerate(zip(labels, values_per_row)):
             rows.append(FeatureRow(f"q{q:03d}", f"c{i:03d}", values, label))
-    return FeatureTable(SCHEMA3, rows)
+    return table_from_rows(SCHEMA3, rows)
 
 
 class TestNdcgAtK:
@@ -95,7 +96,7 @@ class TestTrainGuards:
     def test_no_positive_labels_rejected(self):
         rows = [FeatureRow(f"q{q}", f"c{i}", (0.0, 0.0, 0.0), 0)
                 for q in range(3) for i in range(4)]
-        table = FeatureTable(SCHEMA3, rows)
+        table = table_from_rows(SCHEMA3, rows)
         with pytest.raises(TrainingError, match="no positive labels"):
             train(table, TrainConfig(num_trees=5, min_samples_leaf=1))
 
@@ -106,13 +107,13 @@ class TestTrainGuards:
             FeatureRow("q1", "c0", (float("nan"), 0.0, 0.0), 1),
             FeatureRow("q1", "c1", (0.0, 0.0, 0.0), 0),
         ]
-        table = FeatureTable(SCHEMA3, rows)
+        table = table_from_rows(SCHEMA3, rows)
         with pytest.raises(TrainingError, match=r"\(q1, c0\)"):
             train(table, TrainConfig(num_trees=5, min_samples_leaf=1))
 
     def test_unlabeled_row_rejected(self):
         rows = [FeatureRow("q0", "c0", (1.0, 0.0, 0.0))]
-        table = FeatureTable(SCHEMA3, rows)
+        table = table_from_rows(SCHEMA3, rows)
         with pytest.raises(TrainingError, match="no label"):
             train(table, TrainConfig(num_trees=5, min_samples_leaf=1))
 
@@ -146,7 +147,7 @@ class TestTrainSeparable:
         model = train(table, quick_config())
         runs = predict(model, table)
         qrels = {}
-        for row in table.rows:
+        for row in rows_of(table):
             if row.label:
                 qrels.setdefault(row.query_id, set()).add(row.candidate_id)
 
@@ -161,7 +162,7 @@ class TestTrainSeparable:
         single = []
         for f in range(len(SCHEMA3)):
             ranked = {}
-            for row in table.rows:
+            for row in rows_of(table):
                 ranked.setdefault(row.query_id, []).append((row.values[f], row.candidate_id))
             single.append(mean_ndcg10({
                 q: [c for _, c in sorted(v, key=lambda t: (-t[0], t[1]))]
@@ -196,7 +197,7 @@ class TestPredict:
             FeatureRow("q0", "a", (0.8, 0.0, 0.0), 0 if labeled else None),
             FeatureRow("q1", "c", (0.5, 0.0, 0.0), 1 if labeled else None),
         ]
-        return FeatureTable(SCHEMA3, rows)
+        return table_from_rows(SCHEMA3, rows)
 
     def test_empty_ensemble_base_score_and_id_order(self):
         model = TreeEnsemble(trees=[], base_score=0.25, schema_name=SCHEMA3.name,
@@ -217,7 +218,7 @@ class TestPredict:
             FeatureRow("q", f"c{i:02d}", (rng.random(), 0.0, 0.0), None)
             for i in range(40)
         ]
-        table = FeatureTable(SCHEMA3, rows)
+        table = table_from_rows(SCHEMA3, rows)
         runs = predict(model, table)
         by_doc = dict(runs["q"].entries)
         for row in rows:
@@ -229,9 +230,9 @@ class TestPredict:
         table = make_table(5, 8, 2, rng)
         model = train(table, quick_config(num_trees=10, min_samples_leaf=2))
         runs_one = predict(model, table)
-        shuffled_rows = list(table.rows)
+        shuffled_rows = rows_of(table)
         rng.shuffle(shuffled_rows)
-        runs_two = predict(model, FeatureTable(SCHEMA3, shuffled_rows))
+        runs_two = predict(model, table_from_rows(SCHEMA3, shuffled_rows))
         for qid in runs_one:
             assert runs_one[qid].entries == runs_two[qid].entries
 
@@ -250,7 +251,7 @@ class TestSerializationAndDeterminism:
         path = tmp_path / "model.json"
         model.save(path)
         loaded = TreeEnsemble.load(path)
-        X = np.asarray([r.values for r in table.rows])
+        X = np.asarray([r.values for r in rows_of(table)])
         assert np.array_equal(model.predict_matrix(X), loaded.predict_matrix(X))
 
     def test_seed_determinism(self, tmp_path):
@@ -506,7 +507,7 @@ def awkward_table(rng):
                 2.0 - coarse,
             )
             rows.append(FeatureRow(f"q{q:03d}", f"c{i:03d}", values, label))
-    return FeatureTable(SCHEMA6, rows)
+    return table_from_rows(SCHEMA6, rows)
 
 
 class TestPresortedBitEquality:
