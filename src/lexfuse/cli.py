@@ -236,8 +236,9 @@ class Stage:
 def _settings(cls, cfg, prefix, **fixed):
     """``cls`` from config keys ``<prefix><field>``; a bad value is a usage error."""
     try:
-        return cls(**fixed, **{f.name: f.type(cfg[prefix + f.name])
-                               for f in dataclasses.fields(cls) if f.name not in fixed})
+        return cls(**fixed, **{
+            f.name: evaluation.setting_number(f.name, cfg[prefix + f.name], f.type)
+            for f in dataclasses.fields(cls) if f.name not in fixed})
     except evaluation.SettingError as exc:
         raise ConfigError(f"config key '{prefix}{exc.name}': {exc}") from None
 
@@ -360,6 +361,7 @@ def cmd_score(stage):
             out = stage.write(f"scores_{scorer}.tsv",
                               lambda tmp: scorers.write_score_dump(lists, tmp))
             print(f"score: {scorer} over {len(lists)} queries -> {out}")
+            del lists  # one scorer's lists at a time bound the stage's peak memory
 
 
 _SCORER_FEATURE = {"bm25": "BM25", "qld": "QLD", "bm25_ngram": "BM25_ngram"}
@@ -479,6 +481,8 @@ def _grid(cfg):
     defaults = postprocess.default_grid()
     for name in ("p", "h", "l", "t", "s"):
         values = cfg.get(f"grid_{name}")
+        if values is not None and not isinstance(values, list):
+            raise ConfigError(f"config key 'grid_{name}' must be a list, got {values!r}")
         grid[name] = list(values) if values is not None else defaults[name]
     if "duplicate" not in cfg["filter_order"]:
         grid.pop("t", None)
@@ -499,12 +503,16 @@ def cmd_tune(stage):
         runs = _restrict(runs, splits["tune"])
         qrels = _restrict(all_qrels, splits["tune"])
     pipeline = _pipeline(stage)
-    best, table = postprocess.grid_search(
-        pipeline, _grid(cfg), runs, qrels, metric=cfg["metric"]
-    )
+    try:
+        best, table = postprocess.grid_search(
+            pipeline, _grid(cfg), runs, qrels, metric=cfg["metric"]
+        )
+    except evaluation.SettingError as exc:
+        raise ConfigError(f"config key 'grid_{exc.name}': {exc}") from None
     if cfg["task"] == "statute" and "threshold" in pipeline.order and splits:
         # Statute tuning picks p so the share of queries answered with two
         # or more articles matches the training split, not the metric argmax.
+        # grid_search has already checked every p of the grid.
         train_qrels = [all_qrels[q] for q in splits["train"] if q in all_qrels]
         if train_qrels:
             target = sum(1 for docs in train_qrels if len(docs) >= 2) / len(train_qrels)
@@ -522,10 +530,20 @@ def cmd_postprocess(stage):
     runs = evaluation.read_run_file(stage.artifact("run_raw.tsv"))
     tuned_path = stage.artifact("tuned_params.json", required=False)
     if tuned_path is not None:
-        params = json.loads(tuned_path.read_text(encoding="utf-8"))
+        try:
+            params = json.loads(tuned_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{tuned_path}: not valid JSON: {exc}") from None
+        if not isinstance(params, dict):
+            raise DataError(f"{tuned_path}: tuned parameters must be a JSON object")
     else:
         params = {name: cfg[f"post_{name}"] for name in ("p", "h", "l", "t", "s")}
-    final = _pipeline(stage).apply(runs, params)
+    try:
+        final = _pipeline(stage).apply(runs, params)
+    except evaluation.SettingError as exc:
+        if tuned_path is not None:
+            raise DataError(f"{tuned_path}: {exc}") from None
+        raise ConfigError(f"config key 'post_{exc.name}': {exc}") from None
     out = stage.write(
         "run_final.tsv",
         lambda tmp: evaluation.write_run_file(final, tmp, tag=cfg["run_tag"]),

@@ -13,16 +13,40 @@ flagged in the report.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
 class SettingError(ValueError):
-    """A setting is out of range; ``name`` is its field."""
+    """A setting is not a usable value; ``name`` is its field."""
 
     def __init__(self, name, message):
         super().__init__(message)
         self.name = name
+
+
+def setting_number(name, value, kind):
+    """``value`` as ``kind`` (int or float), or SettingError naming ``name``.
+
+    Only finite numbers count, and an int setting takes only integral
+    values: a string, a bool, NaN or 2.5 for an int is refused, never
+    converted or truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SettingError(name, f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SettingError(name, f"{name} must be finite, got {value!r}")
+    if kind is not int:
+        return number
+    if not number.is_integer():
+        raise SettingError(name, f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -212,20 +236,22 @@ def _read_scored_table(path, width, score_field):
     the document id, and the score at ``score_field``.
     """
     per_query = {}
+    qid = scores = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
+            parts = line.rstrip("\n").split("\t")
             if len(parts) != width:
+                if parts == [""]:
+                    continue
                 raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields")
-            qid, doc_id, raw = parts[0], parts[1], parts[score_field]
+            if parts[0] != qid:
+                qid = parts[0]
+                scores = per_query.setdefault(qid, {})
+            doc_id, raw = parts[1], parts[score_field]
             try:
                 score = float(raw)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad score {raw!r}") from None
-            scores = per_query.setdefault(qid, {})
             if doc_id in scores:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate candidate {doc_id!r} for query {qid!r}")

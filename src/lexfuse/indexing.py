@@ -34,6 +34,9 @@ class Postings(Mapping):
         i = self._slot[term]
         return self.rows[self.bounds[i]:self.bounds[i + 1]]
 
+    def __contains__(self, term):
+        return term in self._slot
+
     def __iter__(self):
         return iter(self._slot)
 
@@ -51,6 +54,7 @@ class InvertedIndex:
         self.postings = postings
         self.total_coll_tokens = int(self.doc_len.sum())
         self.avgdl = self.total_coll_tokens / len(self.doc_ids) if self.doc_ids else 0.0
+        self.memo = {}  # what scorers derive from these statistics, kept across queries
 
     @property
     def num_docs(self):

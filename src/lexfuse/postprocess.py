@@ -12,7 +12,7 @@ kept.
 import itertools
 from dataclasses import dataclass
 
-from .evaluation import ScoredList, macro_prf2, micro_prf1
+from .evaluation import ScoredList, SettingError, macro_prf2, micro_prf1, setting_number
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,11 @@ class CutoffParams:
 
     def __post_init__(self):
         if self.h < 1:
-            raise ValueError("h must be >= 1")
+            raise SettingError("h", f"h must be >= 1, got {self.h!r}")
         if not 0 <= self.l <= self.h:
-            raise ValueError("l must be in [0, h]")
+            raise SettingError("l", f"l must be in [0, h], got {self.l!r}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
+            raise SettingError("p", f"p must be in [0, 1], got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class DuplicateParams:
 
     def __post_init__(self):
         if self.t < 1:
-            raise ValueError("t must be >= 1")
+            raise SettingError("t", f"t must be >= 1, got {self.t!r}")
         if self.s < 0:
-            raise ValueError("s must be >= 0")
+            raise SettingError("s", f"s must be >= 0, got {self.s!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class ThresholdParams:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
+            raise SettingError("p", f"p must be in [0, 1], got {self.p!r}")
 
 
 #: Best case-retrieval settings found on the tuning split (run-3 optimum),
@@ -205,19 +205,18 @@ class PostprocessPipeline:
                 out.append(("query", lambda runs: filter_query_cases(runs, self.query_ids)))
             elif stage == "duplicate":
                 if "t" in params:
-                    dup = DuplicateParams(t=int(params["t"]), s=int(params.get("s", 0)))
+                    dup = DuplicateParams(t=setting_number("t", params["t"], int),
+                                          s=setting_number("s", params.get("s", 0), int))
                     out.append((dup, lambda runs, dup=dup: filter_duplicates(runs, dup)[0]))
             elif stage == "cutoff":
                 if "h" in params:
-                    cut = CutoffParams(
-                        h=int(params["h"]),
-                        l=int(params.get("l", 0)),
-                        p=float(params.get("p", 0.0)),
-                    )
+                    cut = CutoffParams(h=setting_number("h", params["h"], int),
+                                       l=setting_number("l", params.get("l", 0), int),
+                                       p=setting_number("p", params.get("p", 0.0), float))
                     out.append((cut, lambda runs, cut=cut: dynamic_cutoff(runs, cut)))
             elif stage == "threshold":
                 if "p" in params:
-                    thr = ThresholdParams(p=float(params["p"]))
+                    thr = ThresholdParams(p=setting_number("p", params["p"], float))
                     out.append((thr, lambda runs, thr=thr: threshold_cutoff(runs, thr)))
         return out
 
@@ -255,6 +254,9 @@ def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
     """
     if not grid:
         raise ValueError("grid must not be empty")
+    for name in sorted(grid):
+        if not grid[name]:
+            raise SettingError(name, f"{name} has no grid values")
     if isinstance(metric, str):
         try:
             metric_fn = _METRICS[metric]
@@ -290,6 +292,8 @@ def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
         key = (-report.f_measure, _tie_break_key(params))
         if best is None or key < best[0]:
             best = (key, params)
+    if best is None:
+        raise SettingError("l", "every grid point has l > h")
     return best[1], table
 
 

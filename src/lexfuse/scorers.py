@@ -16,6 +16,8 @@ Rankings are ``evaluation.ScoredList``s; score dumps use its table reader.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, islice
+from operator import eq, ge, lt
 
 import numpy as np
 
@@ -50,20 +52,53 @@ class QldParams:
 SCORER_NAMES = ("bm25", "qld", "bm25_ngram")
 
 
-def _idf(index, term):
-    df = len(index.postings.get(term, ()))
-    return math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
-
-
-def _length_norm(index, ordinal, params):
-    ratio = index.doc_len[ordinal] / index.avgdl if index.avgdl > 0 else 0.0
-    return params.k1 * (1.0 - params.b + params.b * ratio)
-
-
 def _logs(values, shift):
     """``math.log(v + shift)`` per int v, called once per distinct v (np.log may differ)."""
     distinct, where = np.unique(values, return_inverse=True)
     return np.array([math.log(v + shift) for v in distinct.tolist()])[where]
+
+
+def _memo(index, key, make, *args):
+    """``make(*args)``, computed once per index: the statistics it derives from never change."""
+    value = index.memo.get(key)
+    if value is None:
+        value = index.memo[key] = make(*args)
+    return value
+
+
+def _setting(index, scorer, p):
+    """One scorer setting's per-document vector and its memo of term parts.
+
+    The vector is ``k1 * (1 - b + b * len(d) / avgdl)`` for BM25 and
+    ``ln(len(d) + mu)`` for QLD.
+    """
+    if scorer == "qld":
+        return _logs(index.doc_len, p.mu), {}
+    ratio = index.doc_len / index.avgdl if index.avgdl > 0 else np.zeros(index.num_docs)
+    return p.k1 * (1.0 - p.b + p.b * ratio), {}
+
+
+def _bm25_term(index, p, norms, term, q_count):
+    """(documents, contributions, idf) of one query term, as ``_qld_term`` shapes it."""
+    docs, tf = index.postings[term].T
+    df = len(docs)
+    idf = math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
+    return docs, q_count * idf * tf * (p.k1 + 1.0) / (tf + norms[docs]), idf
+
+
+def _qld_term(index, p, doc_len_logs, term, q_count):
+    """(documents, contributions, ln(mu * p(term|C))) of one query term."""
+    s = p.mu * index.collection_prob(term)
+    docs, tf = index.postings[term].T
+    return docs, q_count * (_logs(tf, s) - math.log(s)), math.log(s)
+
+
+def _id_order(index):
+    """Documents as an object array, and each one's position in ``sorted(doc_ids)``."""
+    position = np.empty(index.num_docs, dtype=np.int64)
+    position[sorted(range(index.num_docs), key=index.doc_ids.__getitem__)] = np.arange(
+        index.num_docs)
+    return np.array(index.doc_ids, dtype=object), position
 
 
 def score_all(index, query_id, query_text, scorer="bm25", params=None):
@@ -72,27 +107,40 @@ def score_all(index, query_id, query_text, scorer="bm25", params=None):
     The query is tokenized with the index's own tokenizer config, so the
     n-gram index sees n-gram query terms. Query documents are not
     excluded here; that is the post-processing stage's job.
+
+    Each score adds the same float terms, in sorted query-term order, as
+    the per-document formulas. The contributions of a term that occurs
+    once in the query are kept on the index per (scorer, params): there
+    ``1 * x`` is exact, so reusing them changes no bit.
     """
     if scorer not in SCORER_NAMES:
         raise ValueError(f"unknown scorer: {scorer!r}")
-    counts = sorted(Counter(tokenize(query_text, index.config)).items())
-    live = [(term, q_count) for term, q_count in counts if term in index.postings]
-    if scorer in ("bm25", "bm25_ngram"):
-        p = params or TASK1_BM25
-        scores = np.zeros(index.num_docs)
-        for term, q_count in live:
-            docs, tf = index.postings[term].T
-            scores[docs] += (q_count * _idf(index, term) * tf * (p.k1 + 1.0)
-                             / (tf + _length_norm(index, docs, p)))
+    if scorer == "qld":
+        params, term_part = params or QldParams(), _qld_term
     else:
-        mu = (params or QldParams()).mu
-        smooth = [(term, q_count, mu * index.collection_prob(term)) for term, q_count in live]
-        base = sum(q_count * math.log(s) for _, q_count, s in smooth)
-        scores = base - sum(q_count for _, q_count in live) * _logs(index.doc_len, mu)
-        for term, q_count, s in smooth:
-            docs, tf = index.postings[term].T
-            scores[docs] += q_count * (_logs(tf, s) - math.log(s))
-    return ScoredList.from_scores(query_id, dict(zip(index.doc_ids, scores.tolist())))
+        params, term_part = params or TASK1_BM25, _bm25_term
+    per_doc, memo = _memo(index, (scorer, params), _setting, index, scorer, params)
+    live = []
+    for term, q_count in sorted(Counter(tokenize(query_text, index.config)).items()):
+        if term not in index.postings:
+            continue
+        if q_count != 1:
+            part = term_part(index, params, per_doc, term, q_count)
+        else:
+            part = memo.get(term)
+            if part is None:
+                part = memo[term] = term_part(index, params, per_doc, term, 1)
+        live.append((q_count, part))
+    if scorer == "qld":
+        base = sum(q_count * log_s for q_count, (_, _, log_s) in live)
+        scores = base - sum(q_count for q_count, _ in live) * per_doc
+    else:
+        scores = np.zeros(index.num_docs)
+    for _, (docs, contributions, _) in live:
+        scores[docs] += contributions
+    ids, position = _memo(index, "id_order", _id_order, index)
+    order = np.lexsort((position, -scores))
+    return ScoredList(query_id, list(zip(ids[order].tolist(), scores[order].tolist())))
 
 
 def top_k(scored, k):
@@ -108,11 +156,26 @@ def write_score_dump(lists, path):
     """Write ``query_id<TAB>doc_id<TAB>score`` lines, six-decimal scores."""
     with open(path, "w", encoding="utf-8") as fh:
         for slist in sorted(lists, key=lambda s: s.query_id):
-            for doc_id, score in slist.entries:
-                fh.write(f"{slist.query_id}\t{doc_id}\t{score:.6f}\n")
+            row = f"{slist.query_id}".replace("%", "%%") + "\t%s\t%.6f\n"
+            fh.write(row * len(slist.entries) % tuple(chain.from_iterable(slist.entries)))
+
+
+def _in_order(scores):
+    """Whether a {doc_id: score} mapping iterates by score desc, id asc; False on NaN."""
+    values = scores.values()
+
+    def ties():  # for each adjacent pair, whether the two scores are equal
+        return map(eq, values, islice(values, 1, None))
+
+    return (all(map(ge, values, islice(values, 1, None)))
+            and all(map(lt, compress(scores, ties()), compress(islice(scores, 1, None), ties()))))
 
 
 def read_score_dump(path):
-    """Parse a score dump into {query_id: ScoredList}, re-sorted per query."""
-    return {qid: ScoredList.from_scores(qid, scores)
+    """Parse a score dump into {query_id: ScoredList} by score desc, id asc.
+
+    A list the file holds in that order is kept as it is; any other is sorted.
+    """
+    return {qid: ScoredList(qid, list(scores.items())) if _in_order(scores)
+            else ScoredList.from_scores(qid, scores)
             for qid, scores in _read_scored_table(path, 3, 2).items()}

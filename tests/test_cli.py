@@ -411,6 +411,19 @@ class TestStatuteTask:
         assert abs(achieved[tuned["p"]] - 0.5) == best_gap
 
 
+def postprocess_inputs(tmp_path, **overrides):
+    """Config over a hand-written work dir that ``tune`` and ``postprocess`` can read."""
+    work = tmp_path / "w"
+    work.mkdir()
+    (work / "run_raw.tsv").write_text("q1\tA\t1\t1.000000\tx\nq1\tB\t2\t0.500000\tx\n")
+    (work / "clean.jsonl").write_text("")
+    (tmp_path / "queries.json").write_text('["q1"]')
+    (tmp_path / "qrels.json").write_text('{"q1": ["A"]}')
+    return write_config(tmp_path / "cfg.json", work_dir=str(work),
+                        queries_file=str(tmp_path / "queries.json"),
+                        qrels_file=str(tmp_path / "qrels.json"), **overrides)
+
+
 class TestErrors:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", no_such_key=1)
@@ -530,6 +543,69 @@ class TestErrors:
         cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"), **{key: value})
         assert run("score", cfg) == 1
         assert f"usage error: config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("score", "bm25_b", "x"),
+        ("score", "bm25_k1", None),
+        ("score", "bm25_k1", True),
+        ("score", "qld_mu", float("nan")),
+        ("score", "qld_mu", "2000"),
+        ("train", "ltr_num_trees", "many"),
+        ("train", "ltr_num_trees", 2.5),
+        ("train", "ltr_max_leaves", [31]),
+        ("score", "bm25_k1", float("inf")),
+        ("train", "ltr_min_samples_leaf", 1.0001),
+        ("train", "ltr_ndcg_truncation", "10"),
+        ("train", "ltr_validation_fraction", "a fifth"),
+        ("train", "ltr_patience", 2.5),
+    ])
+    def test_non_numeric_or_non_integral_value_is_usage_error(self, tmp_path, capsys,
+                                                              command, key, value):
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"), **{key: value})
+        assert run(command, cfg) == 1
+        assert f"usage error: config key '{key}'" in capsys.readouterr().err
+
+    def test_integral_float_for_an_int_key_is_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"),
+                           ltr_num_trees=40.0)
+        assert run("train", cfg) == 2  # past the settings: features.tsv is missing
+        assert "missing artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("grid_p", {"grid_p": [2.0]}), ("grid_p", {"grid_p": ["x"]}),
+        ("grid_h", {"grid_h": [0]}), ("grid_h", {"grid_h": [2.5]}), ("grid_h", {"grid_h": []}),
+        ("grid_l", {"grid_l": [-1]}), ("grid_l", {"grid_h": [3], "grid_l": [9]}),
+        ("grid_t", {"grid_t": [0]}), ("grid_s", {"grid_s": ["1"]}), ("grid_s", {"grid_s": 1}),
+    ])
+    def test_bad_grid_value_is_usage_error(self, tmp_path, capsys, key, overrides):
+        cfg = postprocess_inputs(tmp_path, **overrides)
+        assert run("tune", cfg) == 1
+        assert f"usage error: config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("post_p", 1.5), ("post_p", "x"), ("post_h", 0), ("post_h", 7.5), ("post_l", 8),
+        ("post_t", None), ("post_s", -1),
+    ])
+    def test_bad_post_value_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = postprocess_inputs(tmp_path, **{key: value})
+        assert run("postprocess", cfg) == 1
+        assert f"usage error: config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"p": 2.0, "h": 7}', '{"p": 0.5, "h": "x"}',
+                                      '{"p": 0.5, "h": 3, "l": 1, "t": 1.5, "s": 0}',
+                                      '[0.5, 7]', '{"p": 0.5,'])
+    def test_bad_tuned_params_is_data_error_naming_the_file(self, tmp_path, capsys, text):
+        cfg = postprocess_inputs(tmp_path)
+        tuned = tmp_path / "w" / "tuned_params.json"
+        tuned.write_text(text)
+        assert run("postprocess", cfg) == 2
+        assert f"data error: {tuned}: " in capsys.readouterr().err
+
+    def test_postprocess_inputs_are_usable(self, tmp_path):
+        cfg = postprocess_inputs(tmp_path, grid_p=[0.5], grid_h=[3], grid_l=[1],
+                                 grid_t=[1], grid_s=[0])
+        assert run("tune", cfg) == 0
+        assert run("postprocess", cfg) == 0
 
     def test_bad_task_value_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="weird")

@@ -5,12 +5,14 @@ import pytest
 
 from lexfuse.evaluation import (
     ScoredList,
+    SettingError,
     load_qrels,
     macro_prf2,
     mean_average_precision,
     micro_prf1,
     read_run_file,
     recall_at_k,
+    setting_number,
     write_qrels,
     write_report,
     write_run_file,
@@ -162,6 +164,27 @@ class TestRecallAtK:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             recall_at_k({}, {}, 0)
+
+
+class TestSettingNumber:
+    @pytest.mark.parametrize("value, kind, want", [
+        (3, int, 3), (3.0, int, 3), (10**17 + 1, int, 10**17 + 1),
+        (2, float, 2.0), (0.75, float, 0.75), (-0.5, float, -0.5),
+    ])
+    def test_numbers_convert_exactly(self, value, kind, want):
+        got = setting_number("k", value, kind)
+        assert got == want and type(got) is kind
+
+    @pytest.mark.parametrize("value, kind, problem", [
+        ("x", float, "a number"), ("0.5", float, "a number"), (None, float, "a number"),
+        (True, int, "a number"), ([1], int, "a number"), (float("nan"), float, "finite"),
+        (float("inf"), int, "finite"), (10**400, float, "finite"),
+        (2.5, int, "an integer"), (1e-9, int, "an integer"),
+    ])
+    def test_other_values_name_the_setting(self, value, kind, problem):
+        with pytest.raises(SettingError, match=f"^k must be {problem}, got ") as info:
+            setting_number("k", value, kind)
+        assert info.value.name == "k"
 
 
 class TestFileFormats:

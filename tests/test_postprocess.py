@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from lexfuse import postprocess
-from lexfuse.evaluation import ScoredList, macro_prf2, micro_prf1
+from lexfuse.evaluation import ScoredList, SettingError, macro_prf2, micro_prf1
 from lexfuse.postprocess import (
     TASK1_RUN3_PARAMS,
     CutoffParams,
@@ -138,6 +138,31 @@ class TestDynamicCutoff:
             CutoffParams(h=3, l=4, p=0.5)
         with pytest.raises(ValueError):
             CutoffParams(h=3, l=1, p=1.5)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: CutoffParams(h=0, l=0, p=0.5), "h"),
+    (lambda: CutoffParams(h=3, l=-1, p=0.5), "l"),
+    (lambda: CutoffParams(h=3, l=1, p=1.5), "p"),
+    (lambda: DuplicateParams(t=0, s=0), "t"),
+    (lambda: DuplicateParams(t=1, s=-2), "s"),
+    (lambda: ThresholdParams(p=-0.1), "p"),
+])
+def test_param_errors_name_the_field(make, field):
+    with pytest.raises(SettingError) as info:
+        make()
+    assert info.value.name == field
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"t": "2"}, "t"), ({"t": 1, "s": 1.5}, "s"), ({"h": 2.5}, "h"),
+    ({"h": 3, "l": None}, "l"), ({"h": 3, "p": "high"}, "p"), ({"h": 3, "p": float("nan")}, "p"),
+])
+def test_pipeline_refuses_non_numeric_params(params, field):
+    pipeline = PostprocessPipeline(order=("duplicate", "cutoff"))
+    with pytest.raises(SettingError) as info:
+        pipeline.apply({}, params)
+    assert info.value.name == field
 
 
 class TestThresholdCutoff:
@@ -305,6 +330,13 @@ class TestGridSearch:
         best, table = grid_search(pipeline, grid, runs, qrels)
         assert best == {"p": 0.4, "h": 5, "l": 1, "t": 2, "s": 0}
         assert len(table) == 1
+
+    @pytest.mark.parametrize("change, field", [({"h": []}, "h"), ({"h": [1], "l": [2, 3]}, "l")])
+    def test_grid_without_a_feasible_point_names_a_setting(self, change, field):
+        runs, qrels, grid, _ = planted_scenario()
+        with pytest.raises(SettingError) as info:
+            grid_search(PostprocessPipeline(), dict(grid, **change), runs, qrels)
+        assert info.value.name == field
 
     def test_enumeration_order_invariance(self):
         runs, qrels, grid, planted = planted_scenario()

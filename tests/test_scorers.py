@@ -2,9 +2,10 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from lexfuse.evaluation import ScoredList
+from lexfuse.evaluation import ScoredList, _read_scored_table
 from lexfuse.indexing import build_index
 from lexfuse.ingest import TokenizerConfig, tokenize
 from lexfuse.scorers import (
@@ -152,6 +153,32 @@ def loop_scores(index, query_text, scorer, params):
         for doc, tf in index.postings[term].tolist():
             scores[doc] += c * idf * tf * (params.k1 + 1.0) / (tf + norms[doc])
     return scores
+
+
+def reference_score_all(index, query_id, query_text, scorer, params):
+    """The ranking ``score_all`` replaced: per-posting scores into a dict, sorted with a key."""
+    scores = loop_scores(index, query_text, scorer, params)
+    return ScoredList.from_scores(query_id, dict(zip(index.doc_ids, scores)))
+
+
+def hex_entries(slist):
+    return [(doc_id, score.hex()) for doc_id, score in slist.entries]
+
+
+# Ids whose string order differs from their numeric order, and non-ASCII ids.
+AWKWARD_IDS = ["d9", "d10", "d100", "D1", "10", "9", "-1", "é", "z", "ä", "日本", "%s", "a%%b"]
+
+
+def awkward_corpus(rng, vocab):
+    """(id, text) pairs; about a third repeat an earlier text, so their scores tie."""
+    docs = []
+    for doc_id in rng.sample(AWKWARD_IDS, rng.randrange(1, len(AWKWARD_IDS) + 1)):
+        if docs and rng.random() < 0.35:
+            text = rng.choice(docs)[1]
+        else:
+            text = " ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 30)))
+        docs.append((doc_id, text))
+    return docs
 
 
 def toy_index():
@@ -325,6 +352,41 @@ class TestScoreAll:
                 want = loop_scores(index, query, scorer, params)
                 assert [got[d].hex() for d in index.doc_ids] == [w.hex() for w in want]
 
+    def test_matches_sorted_dict_reference(self):
+        rng = random.Random(2024)
+        vocab = [f"t{i}" for i in range(10)]
+        for _ in range(50):
+            index = build_index(awkward_corpus(rng, vocab),
+                                TokenizerConfig(ngram_lo=1, ngram_hi=rng.randrange(1, 3)))
+            settings = (("bm25", Bm25Params(rng.uniform(0.2, 3.0), rng.uniform(0.0, 1.0))),
+                        ("bm25_ngram", Bm25Params()),
+                        ("qld", QldParams(rng.uniform(1.0, 3000.0))))
+            # Several queries on one index object, so later ones read the memo.
+            for n in range(6):
+                words = vocab[:rng.randrange(1, 6)] + ["unseen"]  # few words: repeats
+                query = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 12)))
+                for scorer, params in settings:
+                    got = score_all(index, f"q{n}", query, scorer, params)
+                    want = reference_score_all(index, f"q{n}", query, scorer, params)
+                    assert got.query_id == want.query_id
+                    assert hex_entries(got) == hex_entries(want)
+
+    def test_memo_keeps_settings_apart(self):
+        rng = random.Random(8)
+        vocab = [f"t{i}" for i in range(8)]
+        docs = awkward_corpus(rng, vocab)
+        shared = build_index(docs)
+        settings = [("bm25", Bm25Params(1.2, 0.75)), ("qld", QldParams(100.0)),
+                    ("bm25", Bm25Params(0.5, 0.2)), ("qld", QldParams(2500.0)),
+                    ("bm25_ngram", Bm25Params(1.2, 0.75))]
+        queries = ["t1 t2 t3", "t1", "t2 t2 t4", "t3 t5 t6 t7", "t1 t3"]
+        for _ in range(2):
+            for query in queries:
+                for scorer, params in settings:
+                    fresh = build_index(docs)  # nothing memoized yet
+                    assert hex_entries(score_all(shared, "q", query, scorer, params)) == \
+                        hex_entries(score_all(fresh, "q", query, scorer, params))
+
     def test_ngram_range_1_1_identical_to_plain(self):
         docs = [("d1", "alpha beta gamma"), ("d2", "beta gamma delta"), ("d3", "epsilon")]
         plain = build_index(docs, TokenizerConfig())
@@ -362,7 +424,68 @@ class TestTopK:
             top_k(ScoredList("q", []), -1)
 
 
+def per_row_writer(lists, path):
+    """The dump writer ``write_score_dump`` replaced: one f-string and one write per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for slist in sorted(lists, key=lambda s: s.query_id):
+            for doc_id, score in slist.entries:
+                fh.write(f"{slist.query_id}\t{doc_id}\t{score:.6f}\n")
+
+
+def always_sort_reader(path):
+    """The dump reader ``read_score_dump`` replaced: every list sorted by score desc, id asc."""
+    return {qid: ScoredList.from_scores(qid, scores)
+            for qid, scores in _read_scored_table(path, 3, 2).items()}
+
+
 class TestScoreDump:
+    def test_same_bytes_as_per_row_writer(self, tmp_path):
+        rng = random.Random(31)
+        query_ids = ["q1", "q10", "q9", "%", "q%s", "é", "日本"]
+        values = [0.0, -0.0, 1e-7, -5e-7, 0.5, 2.0000005, 123456789.123456789, 3, -2,
+                  np.float64(0.1234565), np.float64(-7.25)]
+        for _ in range(40):
+            lists = []
+            for qid in rng.sample(query_ids, rng.randrange(0, len(query_ids))):
+                docs = rng.sample(AWKWARD_IDS, rng.randrange(0, len(AWKWARD_IDS)))
+                lists.append(ScoredList(qid, [
+                    (doc_id, rng.choice(values + [rng.uniform(-100, 100)])) for doc_id in docs]))
+            write_score_dump(lists, tmp_path / "got.tsv")
+            per_row_writer(lists, tmp_path / "want.tsv")
+            assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_matches_always_sort_reader(self, tmp_path):
+        rng = random.Random(47)
+        # Distinct floats that round to the same six decimals, plus signed zeros and NaN.
+        raw = [1.0000001, 1.0000004, 0.9999996, 2.5, 0.0, -0.0, -3.0000002, -2.9999998,
+               float("nan")]
+        for trial in range(80):
+            rows = []
+            for qid in rng.sample(["q1", "q2", "q10", "é"], rng.randrange(1, 5)):
+                docs = rng.sample(AWKWARD_IDS, rng.randrange(1, len(AWKWARD_IDS)))
+                pool = raw if trial % 4 else raw[:-1] + [0.25]
+                scores = {doc_id: rng.choice(pool) for doc_id in docs}
+                entries = list(scores.items())
+                order = rng.choice(("written", "shuffled", "ids_descending"))
+                if order == "written":  # full-precision order, as score_all ranks
+                    entries = ScoredList.from_scores(qid, scores).entries
+                elif order == "shuffled":
+                    rng.shuffle(entries)
+                else:
+                    entries.sort(key=lambda e: e[0], reverse=True)
+                    entries.sort(key=lambda e: e[1], reverse=True)
+                rows.extend((qid, doc_id, score) for doc_id, score in entries)
+            if rng.random() < 0.3:
+                rng.shuffle(rows)  # one query's rows in several blocks
+            path = tmp_path / f"dump{trial}.tsv"
+            path.write_text("".join(f"{q}\t{d}\t{s:.6f}\n" for q, d, s in rows),
+                            encoding="utf-8")
+            got, want = read_score_dump(path), always_sort_reader(path)
+            assert list(got) == list(want)
+            for qid in want:
+                assert got[qid].query_id == qid
+                assert hex_entries(got[qid]) == hex_entries(want[qid])
+
     def test_round_trip_and_format(self, tmp_path):
         lists = [
             ScoredList("q2", [("d1", 1.25), ("d2", 0.5)]),
