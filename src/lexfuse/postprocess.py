@@ -195,7 +195,8 @@ class PostprocessPipeline:
 
         ``filter(runs)`` returns the filtered runs. ``key`` names the stage
         and its frozen parameters, so two parameter sets whose stage keys
-        agree up to some point share that prefix's output.
+        agree up to some point share that prefix's output. The values must
+        have passed ``_check_values``.
         """
         out = []
         for stage in self.order:
@@ -205,22 +206,24 @@ class PostprocessPipeline:
                 out.append(("query", lambda runs: filter_query_cases(runs, self.query_ids)))
             elif stage == "duplicate":
                 if "t" in params:
-                    dup = DuplicateParams(t=setting_number("t", params["t"], int),
-                                          s=setting_number("s", params.get("s", 0), int))
+                    dup = DuplicateParams(t=int(params["t"]), s=int(params.get("s", 0)))
                     out.append((dup, lambda runs, dup=dup: filter_duplicates(runs, dup)[0]))
             elif stage == "cutoff":
                 if "h" in params:
-                    cut = CutoffParams(h=setting_number("h", params["h"], int),
-                                       l=setting_number("l", params.get("l", 0), int),
-                                       p=setting_number("p", params.get("p", 0.0), float))
+                    cut = CutoffParams(
+                        h=int(params["h"]),
+                        l=int(params.get("l", 0)),
+                        p=float(params.get("p", 0.0)),
+                    )
                     out.append((cut, lambda runs, cut=cut: dynamic_cutoff(runs, cut)))
             elif stage == "threshold":
                 if "p" in params:
-                    thr = ThresholdParams(p=setting_number("p", params["p"], float))
+                    thr = ThresholdParams(p=float(params["p"]))
                     out.append((thr, lambda runs, thr=thr: threshold_cutoff(runs, thr)))
         return out
 
     def apply(self, runs, params):
+        _check_values({name: [value] for name, value in params.items()})
         current = runs
         for _, stage in self.stages(params):
             current = stage(current)
@@ -228,6 +231,23 @@ class PostprocessPipeline:
 
 
 _METRICS = {"micro_f1": micro_prf1, "macro_f2": macro_prf2}
+
+#: The number type of each parameter ``PostprocessPipeline.stages`` reads.
+_KINDS = {"p": float, "h": int, "l": int, "t": int, "s": int}
+
+
+def _check_values(grid):
+    """Raise SettingError for the first {name: values} entry that is empty or not a number.
+
+    An int parameter takes only integral values (``setting_number``); the
+    values themselves are left as given.
+    """
+    for name in sorted(grid):
+        if not grid[name]:
+            raise SettingError(name, f"{name} has no grid values")
+        if name in _KINDS:
+            for value in grid[name]:
+                setting_number(name, value, _KINDS[name])
 
 
 def _tie_break_key(params):
@@ -254,9 +274,7 @@ def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
     """
     if not grid:
         raise ValueError("grid must not be empty")
-    for name in sorted(grid):
-        if not grid[name]:
-            raise SettingError(name, f"{name} has no grid values")
+    _check_values(grid)
     if isinstance(metric, str):
         try:
             metric_fn = _METRICS[metric]

@@ -16,8 +16,7 @@ Rankings are ``evaluation.ScoredList``s; score dumps use its table reader.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from operator import eq, ge, lt
+from itertools import chain
 
 import numpy as np
 
@@ -110,8 +109,9 @@ def score_all(index, query_id, query_text, scorer="bm25", params=None):
 
     Each score adds the same float terms, in sorted query-term order, as
     the per-document formulas. The contributions of a term that occurs
-    once in the query are kept on the index per (scorer, params): there
-    ``1 * x`` is exact, so reusing them changes no bit.
+    once in the query are kept on the index per (scorer, params), at most
+    one entry per index term: there ``1 * x`` is exact, so reusing them
+    changes no bit.
     """
     if scorer not in SCORER_NAMES:
         raise ValueError(f"unknown scorer: {scorer!r}")
@@ -160,22 +160,7 @@ def write_score_dump(lists, path):
             fh.write(row * len(slist.entries) % tuple(chain.from_iterable(slist.entries)))
 
 
-def _in_order(scores):
-    """Whether a {doc_id: score} mapping iterates by score desc, id asc; False on NaN."""
-    values = scores.values()
-
-    def ties():  # for each adjacent pair, whether the two scores are equal
-        return map(eq, values, islice(values, 1, None))
-
-    return (all(map(ge, values, islice(values, 1, None)))
-            and all(map(lt, compress(scores, ties()), compress(islice(scores, 1, None), ties()))))
-
-
 def read_score_dump(path):
-    """Parse a score dump into {query_id: ScoredList} by score desc, id asc.
-
-    A list the file holds in that order is kept as it is; any other is sorted.
-    """
-    return {qid: ScoredList(qid, list(scores.items())) if _in_order(scores)
-            else ScoredList.from_scores(qid, scores)
+    """Parse a score dump into {query_id: ScoredList}, re-sorted per query."""
+    return {qid: ScoredList.from_scores(qid, scores)
             for qid, scores in _read_scored_table(path, 3, 2).items()}

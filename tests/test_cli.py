@@ -576,6 +576,9 @@ class TestErrors:
         ("grid_h", {"grid_h": [0]}), ("grid_h", {"grid_h": [2.5]}), ("grid_h", {"grid_h": []}),
         ("grid_l", {"grid_l": [-1]}), ("grid_l", {"grid_h": [3], "grid_l": [9]}),
         ("grid_t", {"grid_t": [0]}), ("grid_s", {"grid_s": ["1"]}), ("grid_s", {"grid_s": 1}),
+        # Checked before any grid point compares l with h or breaks a tie on p.
+        ("grid_h", {"grid_h": ["x"]}), ("grid_l", {"grid_l": [None]}),
+        ("grid_p", {"filter_order": "date,query", "grid_p": ["x"]}),
     ])
     def test_bad_grid_value_is_usage_error(self, tmp_path, capsys, key, overrides):
         cfg = postprocess_inputs(tmp_path, **overrides)

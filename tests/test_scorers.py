@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lexfuse.evaluation import ScoredList, _read_scored_table
+from lexfuse.evaluation import ScoredList
 from lexfuse.indexing import build_index
 from lexfuse.ingest import TokenizerConfig, tokenize
 from lexfuse.scorers import (
@@ -433,9 +433,12 @@ def per_row_writer(lists, path):
 
 
 def always_sort_reader(path):
-    """The dump reader ``read_score_dump`` replaced: every list sorted by score desc, id asc."""
-    return {qid: ScoredList.from_scores(qid, scores)
-            for qid, scores in _read_scored_table(path, 3, 2).items()}
+    """A dump read row by row into one dict per query, each sorted by score desc, id asc."""
+    per_query = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        qid, doc_id, raw = line.split("\t")
+        per_query.setdefault(qid, {})[doc_id] = float(raw)
+    return {qid: ScoredList.from_scores(qid, scores) for qid, scores in per_query.items()}
 
 
 class TestScoreDump:
