@@ -18,6 +18,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 import secrets
 import sys
@@ -25,81 +27,156 @@ from pathlib import Path
 
 from . import evaluation, ingest, postprocess, synth
 
+ConfigError = evaluation.SettingError  # exit 1
+DataError = evaluation.DataError  # exit 2
 
-class ConfigError(Exception):
-    """Unusable configuration or command line."""
-
-
-class DataError(Exception):
-    """Missing or malformed input data."""
-
-
-DEFAULTS = {
-    "task": "case",  # case | statute
-    "corpus_dir": None,
-    "queries_file": None,
-    "queries_dir": None,  # statute task: directory of question files
-    "qrels_file": None,
-    "splits_file": None,
-    "work_dir": None,
-    "seed": 0,
-    "run_tag": "lexfuse",
-    "lowercase": True,
-    "min_token_len": 1,
-    "ngram_lo": 1,
-    "ngram_hi": 3,
-    "bm25_k1": 3.0,
-    "bm25_b": 1.0,
-    "qld_mu": 2000.0,
-    "rerank_depth": 200,
-    "schema": "task1_v1",
-    "external_scores": {},
-    "ltr_num_trees": 300,
-    "ltr_max_leaves": 31,
-    "ltr_learning_rate": 0.05,
-    "ltr_min_samples_leaf": 20,
-    "ltr_ndcg_truncation": 10,
-    "ltr_validation_fraction": 0.2,
-    "ltr_patience": 50,
-    "grid_p": None,
-    "grid_h": None,
-    "grid_l": None,
-    "grid_t": None,
-    "grid_s": None,
-    "filter_order": "date,query,duplicate,cutoff",
-    "metric": "micro_f1",
-    "eval_split": "all",
-    "eval_run": None,
-    "post_p": postprocess.TASK1_RUN3_PARAMS["p"],
-    "post_h": postprocess.TASK1_RUN3_PARAMS["h"],
-    "post_l": postprocess.TASK1_RUN3_PARAMS["l"],
-    "post_t": postprocess.TASK1_RUN3_PARAMS["t"],
-    "post_s": postprocess.TASK1_RUN3_PARAMS["s"],
-    "synth_dir": None,
-    "synth_num_queries": 100,
-    "synth_num_candidates": 850,
-    "synth_relevant_per_query": 4.16,
-    "synth_vocab_size": 500,
-    "synth_overlap_strength": 3,
-    "synth_decoys_per_query": 3,
+# Every config key: (default, kind, allowed). ``kind`` is int, float, bool,
+# str, dict (external_scores: feature name -> path) or list (grid_p, grid_h,
+# grid_l, grid_t, grid_s: non-empty, each value checked as the post_* key
+# ``allowed`` names). ``allowed`` is the range of a number ('>= 1',
+# 'in (0, 1]') or the values a str may take; filter_order takes distinct,
+# comma-separated ones. A key whose default is null may also be null.
+SETTINGS = {
+    "task": ("case", str, ("case", "statute")),
+    "corpus_dir": (None, str, None),
+    "queries_file": (None, str, None),
+    "queries_dir": (None, str, None),  # statute task: directory of question files
+    "qrels_file": (None, str, None),
+    "splits_file": (None, str, None),
+    "work_dir": (None, str, None),
+    "seed": (0, int, None),
+    "run_tag": ("lexfuse", str, None),
+    "lowercase": (True, bool, None),
+    "min_token_len": (1, int, ">= 1"),
+    "ngram_lo": (1, int, ">= 1"),
+    "ngram_hi": (3, int, ">= 1"),
+    "bm25_k1": (3.0, float, ">= 0"),
+    "bm25_b": (1.0, float, "in [0, 1]"),
+    "qld_mu": (2000.0, float, "> 0"),
+    "rerank_depth": (200, int, ">= 0"),  # 0 keeps every scored candidate
+    "schema": ("task1_v1", str, None),  # resolved by features.get_schema
+    "external_scores": ({}, dict, None),
+    "ltr_num_trees": (300, int, ">= 1"),
+    "ltr_max_leaves": (31, int, ">= 2"),
+    "ltr_learning_rate": (0.05, float, "in (0, 1]"),
+    "ltr_min_samples_leaf": (20, int, ">= 1"),
+    "ltr_ndcg_truncation": (10, int, ">= 1"),
+    "ltr_validation_fraction": (0.2, float, "in (0, 1)"),
+    "ltr_patience": (50, int, ">= 1"),
+    **{f"grid_{name}": (None, list, f"post_{name}") for name in "phlts"},
+    "filter_order": ("date,query,duplicate,cutoff", str, postprocess.FILTERS),
+    "metric": ("micro_f1", str, tuple(postprocess._METRICS)),
+    "eval_split": ("all", str, None),  # other than all: a split of splits_file
+    "eval_run": (None, str, None),
+    "post_p": (postprocess.TASK1_RUN3_PARAMS["p"], float, "in [0, 1]"),
+    "post_h": (postprocess.TASK1_RUN3_PARAMS["h"], int, ">= 1"),
+    "post_l": (postprocess.TASK1_RUN3_PARAMS["l"], int, ">= 0"),  # and at most post_h
+    "post_t": (postprocess.TASK1_RUN3_PARAMS["t"], int, ">= 1"),
+    "post_s": (postprocess.TASK1_RUN3_PARAMS["s"], int, ">= 0"),
+    "synth_dir": (None, str, None),
+    "synth_num_queries": (100, int, ">= 1"),
+    "synth_num_candidates": (850, int, ">= 1"),
+    "synth_relevant_per_query": (4.16, float, "> 0"),
+    "synth_vocab_size": (500, int, ">= 10"),
+    "synth_overlap_strength": (3, int, ">= 1"),
+    "synth_decoys_per_query": (3, int, ">= 0"),
 }
+
+DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
+
+_SCORER_FEATURE = {"bm25": "BM25", "qld": "QLD", "bm25_ngram": "BM25_ngram"}
+
+
+def _within(rule, x):
+    """Whether ``x`` meets ``rule``: '>= a', '> a' or 'in [a, b]', with ( or ) for an open end."""
+    if rule.startswith(">"):
+        return x >= float(rule[3:]) if rule.startswith(">=") else x > float(rule[2:])
+    lo, hi = (float(bound) for bound in rule[4:-1].split(","))
+    return (lo <= x if rule[3] == "[" else lo < x) and (x <= hi if rule[-1] == "]" else x < hi)
+
+
+def _number(label, value, kind, rule=None):
+    """``value`` as a ``kind`` (int or float) that meets ``rule``, or ConfigError ``label: ...``.
+
+    Only finite numbers count and an int takes only integral values: a string, a bool,
+    NaN or 2.5 for an int is refused, never converted or truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        problem = "a number"
+    else:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            problem = "finite"
+        elif kind is int and not number.is_integer():
+            problem = "an integer"
+        elif rule and not _within(rule, number):
+            problem = rule
+        else:
+            return int(value) if kind is int else number
+    raise ConfigError(f"{label}: must be {problem}, got {value!r}")
+
+
+def _value(key, value):
+    """``value`` as config key ``key`` takes it; a ConfigError names the key otherwise."""
+    default, kind, allowed = SETTINGS[key]
+    label = f"config key {key!r}"
+    if value is None and default is None:
+        return None
+    if kind in (int, float):
+        return _number(label, value, kind, allowed)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{label}: must be a {kind.__name__}, got {value!r}")
+    if kind is list:
+        if not value:
+            raise ConfigError(f"{label}: must not be empty")
+        _, kind, rule = SETTINGS[allowed]
+        return [_number(label, v, kind, rule) for v in value]
+    if kind is dict:
+        if not all(isinstance(v, str) for v in value.values()) or set(value) & set(
+                _SCORER_FEATURE.values()):
+            raise ConfigError(f"{label}: must map feature names other than "
+                              f"{', '.join(_SCORER_FEATURE.values())} to paths, got {value!r}")
+        return dict(value)
+    if key == "filter_order":
+        names = tuple(name.strip() for name in value.split(",") if name.strip())
+        if not set(names) <= set(allowed) or len(set(names)) < len(names):
+            raise ConfigError(f"{label}: must name distinct filters of {', '.join(allowed)}, "
+                              f"got {value!r}")
+        return names
+    if allowed and value not in allowed:
+        raise ConfigError(f"{label}: must be one of {', '.join(allowed)}, got {value!r}")
+    return value
+
+
+def check_config(raw):
+    """DEFAULTS overlaid with the JSON object ``raw``, each value checked against SETTINGS
+    and given as its key's kind (40.0 for an int key is 40, filter_order a tuple)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(SETTINGS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    cfg = {key: _value(key, raw.get(key, default)) for key, default in DEFAULTS.items()}
+    for low, high in (("ngram_lo", "ngram_hi"), ("post_l", "post_h")):
+        if cfg[low] > cfg[high]:
+            raise ConfigError(f"config key {low!r}: {cfg[low]} is above {high} {cfg[high]}")
+    grid = _grid(dict(cfg, filter_order=postprocess.FILTERS))
+    if min(grid["l"]) > max(grid["h"]):
+        raise ConfigError("config key 'grid_l': every value is above every grid_h value")
+    if cfg["eval_split"] != "all" and not cfg["splits_file"]:
+        raise ConfigError(f"config key 'eval_split': {cfg['eval_split']!r} needs "
+                          f"config key 'splits_file'")
+    return cfg
 
 
 def load_config(path):
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    unknown = sorted(set(raw) - set(DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = dict(DEFAULTS)
-    cfg.update(raw)
-    if cfg["task"] not in ("case", "statute"):
-        raise ConfigError(f"task must be 'case' or 'statute', got {cfg['task']!r}")
-    return cfg
+    """Checked settings of config file ``path``, and the sha256 the manifest records."""
+    raw = evaluation._read_json(path, ConfigError)
+    cfg = check_config(raw)
+    written = json.dumps(dict(DEFAULTS, **raw), sort_keys=True).encode("utf-8")
+    return cfg, hashlib.sha256(written).hexdigest()
 
 
 # -- small infrastructure ------------------------------------------------------
@@ -146,8 +223,9 @@ class Stage:
     artifact fails when an artifact it was built from has since changed.
     """
 
-    def __init__(self, cfg, command):
+    def __init__(self, cfg, config_sha256, command):
         self.cfg = cfg
+        self.config_sha256 = config_sha256
         self.command = command
         self.inputs = {}  # path -> sha256
         self.outputs = []
@@ -162,7 +240,13 @@ class Stage:
         path = self.work / "manifest.json"
         if not path.is_file():
             return {"artifacts": {}}
-        return json.loads(path.read_text(encoding="utf-8"))
+        manifest = evaluation._read_json(path)
+        artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
+        if not isinstance(artifacts, dict) or not all(
+                isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+                and isinstance(entry.get("inputs"), dict) for entry in artifacts.values()):
+            raise DataError(f"{path}: not a lexfuse manifest")
+        return manifest
 
     def artifact(self, name, required=True):
         """Path of work-dir artifact ``name``; None if absent and not ``required``."""
@@ -175,7 +259,8 @@ class Stage:
         current = {str(self.work / n): entry["sha256"] for n, entry in artifacts.items()}
         for source, digest in artifacts.get(name, {}).get("inputs", {}).items():
             if current.get(source, digest) != digest:
-                raise DataError(f"stale artifact: {path} was built from an older {source}; "
+                raise DataError(f"stale artifact: {path} was built from an older {source} "
+                                f"(per {self.work / 'manifest.json'}); "
                                 f"rerun the stage that writes {name}")
         self.inputs[str(path)] = _sha256(path)
         return path
@@ -215,14 +300,11 @@ class Stage:
         if not self.outputs:
             return
         manifest = self._manifest()
-        config_hash = hashlib.sha256(
-            json.dumps(self.cfg, sort_keys=True).encode("utf-8")
-        ).hexdigest()
         for path in self.outputs:
             manifest["artifacts"][path.name] = {
                 "command": self.command,
                 "sha256": _sha256(path),
-                "config_sha256": config_hash,
+                "config_sha256": self.config_sha256,
                 "inputs": dict(sorted(self.inputs.items())),
             }
         _atomic_write(
@@ -233,23 +315,15 @@ class Stage:
         )
 
 
-def _settings(cls, cfg, prefix, **fixed):
-    """``cls`` from config keys ``<prefix><field>``; a bad value is a usage error."""
-    try:
-        return cls(**fixed, **{
-            f.name: evaluation.setting_number(f.name, cfg[prefix + f.name], f.type)
-            for f in dataclasses.fields(cls) if f.name not in fixed})
-    except evaluation.SettingError as exc:
-        raise ConfigError(f"config key '{prefix}{exc.name}': {exc}") from None
+def _record(cls, cfg, prefix, **fixed):
+    """``cls`` from the checked config keys ``<prefix><field>`` and the ``fixed`` fields."""
+    return cls(**fixed, **{f.name: cfg[prefix + f.name]
+                           for f in dataclasses.fields(cls) if f.name not in fixed})
 
 
 def _tokenizer_config(cfg, ngram=False):
-    return ingest.TokenizerConfig(
-        lowercase=bool(cfg["lowercase"]),
-        min_token_len=int(cfg["min_token_len"]),
-        ngram_lo=int(cfg["ngram_lo"]) if ngram else 1,
-        ngram_hi=int(cfg["ngram_hi"]) if ngram else 1,
-    )
+    return _record(ingest.TokenizerConfig, cfg, "", **({} if ngram else
+                                                      {"ngram_lo": 1, "ngram_hi": 1}))
 
 
 def _load_docs(path):
@@ -258,27 +332,23 @@ def _load_docs(path):
 
 def _load_query_ids(stage):
     path = stage.file("queries_file")
-    ids = json.loads(path.read_text(encoding="utf-8"))
+    ids = evaluation._read_json(path)
     if not isinstance(ids, list) or not all(isinstance(q, str) for q in ids):
         raise DataError(f"{path}: queries file must be a JSON list of ids")
     return ids
 
 
 def _query_docs(stage, corpus=None):
-    """Cleaned documents of the configured queries.
-
-    Queries are corpus documents (case task; ``corpus`` is the loaded
-    ``clean.jsonl`` when the caller has it) or separate files (statute).
-    """
-    if stage.cfg["task"] == "statute":
-        docs = _load_docs(stage.artifact("queries.jsonl"))
-    else:
-        docs = corpus if corpus is not None else _load_docs(stage.artifact("clean.jsonl"))
+    """Cleaned documents of the configured queries: corpus documents (case task;
+    ``corpus`` is the loaded ``clean.jsonl`` if the caller has it) or question files."""
+    name = "queries.jsonl" if stage.cfg["task"] == "statute" else "clean.jsonl"
+    if corpus is None or name == "queries.jsonl":
+        corpus = _load_docs(stage.artifact(name))
     query_ids = _load_query_ids(stage)
-    missing = [q for q in query_ids if q not in docs]
+    missing = [q for q in query_ids if q not in corpus]
     if missing:
-        raise DataError(f"query ids without cleaned documents: {missing[:5]}")
-    return {qid: docs[qid] for qid in query_ids}
+        raise DataError(f"{stage.work / name}: no document for query ids {missing[:5]}")
+    return {qid: corpus[qid] for qid in query_ids}
 
 
 def _load_splits(stage):
@@ -347,8 +417,8 @@ _INDEX_SCORERS = (("index_plain.json", ("bm25", "qld")),
 
 def cmd_score(stage):
     from . import indexing, scorers
-    bm25_params = _settings(scorers.Bm25Params, stage.cfg, "bm25_")
-    qld_params = _settings(scorers.QldParams, stage.cfg, "qld_")
+    bm25_params = _record(scorers.Bm25Params, stage.cfg, "bm25_")
+    qld_params = _record(scorers.QldParams, stage.cfg, "qld_")
     queries = _query_docs(stage)
     for index_name, names in _INDEX_SCORERS:
         index = indexing.InvertedIndex.load(stage.artifact(index_name))
@@ -364,9 +434,6 @@ def cmd_score(stage):
             del lists  # one scorer's lists at a time bound the stage's peak memory
 
 
-_SCORER_FEATURE = {"bm25": "BM25", "qld": "QLD", "bm25_ngram": "BM25_ngram"}
-
-
 def cmd_features(stage):
     from . import features, scorers
     cfg = stage.cfg
@@ -374,12 +441,17 @@ def cmd_features(stage):
     candidates = _load_docs(stage.artifact("clean.jsonl"))
     queries = _query_docs(stage, candidates)
 
-    depth = int(cfg["rerank_depth"])
+    depth = cfg["rerank_depth"]
     internal = {}
     for scorer in scorers.SCORER_NAMES:
-        lists = scorers.read_score_dump(stage.artifact(f"scores_{scorer}.tsv"))
+        path = stage.artifact(f"scores_{scorer}.tsv")
+        lists = scorers.read_score_dump(path)
         if depth > 0:
             lists = {qid: scorers.top_k(slist, depth) for qid, slist in lists.items()}
+        unknown = next((doc_id for qid in queries if qid in lists
+                        for doc_id, _ in lists[qid].entries if doc_id not in candidates), None)
+        if unknown is not None:
+            raise DataError(f"{path}: candidate {unknown!r} is not in clean.jsonl")
         internal[_SCORER_FEATURE[scorer]] = lists
 
     externals = [
@@ -399,8 +471,9 @@ def cmd_features(stage):
 
 def cmd_train(stage):
     from . import features, ltr
-    config = _settings(ltr.TrainConfig, stage.cfg, "ltr_", seed=int(stage.cfg["seed"]))
-    table = features.FeatureTable.from_tsv(stage.artifact("features.tsv"))
+    config = _record(ltr.TrainConfig, stage.cfg, "ltr_", seed=stage.cfg["seed"])
+    path = stage.artifact("features.tsv")
+    table = features.FeatureTable.from_tsv(path)
     splits = _load_splits(stage)
     if splits:
         # Early stopping uses a slice of the train split; the tune split
@@ -411,7 +484,10 @@ def cmd_train(stage):
         table = features.FeatureTable(
             table.schema, [table.query_ids[i] for i in rows],
             [table.candidate_ids[i] for i in rows], table.X[rows], table.labels[rows])
-    model = ltr.train(table, config)
+    try:
+        model = ltr.train(table, config)
+    except ltr.TrainingError as exc:
+        raise DataError(f"{path}: {exc}") from None
     out = stage.write("model.json", lambda tmp: model.save(tmp))
     stage.write("train_log.tsv", lambda tmp: ltr.write_training_log(model.history, tmp))
     best = model.config["best_iteration"]
@@ -421,43 +497,15 @@ def cmd_train(stage):
     )
 
 
-_SCORE_FLOOR = 1e-6
-
-
-def _calibrate_positive(runs):
-    """Min-max normalize each query's scores into [1e-6, 1].
-
-    Tree-ensemble outputs can be negative, which breaks the score-ratio
-    cutoffs (p * S exceeds S when S < 0). The per-query affine map is
-    strictly monotone, so rankings are unchanged, it survives the run
-    file's six-decimal quantization, and it pins the top score S at 1.0
-    so the p * S rule reads as a normalized-score threshold.
-    """
-    out = {}
-    for qid, slist in runs.items():
-        if not slist.entries:
-            out[qid] = slist
-            continue
-        top = slist.entries[0][1]
-        bottom = slist.entries[-1][1]
-        span = top - bottom
-        if span <= 0:
-            entries = [(doc_id, 1.0) for doc_id, _ in slist.entries]
-        else:
-            scale = 1.0 - _SCORE_FLOOR
-            entries = [
-                (doc_id, _SCORE_FLOOR + scale * (score - bottom) / span)
-                for doc_id, score in slist.entries
-            ]
-        out[qid] = evaluation.ScoredList(qid, entries)
-    return out
-
-
 def cmd_rerank(stage):
     from . import features, ltr
-    table = features.FeatureTable.from_tsv(stage.artifact("features.tsv"))
-    model = ltr.TreeEnsemble.load(stage.artifact("model.json"))
-    runs = _calibrate_positive(ltr.predict(model, table))
+    table_path, model_path = stage.artifact("features.tsv"), stage.artifact("model.json")
+    table = features.FeatureTable.from_tsv(table_path)
+    model = ltr.TreeEnsemble.load(model_path)
+    try:
+        runs = ltr._calibrate_positive(ltr.predict(model, table))
+    except ltr.SchemaMismatchError as exc:
+        raise DataError(f"{model_path} and {table_path}: {exc}") from None
     out = stage.write(
         "run_raw.tsv",
         lambda tmp: evaluation.write_run_file(runs, tmp, tag=stage.cfg["run_tag"]),
@@ -466,58 +514,49 @@ def cmd_rerank(stage):
 
 
 def _pipeline(stage):
-    cfg = stage.cfg
-    order = tuple(name.strip() for name in cfg["filter_order"].split(",") if name.strip())
     # Statute questions carry no trial date, so the corpus dates are all
     # the date filter can use.
     docs = _load_docs(stage.artifact("clean.jsonl"))
     dates = {doc_id: doc.trial_date for doc_id, doc in docs.items()}
     query_ids = frozenset(_load_query_ids(stage))
-    return postprocess.PostprocessPipeline(dates=dates, query_ids=query_ids, order=order)
+    return postprocess.PostprocessPipeline(dates=dates, query_ids=query_ids,
+                                           order=stage.cfg["filter_order"])
 
 
 def _grid(cfg):
-    grid = {}
-    defaults = postprocess.default_grid()
-    for name in ("p", "h", "l", "t", "s"):
-        values = cfg.get(f"grid_{name}")
-        if values is not None and not isinstance(values, list):
-            raise ConfigError(f"config key 'grid_{name}' must be a list, got {values!r}")
-        grid[name] = list(values) if values is not None else defaults[name]
+    """The grid_* lists, or the default grid, of the parameters filter_order uses."""
+    grid = {name: cfg[f"grid_{name}"] or values
+            for name, values in postprocess.default_grid().items()}
     if "duplicate" not in cfg["filter_order"]:
-        grid.pop("t", None)
-        grid.pop("s", None)
+        grid.pop("t")
+        grid.pop("s")
     if "cutoff" not in cfg["filter_order"]:
-        grid.pop("h", None)
-        grid.pop("l", None)
+        grid.pop("h")
+        grid.pop("l")
     return grid
 
 
 def cmd_tune(stage):
     cfg = stage.cfg
-    runs = evaluation.read_run_file(stage.artifact("run_raw.tsv"))
+    run_path = stage.artifact("run_raw.tsv")
+    runs = evaluation.read_run_file(run_path)
     all_qrels = evaluation.load_qrels(stage.file("qrels_file"))
     qrels = all_qrels
     splits = _load_splits(stage)
     if splits:
         runs = _restrict(runs, splits["tune"])
         qrels = _restrict(all_qrels, splits["tune"])
-    pipeline = _pipeline(stage)
-    try:
-        best, table = postprocess.grid_search(
-            pipeline, _grid(cfg), runs, qrels, metric=cfg["metric"]
-        )
-    except evaluation.SettingError as exc:
-        raise ConfigError(f"config key 'grid_{exc.name}': {exc}") from None
+    if not runs:
+        raise DataError(f"{run_path}: no query to tune on")
+    pipeline, grid = _pipeline(stage), _grid(cfg)
+    best, table = postprocess.grid_search(pipeline, grid, runs, qrels, metric=cfg["metric"])
     if cfg["task"] == "statute" and "threshold" in pipeline.order and splits:
         # Statute tuning picks p so the share of queries answered with two
         # or more articles matches the training split, not the metric argmax.
-        # grid_search has already checked every p of the grid.
         train_qrels = [all_qrels[q] for q in splits["train"] if q in all_qrels]
         if train_qrels:
             target = sum(1 for docs in train_qrels if len(docs) >= 2) / len(train_qrels)
-            best = {"p": postprocess.tune_threshold_by_proportion(
-                runs, _grid(cfg)["p"], target)}
+            best = {"p": postprocess.tune_threshold_by_proportion(runs, grid["p"], target)}
     out = stage.write("tuning_report.tsv",
                       lambda tmp: postprocess.write_tuning_report(table, tmp))
     stage.write("tuned_params.json", lambda tmp: tmp.write_text(
@@ -525,25 +564,27 @@ def cmd_tune(stage):
     print(f"tune: {len(table)} grid points, best {best} -> {out}")
 
 
+def _tuned_params(path):
+    """The parameters ``tune`` wrote to ``path``, each checked by its post_* row."""
+    params = evaluation._read_json(path)
+    if not isinstance(params, dict) or not set(params) <= set("phlts"):
+        raise DataError(f"{path}: tuned parameters must be a JSON object of p, h, l, t and s")
+    try:
+        cfg = check_config({f"post_{name}": value for name, value in params.items()})
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return {name: cfg[f"post_{name}"] for name in params}
+
+
 def cmd_postprocess(stage):
     cfg = stage.cfg
     runs = evaluation.read_run_file(stage.artifact("run_raw.tsv"))
     tuned_path = stage.artifact("tuned_params.json", required=False)
     if tuned_path is not None:
-        try:
-            params = json.loads(tuned_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{tuned_path}: not valid JSON: {exc}") from None
-        if not isinstance(params, dict):
-            raise DataError(f"{tuned_path}: tuned parameters must be a JSON object")
+        params = _tuned_params(tuned_path)
     else:
         params = {name: cfg[f"post_{name}"] for name in ("p", "h", "l", "t", "s")}
-    try:
-        final = _pipeline(stage).apply(runs, params)
-    except evaluation.SettingError as exc:
-        if tuned_path is not None:
-            raise DataError(f"{tuned_path}: {exc}") from None
-        raise ConfigError(f"config key 'post_{exc.name}': {exc}") from None
+    final = _pipeline(stage).apply(runs, params)
     out = stage.write(
         "run_final.tsv",
         lambda tmp: evaluation.write_run_file(final, tmp, tag=cfg["run_tag"]),
@@ -557,15 +598,13 @@ def cmd_eval(stage):
     runs = evaluation.read_run_file(run_path)
     qrels = evaluation.load_qrels(stage.file("qrels_file"))
     splits = _load_splits(stage)
-    if splits and cfg["eval_split"] != "all":
+    if cfg["eval_split"] != "all":
         if cfg["eval_split"] not in splits:
-            raise ConfigError(f"unknown eval_split: {cfg['eval_split']!r}")
+            raise ConfigError(f"config key 'eval_split': no split {cfg['eval_split']!r} "
+                              f"in {cfg['splits_file']}")
         runs = _restrict(runs, splits[cfg["eval_split"]])
         qrels = _restrict(qrels, splits[cfg["eval_split"]])
-    if cfg["metric"] == "macro_f2":
-        report = evaluation.macro_prf2(runs, qrels)
-    else:
-        report = evaluation.micro_prf1(runs, qrels)
+    report = postprocess._METRICS[cfg["metric"]](runs, qrels)
     extra = {
         "metric": cfg["metric"],
         "map": evaluation.mean_average_precision(runs, qrels),
@@ -584,15 +623,7 @@ def cmd_synth(stage):
     cfg = stage.cfg
     if not cfg.get("synth_dir"):
         raise ConfigError("config key 'synth_dir' is required for synth")
-    spec = synth.SyntheticSpec(
-        num_queries=int(cfg["synth_num_queries"]),
-        num_candidates=int(cfg["synth_num_candidates"]),
-        relevant_per_query=float(cfg["synth_relevant_per_query"]),
-        vocab_size=int(cfg["synth_vocab_size"]),
-        overlap_strength=int(cfg["synth_overlap_strength"]),
-        seed=int(cfg["seed"]),
-        decoys_per_query=int(cfg["synth_decoys_per_query"]),
-    )
+    spec = _record(synth.SyntheticSpec, cfg, "synth_", seed=cfg["seed"])
     summary = synth.generate(spec, cfg["synth_dir"])
     print(
         f"synth: {summary['documents']} documents, {summary['queries']} queries, "
@@ -632,7 +663,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        stage = Stage(load_config(args.config), args.command)
+        stage = Stage(*load_config(args.config), args.command)
         try:
             _COMMANDS[args.command](stage)
         finally:
@@ -643,11 +674,13 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"lexfuse: usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, ValueError, KeyError) as exc:
+    except (DataError, OSError) as exc:
         print(f"lexfuse: data error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"lexfuse: internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, not a bad input
+        import traceback  # loaded only here: every stage would pay for it at start-up
+        traceback.print_exc()
+        print(f"lexfuse: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

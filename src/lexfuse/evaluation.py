@@ -2,7 +2,8 @@
 
 A ``ScoredList`` is one query's ranking. Score dumps and run files are one
 query/doc/score table (3 and 5 fields) with one reader that names
-``path:line`` for a bad row.
+``path:line`` for a bad row. The two error kinds of every layer live here:
+``SettingError`` for a config value and ``DataError`` for an input file.
 
 Case retrieval pools true/false positives and misses over all queries
 before computing precision, recall, and F1 (micro average). Statute
@@ -13,40 +14,49 @@ flagged in the report.
 """
 
 import json
-import math
-import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
 class SettingError(ValueError):
-    """A setting is not a usable value; ``name`` is its field."""
-
-    def __init__(self, name, message):
-        super().__init__(message)
-        self.name = name
+    """A config key or command-line argument that cannot be used (exit 1)."""
 
 
-def setting_number(name, value, kind):
-    """``value`` as ``kind`` (int or float), or SettingError naming ``name``.
+class DataError(ValueError):
+    """An input that is missing or malformed; the message names its ``path[:line]`` (exit 2)."""
 
-    Only finite numbers count, and an int setting takes only integral
-    values: a string, a bool, NaN or 2.5 for an int is refused, never
-    converted or truncated.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SettingError(name, f"{name} must be a number, got {value!r}")
+
+@contextmanager
+def _text(path):
+    """``path`` opened as UTF-8 text; an undecodable byte is a DataError naming path:line."""
     try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise SettingError(name, f"{name} must be finite, got {value!r}")
-    if kind is not int:
-        return number
-    if not number.is_integer():
-        raise SettingError(name, f"{name} must be an integer, got {value!r}")
-    return int(value)
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # text is decoded in chunks: find the line
+            lineno = next((i for i, raw in enumerate(fh, 1)
+                           if raw.decode("utf-8", "replace").encode("utf-8") != raw), "?")
+        raise DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_json(path, error=DataError):
+    """The JSON value in UTF-8 file ``path``; ``error`` names the file if it is not JSON."""
+    with _text(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
+
+
+def _read_json_as(path, parse, what):
+    """``parse(value)`` of the JSON in ``path``; a bad value is a DataError naming the file."""
+    value = _read_json(path)
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {what}: {exc}") from None
 
 
 @dataclass
@@ -199,14 +209,11 @@ def recall_at_k(runs, qrels, k):
 
 def load_id_lists(path, what, mapping):
     """Read a JSON object of id lists; errors name ``path``, ``what`` and ``mapping``."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {what} are not valid JSON: {exc}") from None
+    data = _read_json(path)
     if not isinstance(data, dict) or not all(
             isinstance(ids, list) and all(isinstance(i, str) for i in ids)
             for ids in data.values()):
-        raise ValueError(f"{path}: {what} must be a JSON object mapping {mapping}")
+        raise DataError(f"{path}: {what} must be a JSON object mapping {mapping}")
     return data
 
 
@@ -237,13 +244,13 @@ def _read_scored_table(path, width, score_field):
     """
     per_query = {}
     qid = scores = None
-    with open(path, encoding="utf-8") as fh:
+    with _text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != width:
                 if parts == [""]:
                     continue
-                raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields")
+                raise DataError(f"{path}:{lineno}: expected {width} tab-separated fields")
             if parts[0] != qid:
                 qid = parts[0]
                 scores = per_query.setdefault(qid, {})
@@ -251,9 +258,9 @@ def _read_scored_table(path, width, score_field):
             try:
                 score = float(raw)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad score {raw!r}") from None
+                raise DataError(f"{path}:{lineno}: bad score {raw!r}") from None
             if doc_id in scores:
-                raise ValueError(
+                raise DataError(
                     f"{path}:{lineno}: duplicate candidate {doc_id!r} for query {qid!r}")
             scores[doc_id] = score
     return per_query

@@ -15,14 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .evaluation import DataError, SettingError, _text
 from .scorers import read_score_dump
 
 
-class AssemblyError(ValueError):
+class AssemblyError(DataError):
     """Feature assembly could not resolve a value."""
 
 
-class ExternalScoreError(ValueError):
+class ExternalScoreError(DataError):
     """An external score file or feature table file is malformed."""
 
 
@@ -63,10 +64,12 @@ _BUILTIN_SCHEMAS = {s.name: s for s in (TASK1_SCHEMA, TASK3_SCHEMA)}
 
 
 def get_schema(name):
+    """The built-in schema ``name``; another name is a bad value of config key ``schema``."""
     try:
         return _BUILTIN_SCHEMAS[name]
     except KeyError:
-        raise AssemblyError(f"unknown schema: {name!r}") from None
+        raise SettingError(f"config key 'schema': must be one of "
+                           f"{', '.join(_BUILTIN_SCHEMAS)}, got {name!r}") from None
 
 
 class FeatureTable:
@@ -113,7 +116,7 @@ class FeatureTable:
     @classmethod
     def from_tsv(cls, path):
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
+        with _text(path) as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if header[:3] != ["query_id", "candidate_id", "label"]:
                 raise ExternalScoreError(f"{path}:1: bad feature table header")
@@ -136,12 +139,15 @@ class FeatureTable:
                     raise ExternalScoreError(f"{path}:{lineno}: expected {3 + len(names)} fields")
                 qid, cid = parts[0], parts[1]
                 try:
-                    labels.append(max(int(parts[2]), -1))
+                    label = int(parts[2])
                     values.extend(map(float, parts[3:]))
                 except ValueError:
                     raise ExternalScoreError(
                         f"{path}:{lineno}: bad label or feature value"
                     ) from None
+                if label not in (-1, 0, 1):
+                    raise ExternalScoreError(f"{path}:{lineno}: label must be -1, 0 or 1")
+                labels.append(label)
                 cids = seen.setdefault(qid, set())
                 if cid in cids:
                     raise ExternalScoreError(

@@ -12,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .evaluation import DataError, _read_json_as
 from .ingest import TokenizerConfig, tokenize
 
 INDEX_FORMAT = "lexfuse-index"
 INDEX_VERSION = 2
 
 
-class DuplicateDocumentError(ValueError):
+class DuplicateDocumentError(DataError):
     """Two documents in one corpus share an id."""
 
 
@@ -81,15 +82,19 @@ class InvertedIndex:
 
     @classmethod
     def from_dict(cls, data):
-        if data.get("format") != INDEX_FORMAT:
-            raise ValueError(f"not an index snapshot: format={data.get('format')!r}")
+        if not isinstance(data, dict) or data.get("format") != INDEX_FORMAT:
+            raise DataError("not an index snapshot")
         if data.get("version") != INDEX_VERSION:
-            raise ValueError(f"unsupported index version: {data.get('version')!r}")
-        terms, doc_freq, flat = data["terms"], data["doc_freq"], data["postings"]
-        if len(terms) != len(doc_freq) or 2 * sum(doc_freq) != len(flat):
-            raise ValueError("index snapshot: terms, doc_freq and postings disagree")
+            raise DataError(f"unsupported index version: {data.get('version')!r}")
+        doc_ids, terms, doc_freq, flat = (data[key] for key in (
+            "doc_ids", "terms", "doc_freq", "postings"))
+        if (len(data["doc_len"]) != len(doc_ids) or len(terms) != len(doc_freq)
+                or 2 * sum(doc_freq) != len(flat)):
+            raise DataError("index snapshot: array lengths disagree")
         rows = np.array(flat, dtype=np.int64).reshape(-1, 2)
-        return cls(TokenizerConfig(**data["config"]), data["doc_ids"], data["doc_len"],
+        if len(rows) and not 0 <= rows[:, 0].min() <= rows[:, 0].max() < len(doc_ids):
+            raise DataError("index snapshot: a posting names no document")
+        return cls(TokenizerConfig(**data["config"]), doc_ids, data["doc_len"],
                    Postings(terms, doc_freq, rows))
 
     def save(self, path):
@@ -98,7 +103,7 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path):
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return _read_json_as(path, cls.from_dict, "index snapshot")
 
 
 def build_index(docs, config=TokenizerConfig()):

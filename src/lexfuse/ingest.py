@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
+from .evaluation import DataError, _text
+
 PREAMBLE_MARKER = "[1]"
 
 PLACEHOLDERS = (
@@ -79,14 +81,6 @@ class TokenizerConfig:
     min_token_len: int = 1
     ngram_lo: int = 1
     ngram_hi: int = 1
-
-    def __post_init__(self):
-        if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
-        if self.ngram_lo < 1:
-            raise ValueError("ngram_lo must be >= 1")
-        if self.ngram_hi < self.ngram_lo:
-            raise ValueError("ngram_hi must be >= ngram_lo")
 
 
 def tokenize(text, config=TokenizerConfig()):
@@ -314,8 +308,11 @@ def preprocess_article(raw):
 
 def load_raw_corpus(corpus_dir):
     """Read ``<id>.txt`` files from a directory, sorted by id."""
-    return [RawDocument(id=path.stem, text=path.read_text(encoding="utf-8"))
-            for path in sorted(Path(corpus_dir).glob("*.txt"))]
+    docs = []
+    for path in sorted(Path(corpus_dir).glob("*.txt")):
+        with _text(path) as fh:
+            docs.append(RawDocument(id=path.stem, text=fh.read()))
+    return docs
 
 
 def preprocess_corpus(raws, tokenizer_config=TokenizerConfig()):
@@ -354,18 +351,19 @@ def write_clean_jsonl(docs, path):
 
 
 def read_clean_jsonl(path):
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    """The documents of a ``write_clean_jsonl`` file; a bad line is a DataError naming it."""
+    docs = {}
+    with _text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            docs.append(CleanDocument(
-                id=rec["id"],
-                body=rec["body"],
-                summary=rec["summary"],
-                trial_date=date.fromisoformat(rec["trial_date"]) if rec["trial_date"] else None,
-                placeholder_count=rec["placeholder_count"],
-                token_length=rec["token_length"],
-            ))
-    return docs
+            try:
+                rec = json.loads(line)
+                rec["trial_date"] = date.fromisoformat(rec["trial_date"]) if rec["trial_date"] else None
+                doc = CleanDocument(**rec)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: not a cleaned document: {exc!r}") from None
+            if doc.id in docs:
+                raise DataError(f"{path}:{lineno}: duplicate document id {doc.id!r}")
+            docs[doc.id] = doc
+    return list(docs.values())

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import ScoredList, SettingError
+from .evaluation import DataError, ScoredList, _read_json_as
 
 MODEL_FORMAT = "lexfuse-ltr"
 MODEL_VERSION = 1
@@ -32,11 +32,11 @@ _MIN_GAIN = 1e-12
 _BATCH_PAIRS = 1 << 16
 
 
-class TrainingError(ValueError):
+class TrainingError(DataError):
     """The feature table cannot be trained on as configured."""
 
 
-class SchemaMismatchError(ValueError):
+class SchemaMismatchError(DataError):
     """Prediction input does not match the model's feature schema."""
 
 
@@ -56,19 +56,6 @@ class TrainConfig:
     seed: int = 0
     validation_fraction: float = 0.2
     patience: int = 50
-
-    def __post_init__(self):
-        for name, ok, rule in (
-            ("num_trees", self.num_trees >= 1, ">= 1"),
-            ("max_leaves", self.max_leaves >= 2, ">= 2"),
-            ("learning_rate", 0.0 < self.learning_rate <= 1.0, "in (0, 1]"),
-            ("min_samples_leaf", self.min_samples_leaf >= 1, ">= 1"),
-            ("ndcg_truncation", self.ndcg_truncation >= 1, ">= 1"),
-            ("validation_fraction", 0.0 < self.validation_fraction < 1.0, "in (0, 1)"),
-            ("patience", self.patience >= 1, ">= 1"),
-        ):
-            if not ok:
-                raise SettingError(name, f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -143,17 +130,25 @@ class TreeEnsemble:
 
     @classmethod
     def from_dict(cls, data):
-        if data.get("format") != MODEL_FORMAT:
-            raise ValueError(f"not a model file: format={data.get('format')!r}")
+        if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
+            raise DataError("not a model file")
         if data.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version: {data.get('version')!r}")
-        return cls(
+            raise DataError(f"unsupported model version: {data.get('version')!r}")
+        model = cls(
             trees=[RegressionTree.from_dict(t) for t in data["trees"]],
-            base_score=data["base_score"],
+            base_score=float(data["base_score"]),
             schema_name=data["schema_name"],
             feature_names=tuple(data["feature_names"]),
             config=data.get("config"),
         )
+        for k, t in enumerate(model.trees):
+            n = len(t.feature)
+            # A split's children follow it, so walking a tree always ends.
+            if not n or {len(t.threshold), len(t.left), len(t.right), len(t.value)} != {n} or any(
+                    f != -1 and not (0 <= f < len(model.feature_names) and i < a < n and i < b < n)
+                    for i, (f, a, b) in enumerate(zip(t.feature, t.left, t.right))):
+                raise DataError(f"tree {k} is not a tree over the model's features")
+        return model
 
     def save(self, path):
         Path(path).write_text(
@@ -162,7 +157,7 @@ class TreeEnsemble:
 
     @classmethod
     def load(cls, path):
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return _read_json_as(path, cls.from_dict, "model")
 
 
 # -- tree fitting -------------------------------------------------------------
@@ -348,12 +343,11 @@ def _split_queries(qids, groups, config):
     rng.shuffle(shuffled)
     n_valid = max(1, round(config.validation_fraction * len(shuffled)))
     if n_valid >= len(shuffled):
-        raise TrainingError("validation fraction leaves no training queries")
+        raise TrainingError(f"ltr_validation_fraction {config.validation_fraction} puts {n_valid} "
+                            f"of the {len(shuffled)} queries in validation, leaving none to train")
     valid = set(shuffled[:n_valid])
     train_groups = [(q, g) for q, g in zip(qids, groups) if q not in valid]
     valid_groups = [(q, g) for q, g in zip(qids, groups) if q in valid]
-    if not train_groups:
-        raise TrainingError("no training queries left after the validation split")
     return train_groups, valid_groups
 
 
@@ -453,6 +447,38 @@ def predict(model, table):
     for qid, cid, score in zip(table.query_ids, table.candidate_ids, scores):
         per_query.setdefault(qid, {})[cid] = score
     return {qid: ScoredList.from_scores(qid, docs) for qid, docs in per_query.items()}
+
+
+_SCORE_FLOOR = 1e-6
+
+
+def _calibrate_positive(runs):
+    """Min-max normalize each query's scores into [1e-6, 1].
+
+    Tree-ensemble outputs can be negative, which breaks the score-ratio
+    cutoffs (p * S exceeds S when S < 0). The per-query affine map is
+    strictly monotone, so rankings are unchanged, it survives the run
+    file's six-decimal quantization, and it pins the top score S at 1.0
+    so the p * S rule reads as a normalized-score threshold.
+    """
+    out = {}
+    for qid, slist in runs.items():
+        if not slist.entries:
+            out[qid] = slist
+            continue
+        top = slist.entries[0][1]
+        bottom = slist.entries[-1][1]
+        span = top - bottom
+        if span <= 0:
+            entries = [(doc_id, 1.0) for doc_id, _ in slist.entries]
+        else:
+            scale = 1.0 - _SCORE_FLOOR
+            entries = [
+                (doc_id, _SCORE_FLOOR + scale * (score - bottom) / span)
+                for doc_id, score in slist.entries
+            ]
+        out[qid] = ScoredList(qid, entries)
+    return out
 
 
 def write_training_log(history, path):

@@ -10,9 +10,9 @@ kept.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .evaluation import ScoredList, SettingError, macro_prf2, micro_prf1, setting_number
+from .evaluation import ScoredList, macro_prf2, micro_prf1
 
 
 @dataclass(frozen=True)
@@ -21,35 +21,20 @@ class CutoffParams:
     l: int  # min results per query
     p: float  # score-ratio threshold
 
-    def __post_init__(self):
-        if self.h < 1:
-            raise SettingError("h", f"h must be >= 1, got {self.h!r}")
-        if not 0 <= self.l <= self.h:
-            raise SettingError("l", f"l must be in [0, h], got {self.l!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise SettingError("p", f"p must be in [0, 1], got {self.p!r}")
-
 
 @dataclass(frozen=True)
 class DuplicateParams:
     t: int  # max result lists a candidate may appear in
     s: int  # refill size for emptied lists
 
-    def __post_init__(self):
-        if self.t < 1:
-            raise SettingError("t", f"t must be >= 1, got {self.t!r}")
-        if self.s < 0:
-            raise SettingError("s", f"s must be >= 0, got {self.s!r}")
-
 
 @dataclass(frozen=True)
 class ThresholdParams:
     p: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise SettingError("p", f"p must be in [0, 1], got {self.p!r}")
 
+#: The filters a pipeline ``order`` may name.
+FILTERS = ("date", "query", "duplicate", "cutoff", "threshold")
 
 #: Best case-retrieval settings found on the tuning split (run-3 optimum),
 #: used as the fallback when no tuned parameters are supplied.
@@ -179,24 +164,16 @@ class PostprocessPipeline:
     missing from the params mapping are skipped.
     """
 
-    dates: dict = None
+    dates: dict = field(default_factory=dict)
     query_ids: frozenset = frozenset()
     order: tuple = ("date", "query", "duplicate", "cutoff")
-
-    def __post_init__(self):
-        if self.dates is None:
-            self.dates = {}
-        unknown = set(self.order) - {"date", "query", "duplicate", "cutoff", "threshold"}
-        if unknown:
-            raise ValueError(f"unknown pipeline stages: {sorted(unknown)}")
 
     def stages(self, params):
         """Ordered ``(key, filter)`` pairs of the stages ``params`` enables.
 
         ``filter(runs)`` returns the filtered runs. ``key`` names the stage
         and its frozen parameters, so two parameter sets whose stage keys
-        agree up to some point share that prefix's output. The values must
-        have passed ``_check_values``.
+        agree up to some point share that prefix's output.
         """
         out = []
         for stage in self.order:
@@ -204,26 +181,18 @@ class PostprocessPipeline:
                 out.append(("date", lambda runs: filter_by_trial_date(runs, self.dates)))
             elif stage == "query":
                 out.append(("query", lambda runs: filter_query_cases(runs, self.query_ids)))
-            elif stage == "duplicate":
-                if "t" in params:
-                    dup = DuplicateParams(t=int(params["t"]), s=int(params.get("s", 0)))
-                    out.append((dup, lambda runs, dup=dup: filter_duplicates(runs, dup)[0]))
-            elif stage == "cutoff":
-                if "h" in params:
-                    cut = CutoffParams(
-                        h=int(params["h"]),
-                        l=int(params.get("l", 0)),
-                        p=float(params.get("p", 0.0)),
-                    )
-                    out.append((cut, lambda runs, cut=cut: dynamic_cutoff(runs, cut)))
-            elif stage == "threshold":
-                if "p" in params:
-                    thr = ThresholdParams(p=float(params["p"]))
-                    out.append((thr, lambda runs, thr=thr: threshold_cutoff(runs, thr)))
+            elif stage == "duplicate" and "t" in params:
+                dup = DuplicateParams(t=params["t"], s=params.get("s", 0))
+                out.append((dup, lambda runs, dup=dup: filter_duplicates(runs, dup)[0]))
+            elif stage == "cutoff" and "h" in params:
+                cut = CutoffParams(h=params["h"], l=params.get("l", 0), p=params.get("p", 0.0))
+                out.append((cut, lambda runs, cut=cut: dynamic_cutoff(runs, cut)))
+            elif stage == "threshold" and "p" in params:
+                thr = ThresholdParams(p=params["p"])
+                out.append((thr, lambda runs, thr=thr: threshold_cutoff(runs, thr)))
         return out
 
     def apply(self, runs, params):
-        _check_values({name: [value] for name, value in params.items()})
         current = runs
         for _, stage in self.stages(params):
             current = stage(current)
@@ -231,23 +200,6 @@ class PostprocessPipeline:
 
 
 _METRICS = {"micro_f1": micro_prf1, "macro_f2": macro_prf2}
-
-#: The number type of each parameter ``PostprocessPipeline.stages`` reads.
-_KINDS = {"p": float, "h": int, "l": int, "t": int, "s": int}
-
-
-def _check_values(grid):
-    """Raise SettingError for the first {name: values} entry that is empty or not a number.
-
-    An int parameter takes only integral values (``setting_number``); the
-    values themselves are left as given.
-    """
-    for name in sorted(grid):
-        if not grid[name]:
-            raise SettingError(name, f"{name} has no grid values")
-        if name in _KINDS:
-            for value in grid[name]:
-                setting_number(name, value, _KINDS[name])
 
 
 def _tie_break_key(params):
@@ -272,16 +224,7 @@ def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
     break on (smaller h, larger p, smaller t, smaller s, smaller l), so
     the result does not depend on enumeration order.
     """
-    if not grid:
-        raise ValueError("grid must not be empty")
-    _check_values(grid)
-    if isinstance(metric, str):
-        try:
-            metric_fn = _METRICS[metric]
-        except KeyError:
-            raise ValueError(f"unknown metric: {metric!r}") from None
-    else:
-        metric_fn = metric
+    metric_fn = _METRICS[metric]
     names = sorted(grid)
     table = []
     best = None
@@ -311,7 +254,7 @@ def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
         if best is None or key < best[0]:
             best = (key, params)
     if best is None:
-        raise SettingError("l", "every grid point has l > h")
+        raise ValueError("no grid point: a grid value list is empty or every l exceeds every h")
     return best[1], table
 
 
@@ -337,10 +280,8 @@ def tune_threshold_by_proportion(runs, p_values, target_fraction, tolerance=0.02
     For each candidate p, measure the fraction of queries returning two
     or more articles after the threshold cutoff. Among values within
     ``tolerance`` of ``target_fraction`` the largest p wins; if none
-    qualify, the closest (largest on ties) is returned.
+    qualify, the closest (largest on ties) is returned; ``runs`` must not be empty.
     """
-    if not runs:
-        raise ValueError("no runs to tune on")
     measured = []
     for p in sorted(p_values):
         cut = threshold_cutoff(runs, ThresholdParams(p=p))

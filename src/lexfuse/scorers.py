@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .evaluation import ScoredList, SettingError, _read_scored_table
+from .evaluation import ScoredList, _read_scored_table
 from .ingest import tokenize
 
 
@@ -29,12 +29,6 @@ class Bm25Params:
     k1: float = 3.0
     b: float = 1.0
 
-    def __post_init__(self):
-        if self.k1 < 0:
-            raise SettingError("k1", f"k1 must be >= 0, got {self.k1!r}")
-        if not 0.0 <= self.b <= 1.0:
-            raise SettingError("b", f"b must be in [0, 1], got {self.b!r}")
-
 
 TASK1_BM25 = Bm25Params(k1=3.0, b=1.0)  # case-retrieval feature setting
 
@@ -42,10 +36,6 @@ TASK1_BM25 = Bm25Params(k1=3.0, b=1.0)  # case-retrieval feature setting
 @dataclass(frozen=True)
 class QldParams:
     mu: float = 2000.0
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise SettingError("mu", f"mu must be > 0, got {self.mu!r}")
 
 
 SCORER_NAMES = ("bm25", "qld", "bm25_ngram")

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .evaluation import write_qrels
+from .evaluation import SettingError, write_qrels
 
 _CONSONANTS = "bcdfglmnprstv"
 _VOWELS = "aeiou"
@@ -50,14 +50,6 @@ class SyntheticSpec:
     overlap_strength: int = 3
     seed: int = 0
     decoys_per_query: int = 3
-
-    def __post_init__(self):
-        if self.num_queries < 1 or self.num_candidates < 1:
-            raise ValueError("num_queries and num_candidates must be positive")
-        if self.relevant_per_query <= 0 or self.vocab_size < 10:
-            raise ValueError("relevant_per_query and vocab_size must be positive")
-        if self.overlap_strength < 1 or self.decoys_per_query < 0:
-            raise ValueError("overlap_strength must be >= 1, decoys_per_query >= 0")
 
 
 def _make_vocab(size, rng):
@@ -146,9 +138,9 @@ def generate(spec, out_dir):
                   for qid in query_ids}
     needed = sum(rel_counts.values()) + spec.num_queries * spec.decoys_per_query
     if spec.num_candidates < needed + spec.num_queries:
-        raise ValueError(
-            f"num_candidates={spec.num_candidates} too small; need at least "
-            f"{needed + spec.num_queries} for planted docs plus background"
+        raise SettingError(
+            f"config key 'synth_num_candidates': {spec.num_candidates} is too small; need "
+            f"at least {needed + spec.num_queries} for planted docs plus background"
         )
 
     next_candidate = 0

@@ -1,6 +1,8 @@
 import importlib
 import json
 import os
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -613,6 +615,217 @@ class TestErrors:
     def test_bad_task_value_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="weird")
         assert run("ingest", cfg) == 1
+
+
+# A value of the wrong type for every config key.
+WRONG_TYPE = {
+    "task": 5, "corpus_dir": 5, "queries_file": ["a"], "queries_dir": 5, "qrels_file": True,
+    "splits_file": 1.5, "work_dir": 5, "seed": "x", "run_tag": 7, "lowercase": "false",
+    "min_token_len": "x", "ngram_lo": 1.5, "ngram_hi": None, "bm25_k1": "3", "bm25_b": True,
+    "qld_mu": [1], "rerank_depth": "x", "schema": 5, "external_scores": ["a"],
+    "ltr_num_trees": 2.5, "ltr_max_leaves": "31", "ltr_learning_rate": None,
+    "ltr_min_samples_leaf": {}, "ltr_ndcg_truncation": False, "ltr_validation_fraction": "0.2",
+    "ltr_patience": float("nan"), "grid_p": 0.5, "grid_h": "4", "grid_l": {"a": 1},
+    "grid_t": [1, "x"], "grid_s": True, "filter_order": ["date"], "metric": None,
+    "eval_split": 3, "eval_run": 3, "post_p": "x", "post_h": 7.5, "post_l": None, "post_t": "1",
+    "post_s": [2], "synth_dir": 1, "synth_num_queries": "x", "synth_num_candidates": 2.7,
+    "synth_relevant_per_query": "many", "synth_vocab_size": None, "synth_overlap_strength": 1.5,
+    "synth_decoys_per_query": True,
+}
+
+# (key named in the error, config, command): a value outside the key's range,
+# or keys that disagree with each other.
+OUT_OF_RANGE = [
+    ("task", {"task": "weird"}, "eval"),
+    ("min_token_len", {"min_token_len": 0}, "eval"),
+    ("ngram_lo", {"ngram_lo": 0}, "eval"),
+    ("ngram_hi", {"ngram_hi": 0}, "eval"),
+    ("ngram_lo", {"ngram_lo": 3, "ngram_hi": 1}, "eval"),
+    ("bm25_k1", {"bm25_k1": -0.5}, "eval"),
+    ("bm25_b", {"bm25_b": 2.0}, "eval"),
+    ("qld_mu", {"qld_mu": 0}, "eval"),
+    ("rerank_depth", {"rerank_depth": -3}, "eval"),
+    ("schema", {"schema": "nope"}, "features"),
+    ("external_scores", {"external_scores": {"BM25": "x.tsv"}}, "eval"),
+    ("ltr_num_trees", {"ltr_num_trees": 0}, "eval"),
+    ("ltr_max_leaves", {"ltr_max_leaves": 1}, "eval"),
+    ("ltr_learning_rate", {"ltr_learning_rate": 0}, "eval"),
+    ("ltr_min_samples_leaf", {"ltr_min_samples_leaf": 0}, "eval"),
+    ("ltr_ndcg_truncation", {"ltr_ndcg_truncation": 0}, "eval"),
+    ("ltr_validation_fraction", {"ltr_validation_fraction": 1.0}, "eval"),
+    ("ltr_patience", {"ltr_patience": 0}, "eval"),
+    ("grid_p", {"grid_p": [0.5, 1.5]}, "eval"),
+    ("grid_h", {"grid_h": [0]}, "eval"),
+    ("grid_l", {"grid_l": [-1]}, "eval"),
+    ("grid_l", {"grid_h": [3], "grid_l": [9]}, "eval"),
+    ("grid_t", {"grid_t": [0]}, "eval"),
+    ("grid_s", {"grid_s": [-1]}, "eval"),
+    ("filter_order", {"filter_order": "date,bogus"}, "tune"),
+    ("filter_order", {"filter_order": "date,date,query"}, "tune"),
+    ("metric", {"metric": "bogus"}, "eval"),
+    ("metric", {"metric": "bogus"}, "tune"),
+    ("eval_split", {"eval_split": "nope"}, "eval"),
+    ("post_p", {"post_p": 1.5}, "eval"),
+    ("post_h", {"post_h": 0}, "eval"),
+    ("post_l", {"post_l": -1}, "eval"),
+    ("post_l", {"post_l": 8}, "eval"),
+    ("post_t", {"post_t": 0}, "eval"),
+    ("post_s", {"post_s": -1}, "eval"),
+    ("synth_num_queries", {"synth_num_queries": 0}, "synth"),
+    ("synth_num_queries", {"synth_num_queries": 2.7}, "synth"),
+    ("synth_num_candidates", {"synth_num_candidates": 0}, "synth"),
+    ("synth_relevant_per_query", {"synth_relevant_per_query": 0}, "synth"),
+    ("synth_vocab_size", {"synth_vocab_size": 9}, "synth"),
+    ("synth_overlap_strength", {"synth_overlap_strength": 0}, "synth"),
+    ("synth_decoys_per_query", {"synth_decoys_per_query": -1}, "synth"),
+]
+
+BAD_CONFIGS = (
+    [pytest.param(f"config key '{key}'", {key: value}, "eval", id=f"type-{key}")
+     for key, value in WRONG_TYPE.items()]
+    + [pytest.param(f"config key '{key}'", config, command,
+                    id=f"range-{command}-{'-'.join(f'{k}={v}' for k, v in config.items())}")
+       for key, config, command in OUT_OF_RANGE]
+    + [pytest.param("config must be a JSON object", text, "eval", id=f"not-an-object-{text}")
+       for text in ("[1]", "null", "[]")]
+)
+
+
+class TestConfigTable:
+    """Every config key is checked when the config loads, before any input is read."""
+
+    @pytest.mark.parametrize("named, config, command", BAD_CONFIGS)
+    def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, monkeypatch,
+                                               named, config, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(
+            {"work_dir": str(tmp_path / "w"), "synth_dir": str(tmp_path / "s"), **config}))
+
+        def no_reads(self, *args, **kwargs):
+            raise AssertionError("an input was read before the config was checked")
+
+        for method in ("artifact", "file", "directory"):
+            monkeypatch.setattr(cli.Stage, method, no_reads)
+        assert run(command, str(path)) == 1
+        assert f"usage error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_every_key_has_a_wrong_type_case(self):
+        assert set(WRONG_TYPE) == set(cli.DEFAULTS)
+
+    def test_every_key_with_a_range_has_an_out_of_range_case(self):
+        ranged = {key for key, (_, _, allowed) in cli.SETTINGS.items() if allowed}
+        assert ranged | {"schema", "external_scores"} <= {key for key, _, _ in OUT_OF_RANGE}
+
+    def test_eval_split_names_splits_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", eval_split="test")
+        assert run("ingest", cfg) == 1
+        assert "'splits_file'" in capsys.readouterr().err
+
+    def test_eval_split_missing_from_the_splits_file(self, tmp_path, capsys):
+        (tmp_path / "run.tsv").write_text("q1\tA\t1\t1.000000\tx\n")
+        (tmp_path / "qrels.json").write_text('{"q1": ["A"]}')
+        (tmp_path / "splits.json").write_text('{"train": [], "tune": [], "test": ["q1"]}')
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"),
+                           eval_run=str(tmp_path / "run.tsv"),
+                           qrels_file=str(tmp_path / "qrels.json"),
+                           splits_file=str(tmp_path / "splits.json"), eval_split="nope")
+        assert run("eval", cfg) == 1
+        assert "usage error: config key 'eval_split'" in capsys.readouterr().err
+
+
+# The work-dir artifacts each stage reads, and the stage that reads them.
+READERS = {
+    "clean.jsonl": "index", "index_plain.json": "score", "index_ngram.json": "score",
+    "scores_bm25.tsv": "features", "scores_qld.tsv": "features",
+    "scores_bm25_ngram.tsv": "features", "features.tsv": "train", "model.json": "rerank",
+    "run_raw.tsv": "tune", "tuned_params.json": "postprocess", "run_final.tsv": "eval",
+    "manifest.json": "rerank",
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_chain(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = tiny_chain_config(root, grid_p=[0.0, 0.5], grid_h=[4], grid_l=[0], grid_t=[1],
+                            grid_s=[0])
+    for command in ("synth", "ingest", "index", "score", "features", "train", "rerank",
+                    "tune", "postprocess", "eval"):
+        assert run(command, cfg) == 0, command
+    shutil.copytree(root / "work", root / "pristine")
+    return root, cfg
+
+
+def fresh_work(root):
+    """The tiny chain's work dir, as the full chain left it."""
+    shutil.rmtree(root / "work")
+    shutil.copytree(root / "pristine", root / "work")
+    return root / "work"
+
+
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_corrupt_artifact_is_a_data_error_naming_it(self, tiny_chain, capsys, name):
+        root, cfg = tiny_chain
+        rng = random.Random(name)
+        for trial in range(10):
+            work = fresh_work(root)
+            data = bytearray((work / name).read_bytes())
+            at = rng.randrange(len(data))
+            if trial % 2:
+                data[at] ^= 1 << rng.randrange(8)  # one bit of one byte flipped
+            else:
+                del data[at:]  # truncated
+            (work / name).write_bytes(bytes(data))
+            capsys.readouterr()
+            code = run(READERS[name], cfg)
+            out, err = capsys.readouterr()
+            assert code in (0, 2), (trial, err)
+            assert code == 0 or name in err, (trial, err)
+            assert "Traceback" not in out + err
+            assert not list(work.glob("*.tmp"))
+
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("manifest.json", lambda text: text.replace('"sha256"', '"sha257"'),
+         "not a lexfuse manifest"),
+        ("scores_qld.tsv", lambda text: text.replace("\tc0", "\tx0", 1),
+         "candidate 'x0"),
+        ("features.tsv", lambda text: text.replace("\t0\t", "\t2\t", 1),
+         "label must be -1, 0 or 1"),
+        ("model.json", lambda text: text.replace('"query_length"', '"query_len"'),
+         "does not match"),
+        ("run_raw.tsv", lambda text: "", "no query to tune on"),
+    ], ids=["manifest", "dump-candidate", "label", "model-schema", "empty-run"])
+    def test_inconsistent_artifact_is_a_data_error_naming_it(self, tiny_chain, capsys,
+                                                              name, edit, problem):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        (work / name).write_text(edit((work / name).read_text()))
+        capsys.readouterr()
+        assert run(READERS[name], cfg) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {work / name}" in err and problem in err
+
+    def test_internal_key_error_is_exit_3(self, tiny_chain, capsys, monkeypatch):
+        root, cfg = tiny_chain
+        fresh_work(root)
+
+        def broken(runs, qrels):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli.evaluation, "mean_average_precision", broken)
+        assert run("eval", cfg) == 3
+        assert "internal error: KeyError: 'boom'" in capsys.readouterr().err
+
+    def test_validation_fraction_leaving_no_training_queries(self, tiny_chain, capsys):
+        root, cfg = tiny_chain
+        fresh_work(root)
+        cfg = write_config(root / "cfg_fraction.json", **dict(
+            json.loads(Path(cfg).read_text()), ltr_validation_fraction=0.999))
+        assert run("train", cfg) == 2
+        err = capsys.readouterr().err
+        assert "features.tsv" in err and "ltr_validation_fraction 0.999" in err
+        assert "4 of the 4 queries" in err
 
 
 class TestStageReads:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lexfuse import cli
 from lexfuse.evaluation import (
     ScoredList,
     SettingError,
@@ -12,7 +13,6 @@ from lexfuse.evaluation import (
     micro_prf1,
     read_run_file,
     recall_at_k,
-    setting_number,
     write_qrels,
     write_report,
     write_run_file,
@@ -167,12 +167,14 @@ class TestRecallAtK:
 
 
 class TestSettingNumber:
+    """The number check every numeric row of ``cli.SETTINGS`` applies."""
+
     @pytest.mark.parametrize("value, kind, want", [
         (3, int, 3), (3.0, int, 3), (10**17 + 1, int, 10**17 + 1),
         (2, float, 2.0), (0.75, float, 0.75), (-0.5, float, -0.5),
     ])
     def test_numbers_convert_exactly(self, value, kind, want):
-        got = setting_number("k", value, kind)
+        got = cli._number("config key 'k'", value, kind)
         assert got == want and type(got) is kind
 
     @pytest.mark.parametrize("value, kind, problem", [
@@ -182,9 +184,8 @@ class TestSettingNumber:
         (2.5, int, "an integer"), (1e-9, int, "an integer"),
     ])
     def test_other_values_name_the_setting(self, value, kind, problem):
-        with pytest.raises(SettingError, match=f"^k must be {problem}, got ") as info:
-            setting_number("k", value, kind)
-        assert info.value.name == "k"
+        with pytest.raises(SettingError, match=f"^config key 'k': must be {problem}, got "):
+            cli._number("config key 'k'", value, kind)
 
 
 class TestFileFormats:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lexfuse import ltr
-from lexfuse.evaluation import ScoredList
+from lexfuse.evaluation import ScoredList, SettingError
 from lexfuse.features import (
     _BUILTIN_SCHEMAS,
     TASK1_SCHEMA,
@@ -168,7 +168,7 @@ class TestSchemas:
 
     def test_lookup(self):
         assert get_schema("task3_v1") is TASK3_SCHEMA
-        with pytest.raises(AssemblyError):
+        with pytest.raises(SettingError, match="config key 'schema'"):
             get_schema("nope")
 
     def test_duplicate_names_rejected(self):

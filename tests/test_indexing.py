@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from lexfuse import cli
+from lexfuse.evaluation import DataError
 from lexfuse.indexing import DuplicateDocumentError, InvertedIndex, build_index
 from lexfuse.ingest import TokenizerConfig, tokenize
 from lexfuse.scorers import SCORER_NAMES, score_all
@@ -59,10 +61,11 @@ class TestTokenize:
         assert tokenize("semi-final_result: done.") == ["semi", "final", "result", "done"]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TokenizerConfig(ngram_lo=0)
-        with pytest.raises(ValueError):
-            TokenizerConfig(ngram_lo=3, ngram_hi=2)
+        # Tokenizer settings are checked where the config loads.
+        with pytest.raises(ValueError, match="config key 'ngram_lo'"):
+            cli.check_config({"ngram_lo": 0})
+        with pytest.raises(ValueError, match="config key 'ngram_lo'"):
+            cli.check_config({"ngram_lo": 3, "ngram_hi": 2})
 
 
 class TestBuildIndex:
@@ -194,3 +197,17 @@ class TestSerialization:
         data["format"] = "something-else"
         with pytest.raises(ValueError, match="not an index snapshot"):
             InvertedIndex.from_dict(data)
+
+    @pytest.mark.parametrize("change, problem", [
+        (lambda d: d["postings"].__setitem__(0, 7), "names no document"),
+        (lambda d: d["doc_len"].append(3), "disagree"),
+        (lambda d: d.pop("terms"), "'terms'"),
+        (lambda d: d["config"].update(ngram=2), "ngram"),
+    ])
+    def test_bad_snapshot_is_a_data_error_naming_the_file(self, tmp_path, change, problem):
+        path = tmp_path / "index.json"
+        data = build_index([("d1", "x y"), ("d2", "y")]).to_dict()
+        change(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=rf"index\.json: malformed index snapshot: .*{problem}"):
+            InvertedIndex.load(path)

@@ -1,10 +1,13 @@
 import random
 from datetime import date
 
+import pytest
 
+from lexfuse.evaluation import DataError
 from lexfuse.ingest import (
     PLACEHOLDERS,
     ArticleEntry,
+    CleanDocument,
     RawDocument,
     extract_summary,
     extract_trial_date,
@@ -246,3 +249,29 @@ class TestJsonlRoundTrip:
                 other.body, other.summary, other.trial_date)
             assert (doc.placeholder_count, doc.token_length) == (
                 other.placeholder_count, other.token_length)
+
+    @pytest.mark.parametrize("line, problem", [
+        ('{"id": "a", "body": "x"}', "not a cleaned document"),
+        ('{"id": "a", "body": "x", "summary": null, "trial_date": "2010-13-01", '
+         '"placeholder_count": 0, "token_length": 1}', "not a cleaned document"),
+        ('{"id": "b", "body": "x", "summary": null, "trial_date": null, '
+         '"placeholder_count": 0, "token_length": 1}', "duplicate document id 'b'"),
+        ('{"id": "b", "bod', "not a cleaned document"),
+    ])
+    def test_bad_line_is_a_data_error_naming_file_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "clean.jsonl"
+        write_clean_jsonl([CleanDocument(id="b", body="y")], path)
+        path.write_text(path.read_text() + "\n" + line + "\n")
+        with pytest.raises(DataError, match=rf"clean\.jsonl:3: {problem}"):
+            read_clean_jsonl(path)
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        # Beyond the first block a text reader decodes, so the line is found again.
+        path = tmp_path / "clean.jsonl"
+        write_clean_jsonl([CleanDocument(id=f"d{i:05d}", body="y" * 40) for i in range(2000)],
+                          path)
+        data = path.read_bytes()
+        at = data.index(b"d01500")
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(DataError, match=r"clean\.jsonl:1501: not UTF-8 text"):
+            read_clean_jsonl(path)

@@ -254,6 +254,27 @@ class TestSerializationAndDeterminism:
         X = np.asarray([r.values for r in rows_of(table)])
         assert np.array_equal(model.predict_matrix(X), loaded.predict_matrix(X))
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("left", 0, 0),  # a split whose child is itself would never end
+        ("right", 0, 9),
+        ("feature", 0, 3),
+        ("value", None, [0.0]),
+    ])
+    def test_malformed_tree_is_a_data_error_naming_the_file(self, tmp_path, field, index,
+                                                            value):
+        stump = RegressionTree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
+                               left=[1, -1, -1], right=[2, -1, -1], value=[0.0, -1.0, 2.0])
+        data = TreeEnsemble(trees=[stump], base_score=0.0, schema_name=SCHEMA3.name,
+                            feature_names=SCHEMA3.feature_names).to_dict()
+        if index is None:
+            data["trees"][0][field] = value
+        else:
+            data["trees"][0][field][index] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ltr.DataError, match=r"model\.json: malformed model: tree 0"):
+            TreeEnsemble.load(path)
+
     def test_seed_determinism(self, tmp_path):
         rng_a, rng_b = random.Random(11), random.Random(11)
         table_a = make_table(10, 10, 2, rng_a)

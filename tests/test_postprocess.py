@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from lexfuse import postprocess
+from lexfuse import cli, postprocess
 from lexfuse.evaluation import ScoredList, SettingError, macro_prf2, micro_prf1
 from lexfuse.postprocess import (
     TASK1_RUN3_PARAMS,
@@ -132,26 +132,28 @@ class TestDynamicCutoff:
         assert out["q"].doc_ids() == ["a", "b"]
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            CutoffParams(h=0, l=0, p=0.5)
-        with pytest.raises(ValueError):
-            CutoffParams(h=3, l=4, p=0.5)
-        with pytest.raises(ValueError):
-            CutoffParams(h=3, l=1, p=1.5)
+        # The cutoff parameters are checked where the config loads.
+        for params in ({"h": 0, "l": 0, "p": 0.5}, {"h": 3, "l": 4, "p": 0.5},
+                       {"h": 3, "l": 1, "p": 1.5}):
+            with pytest.raises(ValueError):
+                cli.check_config({f"post_{name}": v for name, v in params.items()})
+
+
+def post_config(**params):
+    return {f"post_{name}": value for name, value in params.items()}
 
 
 @pytest.mark.parametrize("make, field", [
-    (lambda: CutoffParams(h=0, l=0, p=0.5), "h"),
-    (lambda: CutoffParams(h=3, l=-1, p=0.5), "l"),
-    (lambda: CutoffParams(h=3, l=1, p=1.5), "p"),
-    (lambda: DuplicateParams(t=0, s=0), "t"),
-    (lambda: DuplicateParams(t=1, s=-2), "s"),
-    (lambda: ThresholdParams(p=-0.1), "p"),
+    (lambda: post_config(h=0, l=0, p=0.5), "h"),
+    (lambda: post_config(h=3, l=-1, p=0.5), "l"),
+    (lambda: post_config(h=3, l=1, p=1.5), "p"),
+    (lambda: post_config(t=0, s=0), "t"),
+    (lambda: post_config(t=1, s=-2), "s"),
+    (lambda: post_config(p=-0.1), "p"),
 ])
 def test_param_errors_name_the_field(make, field):
-    with pytest.raises(SettingError) as info:
-        make()
-    assert info.value.name == field
+    with pytest.raises(SettingError, match=f"^config key 'post_{field}': "):
+        cli.check_config(make())
 
 
 @pytest.mark.parametrize("params, field", [
@@ -159,10 +161,11 @@ def test_param_errors_name_the_field(make, field):
     ({"h": 3, "l": None}, "l"), ({"h": 3, "p": "high"}, "p"), ({"h": 3, "p": float("nan")}, "p"),
 ])
 def test_pipeline_refuses_non_numeric_params(params, field):
-    pipeline = PostprocessPipeline(order=("duplicate", "cutoff"))
-    with pytest.raises(SettingError) as info:
-        pipeline.apply({}, params)
-    assert info.value.name == field
+    # The pipeline's parameters come from post_* keys or tuned_params.json,
+    # both checked by the post_* rows of cli.SETTINGS.
+    with pytest.raises(SettingError, match=f"^config key 'post_{field}': must be "
+                       "(a number|an integer|finite), got "):
+        cli.check_config(post_config(**params))
 
 
 class TestThresholdCutoff:
@@ -333,10 +336,11 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("change, field", [({"h": []}, "h"), ({"h": [1], "l": [2, 3]}, "l")])
     def test_grid_without_a_feasible_point_names_a_setting(self, change, field):
-        runs, qrels, grid, _ = planted_scenario()
-        with pytest.raises(SettingError) as info:
-            grid_search(PostprocessPipeline(), dict(grid, **change), runs, qrels)
-        assert info.value.name == field
+        # Refused where the config loads, before any grid point runs.
+        _, _, grid, _ = planted_scenario()
+        with pytest.raises(SettingError, match=f"^config key 'grid_{field}': "):
+            cli.check_config({f"grid_{name}": values
+                              for name, values in dict(grid, **change).items()})
 
     def test_enumeration_order_invariance(self):
         runs, qrels, grid, planted = planted_scenario()
