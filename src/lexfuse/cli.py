@@ -45,7 +45,7 @@ SETTINGS = {
     "splits_file": (None, str, None),
     "work_dir": (None, str, None),
     "seed": (0, int, None),
-    "run_tag": ("lexfuse", str, None),
+    "run_tag": ("lexfuse", str, None),  # one run-file field: no tab, newline or CR
     "lowercase": (True, bool, None),
     "min_token_len": (1, int, ">= 1"),
     "ngram_lo": (1, int, ">= 1"),
@@ -63,7 +63,7 @@ SETTINGS = {
     "ltr_ndcg_truncation": (10, int, ">= 1"),
     "ltr_validation_fraction": (0.2, float, "in (0, 1)"),
     "ltr_patience": (50, int, ">= 1"),
-    **{f"grid_{name}": (None, list, f"post_{name}") for name in "phlts"},
+    **{f"grid_{name}": (None, list, f"post_{name}") for name in postprocess.default_grid()},
     "filter_order": ("date,query,duplicate,cutoff", str, postprocess.FILTERS),
     "metric": ("micro_f1", str, tuple(postprocess._METRICS)),
     "eval_split": ("all", str, None),  # other than all: a split of splits_file
@@ -145,6 +145,9 @@ def _value(key, value):
             raise ConfigError(f"{label}: must name distinct filters of {', '.join(allowed)}, "
                               f"got {value!r}")
         return names
+    if key == "run_tag" and any(c in value for c in "\t\n\r"):
+        raise ConfigError(f"{label}: must not hold a tab, newline or carriage return, "
+                          f"got {value!r}")
     if allowed and value not in allowed:
         raise ConfigError(f"{label}: must be one of {', '.join(allowed)}, got {value!r}")
     return value
@@ -438,6 +441,7 @@ def cmd_features(stage):
     from . import features, scorers
     cfg = stage.cfg
     schema = features.get_schema(cfg["schema"])
+    features.check_sources(schema, [*_SCORER_FEATURE.values(), *cfg["external_scores"]])
     candidates = _load_docs(stage.artifact("clean.jsonl"))
     queries = _query_docs(stage, candidates)
 
@@ -524,16 +528,10 @@ def _pipeline(stage):
 
 
 def _grid(cfg):
-    """The grid_* lists, or the default grid, of the parameters filter_order uses."""
-    grid = {name: cfg[f"grid_{name}"] or values
-            for name, values in postprocess.default_grid().items()}
-    if "duplicate" not in cfg["filter_order"]:
-        grid.pop("t")
-        grid.pop("s")
-    if "cutoff" not in cfg["filter_order"]:
-        grid.pop("h")
-        grid.pop("l")
-    return grid
+    """The grid_* list, or the default grid's, of each parameter filter_order takes."""
+    defaults = postprocess.default_grid()
+    return {name: cfg[f"grid_{name}"] or defaults[name]
+            for name in postprocess.parameters(cfg["filter_order"])}
 
 
 def cmd_tune(stage):
@@ -556,7 +554,7 @@ def cmd_tune(stage):
         train_qrels = [all_qrels[q] for q in splits["train"] if q in all_qrels]
         if train_qrels:
             target = sum(1 for docs in train_qrels if len(docs) >= 2) / len(train_qrels)
-            best = {"p": postprocess.tune_threshold_by_proportion(runs, grid["p"], target)}
+            best = dict(best, p=postprocess.tune_threshold_by_proportion(runs, grid["p"], target))
     out = stage.write("tuning_report.tsv",
                       lambda tmp: postprocess.write_tuning_report(table, tmp))
     stage.write("tuned_params.json", lambda tmp: tmp.write_text(
@@ -564,11 +562,13 @@ def cmd_tune(stage):
     print(f"tune: {len(table)} grid points, best {best} -> {out}")
 
 
-def _tuned_params(path):
-    """The parameters ``tune`` wrote to ``path``, each checked by its post_* row."""
+def _tuned_params(path, order):
+    """The parameters ``tune`` wrote to ``path``: exactly those ``order`` takes, checked."""
     params = evaluation._read_json(path)
-    if not isinstance(params, dict) or not set(params) <= set("phlts"):
-        raise DataError(f"{path}: tuned parameters must be a JSON object of p, h, l, t and s")
+    names = postprocess.parameters(order)
+    if not isinstance(params, dict) or set(params) != set(names):
+        raise DataError(f"{path}: filter_order {','.join(order)} needs tuned parameters "
+                        f"{{{', '.join(names)}}}, got {params!r}; rerun tune")
     try:
         cfg = check_config({f"post_{name}": value for name, value in params.items()})
     except ConfigError as exc:
@@ -581,9 +581,9 @@ def cmd_postprocess(stage):
     runs = evaluation.read_run_file(stage.artifact("run_raw.tsv"))
     tuned_path = stage.artifact("tuned_params.json", required=False)
     if tuned_path is not None:
-        params = _tuned_params(tuned_path)
+        params = _tuned_params(tuned_path, cfg["filter_order"])
     else:
-        params = {name: cfg[f"post_{name}"] for name in ("p", "h", "l", "t", "s")}
+        params = {name: cfg[f"post_{name}"] for name in postprocess.parameters(cfg["filter_order"])}
     final = _pipeline(stage).apply(runs, params)
     out = stage.write(
         "run_final.tsv",

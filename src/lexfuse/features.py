@@ -198,6 +198,17 @@ def _lookups(slist):
     return dict(slist.entries), rank_feature(slist), len(slist)
 
 
+def check_sources(schema, sources):
+    """Refuse a ``schema`` feature that is neither a document feature nor read from
+    the score ``sources`` (names): config keys schema and external_scores disagree."""
+    bases = dict.fromkeys(n[:-5] if n.endswith("_rank") else n for n in schema.feature_names)
+    missing = [name for name in bases if name not in _META_FEATURES and name not in sources]
+    if missing:
+        raise SettingError(f"config key 'schema': {schema.name} has no source for "
+                           f"{', '.join(missing)}; name their score files in "
+                           f"config key 'external_scores'")
+
+
 def assemble(queries, candidates, internal_scores, externals, schema):
     """Build the FeatureTable of every (query, candidate) pair.
 
@@ -205,6 +216,7 @@ def assemble(queries, candidates, internal_scores, externals, schema):
     with ``token_length`` and ``placeholder_count``). The candidate pool
     for each query is the union of that query's entries across all
     internal scorer lists, so pairs outside any list produce no row.
+    Every schema feature must have a source (``check_sources``).
     """
     sources = dict(internal_scores)
     for ext in externals:
@@ -217,8 +229,6 @@ def assemble(queries, candidates, internal_scores, externals, schema):
         if meta is not None:
             return float(meta(qdoc, cdoc))
         base = name[:-5] if name.endswith("_rank") else name
-        if base not in views:
-            raise AssemblyError(f"no source for feature {name!r}")
         scores, ranks, length = views[base]
         return float(scores.get(cid, 0.0) if base == name else ranks.get(cid, length + 1))
 

@@ -4,9 +4,9 @@ Case-retrieval chain (default order): drop candidates dated after the
 query's trial date, drop candidates that are themselves query cases,
 limit how many result lists any candidate may appear in (refilling
 emptied lists), then apply the dynamic score cutoff. Statute retrieval
-uses the simpler score-ratio threshold. All thresholds are strict:
-entries at exactly p*S are dropped, candidates dated the same day are
-kept.
+uses the score-ratio threshold: the dynamic cutoff with no cap and
+``l = 1``. All thresholds are strict: entries at exactly p*S are
+dropped, candidates dated the same day are kept.
 """
 
 import itertools
@@ -14,27 +14,16 @@ from dataclasses import dataclass, field
 
 from .evaluation import ScoredList, macro_prf2, micro_prf1
 
-
-@dataclass(frozen=True)
-class CutoffParams:
-    h: int  # max results per query
-    l: int  # min results per query
-    p: float  # score-ratio threshold
+#: Each filter a pipeline ``order`` may name -> the tuned parameters it takes, in
+#: call order (t/s: list cap and refill size, h/l: max/min results, p: score ratio).
+FILTERS = {"date": (), "query": (), "duplicate": ("t", "s"), "cutoff": ("h", "l", "p"),
+           "threshold": ("p",)}
 
 
-@dataclass(frozen=True)
-class DuplicateParams:
-    t: int  # max result lists a candidate may appear in
-    s: int  # refill size for emptied lists
+def parameters(order):
+    """The parameter names the filters of ``order`` take, each once."""
+    return tuple(dict.fromkeys(name for stage in order for name in FILTERS[stage]))
 
-
-@dataclass(frozen=True)
-class ThresholdParams:
-    p: float
-
-
-#: The filters a pipeline ``order`` may name.
-FILTERS = ("date", "query", "duplicate", "cutoff", "threshold")
 
 #: Best case-retrieval settings found on the tuning split (run-3 optimum),
 #: used as the fallback when no tuned parameters are supplied.
@@ -60,30 +49,21 @@ def filter_by_trial_date(runs, dates):
     """
     out = {}
     for qid in sorted(runs):
-        slist = runs[qid]
         q_date = dates.get(qid)
-        if q_date is None:
-            out[qid] = ScoredList(qid, list(slist.entries))
-            continue
-        kept = [
-            (doc_id, score) for doc_id, score in slist.entries
-            if dates.get(doc_id) is None or dates[doc_id] <= q_date
-        ]
-        out[qid] = ScoredList(qid, kept)
+        out[qid] = ScoredList(qid, [(doc_id, score) for doc_id, score in runs[qid].entries
+                                    if q_date is None or dates.get(doc_id) is None
+                                    or dates[doc_id] <= q_date])
     return out
 
 
 def filter_query_cases(runs, query_ids):
     """Remove every candidate whose id is itself a query case."""
     query_ids = set(query_ids)
-    out = {}
-    for qid in sorted(runs):
-        kept = [(d, s) for d, s in runs[qid].entries if d not in query_ids]
-        out[qid] = ScoredList(qid, kept)
-    return out
+    return {qid: ScoredList(qid, [(d, s) for d, s in runs[qid].entries if d not in query_ids])
+            for qid in sorted(runs)}
 
 
-def filter_duplicates(runs, params):
+def filter_duplicates(runs, t, s):
     """Cap how many result lists any candidate appears in.
 
     Queries are swept in ascending id order and a candidate already kept
@@ -99,11 +79,11 @@ def filter_duplicates(runs, params):
         entries = runs[qid].entries
         kept = []
         for doc_id, score in entries:
-            if kept_count.get(doc_id, 0) >= params.t:
+            if kept_count.get(doc_id, 0) >= t:
                 continue
             kept.append((doc_id, score))
-        if not kept and entries and params.s > 0:
-            kept = list(entries[:params.s])
+        if not kept and entries and s > 0:
+            kept = list(entries[:s])
             refilled[qid] = {doc_id for doc_id, _ in kept}
         else:
             for doc_id, _ in kept:
@@ -112,7 +92,7 @@ def filter_duplicates(runs, params):
     return out, refilled
 
 
-def dynamic_cutoff(runs, params):
+def dynamic_cutoff(runs, h, l, p):
     """Keep entries scoring above p*S, bounded to [l, h] results per query.
 
     S is the query's top score. After the threshold, the list is
@@ -120,39 +100,31 @@ def dynamic_cutoff(runs, params):
     next-best original entries are appended up to ``l`` (or the list
     length).
     """
+    return _cutoff(runs, h, l, p)
+
+
+def threshold_cutoff(runs, p):
+    """Keep entries scoring above p*S; always return at least the top entry."""
+    return _cutoff(runs, None, 1, p)
+
+
+def _cutoff(runs, h, l, p):
+    # The loop of both cutoffs; h None is no cap. Private, so a tracer that
+    # wraps the public functions does not count a threshold call as a cutoff.
     out = {}
     for qid in sorted(runs):
         entries = runs[qid].entries
-        if not entries:
-            out[qid] = ScoredList(qid, [])
-            continue
-        threshold = params.p * entries[0][1]
+        threshold = p * entries[0][1] if entries else 0.0
         # Entries are sorted by score, so the passing ones form a prefix;
         # counting stops at the first failure or at h.
         count = 0
         for _, score in entries:
-            if count == params.h or not score > threshold:
+            if count == h or not score > threshold:
                 break
             count += 1
-        if count < params.l:
-            count = min(params.l, len(entries))
+        if count < l:
+            count = min(l, len(entries))
         out[qid] = ScoredList(qid, list(entries[:count]))
-    return out
-
-
-def threshold_cutoff(runs, params):
-    """Keep entries scoring above p*S; always return at least the top entry."""
-    out = {}
-    for qid in sorted(runs):
-        entries = runs[qid].entries
-        if not entries:
-            out[qid] = ScoredList(qid, [])
-            continue
-        threshold = params.p * entries[0][1]
-        kept = [(d, s) for d, s in entries if s > threshold]
-        if not kept:
-            kept = [entries[0]]
-        out[qid] = ScoredList(qid, kept)
     return out
 
 
@@ -160,8 +132,8 @@ def threshold_cutoff(runs, params):
 class PostprocessPipeline:
     """Parameterized filter chain applied by the tuner and the final run.
 
-    ``order`` names the stages to apply; stages whose parameters are
-    missing from the params mapping are skipped.
+    ``order`` names the stages to apply; ``params`` must hold every
+    parameter their filters take (``parameters(order)``).
     """
 
     dates: dict = field(default_factory=dict)
@@ -169,28 +141,29 @@ class PostprocessPipeline:
     order: tuple = ("date", "query", "duplicate", "cutoff")
 
     def stages(self, params):
-        """Ordered ``(key, filter)`` pairs of the stages ``params`` enables.
+        """Ordered ``(key, filter)`` pairs, one per stage of ``order``.
 
-        ``filter(runs)`` returns the filtered runs. ``key`` names the stage
-        and its frozen parameters, so two parameter sets whose stage keys
-        agree up to some point share that prefix's output.
+        ``filter(runs)`` returns the filtered runs. ``key`` is the stage
+        name followed by the values of its parameters, so two parameter
+        sets whose stage keys agree up to some point share that prefix's
+        output. A parameter missing from ``params`` raises KeyError.
         """
         out = []
-        for stage in self.order:
-            if stage == "date":
-                out.append(("date", lambda runs: filter_by_trial_date(runs, self.dates)))
-            elif stage == "query":
-                out.append(("query", lambda runs: filter_query_cases(runs, self.query_ids)))
-            elif stage == "duplicate" and "t" in params:
-                dup = DuplicateParams(t=params["t"], s=params.get("s", 0))
-                out.append((dup, lambda runs, dup=dup: filter_duplicates(runs, dup)[0]))
-            elif stage == "cutoff" and "h" in params:
-                cut = CutoffParams(h=params["h"], l=params.get("l", 0), p=params.get("p", 0.0))
-                out.append((cut, lambda runs, cut=cut: dynamic_cutoff(runs, cut)))
-            elif stage == "threshold" and "p" in params:
-                thr = ThresholdParams(p=params["p"])
-                out.append((thr, lambda runs, thr=thr: threshold_cutoff(runs, thr)))
+        for name in self.order:
+            values = tuple(params[key] for key in FILTERS[name])
+            out.append(((name, *values),
+                        lambda runs, name=name, values=values: self._filter(name, runs, values)))
         return out
+
+    def _filter(self, name, runs, values):
+        # Module functions are looked up at each call, so a wrapped one is used.
+        if name == "date":
+            return filter_by_trial_date(runs, self.dates)
+        if name == "query":
+            return filter_query_cases(runs, self.query_ids)
+        if name == "duplicate":
+            return filter_duplicates(runs, *values)[0]
+        return (dynamic_cutoff if name == "cutoff" else threshold_cutoff)(runs, *values)
 
     def apply(self, runs, params):
         current = runs
@@ -204,13 +177,8 @@ _METRICS = {"micro_f1": micro_prf1, "macro_f2": macro_prf2}
 
 def _tie_break_key(params):
     # Reproducibility order: smaller h, larger p, smaller t, s, l.
-    return (
-        params.get("h", 0),
-        -params.get("p", 0.0),
-        params.get("t", 0),
-        params.get("s", 0),
-        params.get("l", 0),
-    )
+    return (params.get("h", 0), -params.get("p", 0.0), params.get("t", 0), params.get("s", 0),
+            params.get("l", 0))
 
 
 def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
@@ -245,11 +213,8 @@ def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
             else:
                 current = memo[prefix] = stage(current)
         report = metric_fn(current, qrels)
-        row = dict(params)
-        row["precision"] = report.precision
-        row["recall"] = report.recall
-        row["f_measure"] = report.f_measure
-        table.append(row)
+        table.append(dict(params, precision=report.precision, recall=report.recall,
+                          f_measure=report.f_measure))
         key = (-report.f_measure, _tie_break_key(params))
         if best is None or key < best[0]:
             best = (key, params)
@@ -284,7 +249,7 @@ def tune_threshold_by_proportion(runs, p_values, target_fraction, tolerance=0.02
     """
     measured = []
     for p in sorted(p_values):
-        cut = threshold_cutoff(runs, ThresholdParams(p=p))
+        cut = threshold_cutoff(runs, p)
         frac = sum(1 for s in cut.values() if len(s) >= 2) / len(cut)
         measured.append((p, frac))
     within = [(p, frac) for p, frac in measured if abs(frac - target_fraction) <= tolerance]

@@ -26,8 +26,6 @@ from lexfuse.ingest import TokenizerConfig
 from lexfuse.ltr import TrainConfig, train
 from lexfuse.postprocess import (
     TASK1_RUN3_PARAMS,
-    CutoffParams,
-    DuplicateParams,
     PostprocessPipeline,
     default_grid,
     dynamic_cutoff,
@@ -37,7 +35,6 @@ from lexfuse.postprocess import (
     grid_search,
     threshold_cutoff,
     write_tuning_report,
-    ThresholdParams,
 )
 from lexfuse.scorers import Bm25Params, QldParams, read_score_dump, score_all, top_k
 from test_features import FeatureRow, table_from_rows
@@ -239,7 +236,7 @@ def test_criterion_5_postprocess_invariants():
             h = rng.randrange(1, 9)
             l = rng.randrange(0, h + 1)
             p = rng.random()
-            out = dynamic_cutoff(runs, CutoffParams(h=h, l=l, p=p))
+            out = dynamic_cutoff(runs, h=h, l=l, p=p)
             for qid, slist in out.items():
                 original = runs[qid].entries
                 assert min(l, len(original)) <= len(slist) <= h
@@ -251,29 +248,29 @@ def test_criterion_5_postprocess_invariants():
                             assert score > threshold
                 lists_checked += 1
 
-            params = DuplicateParams(t=rng.randrange(1, 3), s=rng.randrange(0, 3))
-            deduped, refilled = filter_duplicates(runs, params)
+            params = dict(t=rng.randrange(1, 3), s=rng.randrange(0, 3))
+            deduped, refilled = filter_duplicates(runs, **params)
             counts = Counter()
             for qid, slist in deduped.items():
                 marks = refilled.get(qid, set())
                 counts.update(d for d in slist.doc_ids() if d not in marks)
-            assert all(c <= params.t for c in counts.values())
+            assert all(c <= params["t"] for c in counts.values())
 
             # Idempotence of every filter.
             def entries(r):
                 return {q: tuple(s.entries) for q, s in r.items()}
 
-            again, _ = filter_duplicates(deduped, params)
+            again, _ = filter_duplicates(deduped, **params)
             assert entries(again) == entries(deduped)
-            cut = dynamic_cutoff(runs, CutoffParams(h=h, l=l, p=p))
-            assert entries(dynamic_cutoff(cut, CutoffParams(h=h, l=l, p=p))) == entries(cut)
+            cut = dynamic_cutoff(runs, h=h, l=l, p=p)
+            assert entries(dynamic_cutoff(cut, h=h, l=l, p=p)) == entries(cut)
             dates = {key: None for key in runs}
             dated = filter_by_trial_date(runs, dates)
             assert entries(filter_by_trial_date(dated, dates)) == entries(dated)
             dropped = filter_query_cases(runs, {"d1", "d2"})
             assert entries(filter_query_cases(dropped, {"d1", "d2"})) == entries(dropped)
-            thr = threshold_cutoff(runs, ThresholdParams(p=p))
-            assert entries(threshold_cutoff(thr, ThresholdParams(p=p))) == entries(thr)
+            thr = threshold_cutoff(runs, p=p)
+            assert entries(threshold_cutoff(thr, p=p)) == entries(thr)
 
 
 # -- criterion 6 ---------------------------------------------------------------

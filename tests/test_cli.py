@@ -338,10 +338,10 @@ class TestStatuteTask:
     def test_top200_is_the_default_rerank_depth(self):
         assert cli.DEFAULTS["rerank_depth"] == 200
 
-    def test_threshold_tuned_by_multi_answer_proportion(self, tmp_path):
-        # Questions spanning two topics have two relevant articles; with a
-        # splits file, statute tuning matches the tune split's share of
-        # 2+-article answers to the training share instead of the metric.
+    @staticmethod
+    def proportion_chain(tmp_path, **overrides):
+        """Work dir of a statute chain, run up to postprocess, whose splits make the
+        training share of 2+-article answers 0.5."""
         topics = ["alpha rights duties obligations", "beta liens securities pledge",
                   "gamma estates succession wills", "delta adoption custody family",
                   "epsilon easements boundaries land", "zeta agency mandate powers",
@@ -390,27 +390,44 @@ class TestStatuteTask:
             ltr_min_samples_leaf=1,
             ltr_ndcg_truncation=1,
             ltr_validation_fraction=0.5,
-            filter_order="threshold",
             grid_p=[0.0, 0.2, 0.4, 0.6, 0.8, 0.95],
             metric="macro_f2",
+            **overrides,
         )
         for command in ("ingest", "index", "score", "features", "train",
                         "rerank", "tune", "postprocess"):
             assert run(command, cfg) == 0, command
+        return work
+
+    def test_threshold_tuned_by_multi_answer_proportion(self, tmp_path):
+        # Questions spanning two topics have two relevant articles; with a
+        # splits file, statute tuning matches the tune split's share of
+        # 2+-article answers to the training share instead of the metric.
+        work = self.proportion_chain(tmp_path, filter_order="threshold")
         tuned = json.loads((work / "tuned_params.json").read_text())
         assert set(tuned) == {"p"}
         assert tuned["p"] in (0.0, 0.2, 0.4, 0.6, 0.8, 0.95)
         # The chosen p reproduces a tune-split multi-answer share as close
         # to the training share (0.5) as the grid allows.
-        from lexfuse.postprocess import ThresholdParams, threshold_cutoff
+        from lexfuse.postprocess import threshold_cutoff
         runs = read_run_file(work / "run_raw.tsv")
         tune_runs = {q: runs[q] for q in ("r04", "r05")}
         achieved = {}
         for p in (0.0, 0.2, 0.4, 0.6, 0.8, 0.95):
-            cut = threshold_cutoff(tune_runs, ThresholdParams(p=p))
+            cut = threshold_cutoff(tune_runs, p=p)
             achieved[p] = sum(1 for s in cut.values() if len(s) >= 2) / len(cut)
         best_gap = min(abs(f - 0.5) for f in achieved.values())
         assert abs(achieved[tuned["p"]] - 0.5) == best_gap
+
+    def test_proportion_rule_overrides_only_p(self, tmp_path):
+        # The proportion rule picks p; the cutoff keeps its tuned h and l,
+        # and postprocess applies both filters.
+        work = self.proportion_chain(tmp_path, filter_order="threshold,cutoff",
+                                     grid_h=[1, 2], grid_l=[0, 1])
+        tuned = json.loads((work / "tuned_params.json").read_text())
+        assert set(tuned) == {"h", "l", "p"}
+        final = read_run_file(work / "run_final.tsv")
+        assert final and max(len(slist) for slist in final.values()) <= tuned["h"]
 
 
 def postprocess_inputs(tmp_path, **overrides):
@@ -597,6 +614,8 @@ class TestErrors:
         assert f"usage error: config key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['{"p": 2.0, "h": 7}', '{"p": 0.5, "h": "x"}',
+                                      '{"p": 2.0, "h": 7, "l": 1, "t": 1, "s": 0}',
+                                      '{"p": 0.5, "h": "x", "l": 1, "t": 1, "s": 0}',
                                       '{"p": 0.5, "h": 3, "l": 1, "t": 1.5, "s": 0}',
                                       '[0.5, 7]', '{"p": 0.5,'])
     def test_bad_tuned_params_is_data_error_naming_the_file(self, tmp_path, capsys, text):
@@ -605,6 +624,38 @@ class TestErrors:
         tuned.write_text(text)
         assert run("postprocess", cfg) == 2
         assert f"data error: {tuned}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"p": 0.5}', '{"p": 0.5, "h": 3, "l": 1, "t": 1}',
+                                      '{}', '{"p": 0.5, "h": 3, "l": 1, "t": 1, "s": 0, "x": 1}'])
+    def test_tuned_params_of_another_order_is_data_error(self, tmp_path, capsys, text):
+        # Every filter of filter_order needs its parameters; none is skipped.
+        cfg = postprocess_inputs(tmp_path)
+        tuned = tmp_path / "w" / "tuned_params.json"
+        tuned.write_text(text)
+        assert run("postprocess", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {tuned}: filter_order date,query,duplicate,cutoff needs " in err
+        assert "rerun tune" in err
+        assert not (tmp_path / "w" / "run_final.tsv").exists()
+
+    def test_tune_under_another_order_then_postprocess(self, tmp_path, capsys):
+        cfg = postprocess_inputs(tmp_path, filter_order="threshold")
+        assert run("tune", cfg) == 0
+        assert json.loads((tmp_path / "w" / "tuned_params.json").read_text()).keys() == {"p"}
+        config = json.loads(Path(cfg).read_text())
+        config["filter_order"] = "date,query,cutoff"
+        assert run("postprocess", write_config(tmp_path / "cfg2.json", **config)) == 2
+        assert "tuned_params.json: filter_order date,query,cutoff needs tuned parameters " \
+               "{h, l, p}, got {'p': " in capsys.readouterr().err
+
+    def test_order_without_parameters_tunes_one_point(self, tmp_path):
+        cfg = postprocess_inputs(tmp_path, filter_order="date,query")
+        assert run("tune", cfg) == 0
+        report = (tmp_path / "w" / "tuning_report.tsv").read_text().splitlines()
+        assert report[0] == "precision\trecall\tf_measure" and len(report) == 2
+        assert (tmp_path / "w" / "tuned_params.json").read_text() == "{}"
+        assert run("postprocess", cfg) == 0
+        assert read_run_file(tmp_path / "w" / "run_final.tsv")["q1"].doc_ids() == ["A", "B"]
 
     def test_postprocess_inputs_are_usable(self, tmp_path):
         cfg = postprocess_inputs(tmp_path, grid_p=[0.5], grid_h=[3], grid_l=[1],
@@ -637,6 +688,9 @@ WRONG_TYPE = {
 # or keys that disagree with each other.
 OUT_OF_RANGE = [
     ("task", {"task": "weird"}, "eval"),
+    ("run_tag", {"run_tag": "a\tb"}, "eval"),
+    ("run_tag", {"run_tag": "a\nb"}, "eval"),
+    ("run_tag", {"run_tag": "a\rb"}, "rerank"),
     ("min_token_len", {"min_token_len": 0}, "eval"),
     ("ngram_lo", {"ngram_lo": 0}, "eval"),
     ("ngram_hi", {"ngram_hi": 0}, "eval"),
@@ -647,6 +701,8 @@ OUT_OF_RANGE = [
     ("rerank_depth", {"rerank_depth": -3}, "eval"),
     ("schema", {"schema": "nope"}, "features"),
     ("external_scores", {"external_scores": {"BM25": "x.tsv"}}, "eval"),
+    ("schema", {"external_scores": {"SAILER": "s.tsv"}}, "features"),
+    ("schema", {"schema": "task3_v1", "external_scores": {"BERT": "b.tsv"}}, "features"),
     ("ltr_num_trees", {"ltr_num_trees": 0}, "eval"),
     ("ltr_max_leaves", {"ltr_max_leaves": 1}, "eval"),
     ("ltr_learning_rate", {"ltr_learning_rate": 0}, "eval"),
@@ -716,6 +772,14 @@ class TestConfigTable:
     def test_every_key_with_a_range_has_an_out_of_range_case(self):
         ranged = {key for key, (_, _, allowed) in cli.SETTINGS.items() if allowed}
         assert ranged | {"schema", "external_scores"} <= {key for key, _, _ in OUT_OF_RANGE}
+
+    def test_schema_feature_without_a_source_names_both_keys(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"),
+                           external_scores={"DELTA": "d.tsv"})
+        assert run("features", cfg) == 1
+        assert ("usage error: config key 'schema': task1_v1 has no source for SAILER; "
+                "name their score files in config key 'external_scores'"
+                in capsys.readouterr().err)
 
     def test_eval_split_names_splits_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", eval_split="test")

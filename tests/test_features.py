@@ -19,6 +19,7 @@ from lexfuse.features import (
     FeatureTable,
     assemble,
     attach_labels,
+    check_sources,
     get_schema,
     rank_feature,
 )
@@ -274,10 +275,12 @@ class TestAssemble:
         assert named["BM25"] == 0.0  # B missing from the BM25 list
 
     def test_unresolvable_feature_name(self):
-        queries, candidates, internal = small_setup()
-        schema = FeatureSchema("odd", ("BM25", "MYSTERY"))
-        with pytest.raises(AssemblyError, match="MYSTERY"):
-            assemble(queries, candidates, internal, [], schema)
+        _, _, internal = small_setup()
+        schema = FeatureSchema("odd", ("BM25", "MYSTERY", "MYSTERY_rank", "query_length"))
+        with pytest.raises(SettingError, match="^config key 'schema': odd has no source for "
+                           "MYSTERY; .*config key 'external_scores'"):
+            check_sources(schema, internal)
+        check_sources(schema, [*internal, "MYSTERY"])  # every feature has a source
 
     def test_candidate_order_permutation_invariant(self):
         queries, candidates, internal = small_setup()

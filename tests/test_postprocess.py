@@ -8,10 +8,7 @@ from lexfuse import cli, postprocess
 from lexfuse.evaluation import ScoredList, SettingError, macro_prf2, micro_prf1
 from lexfuse.postprocess import (
     TASK1_RUN3_PARAMS,
-    CutoffParams,
-    DuplicateParams,
     PostprocessPipeline,
-    ThresholdParams,
     default_grid,
     dynamic_cutoff,
     filter_by_trial_date,
@@ -66,7 +63,7 @@ class TestFilterQueryCases:
 class TestFilterDuplicates:
     def test_first_query_keeps_contested_candidate(self):
         runs = runs_from({"q1": [("X", 1.0)], "q2": [("X", 2.0), ("Y", 1.0)]})
-        out, refilled = filter_duplicates(runs, DuplicateParams(t=1, s=0))
+        out, refilled = filter_duplicates(runs, t=1, s=0)
         assert out["q1"].doc_ids() == ["X"]
         assert out["q2"].doc_ids() == ["Y"]
         assert refilled == {}
@@ -76,13 +73,13 @@ class TestFilterDuplicates:
             "q1": [("X", 1.0), ("Y", 0.9)],
             "q2": [("X", 3.0), ("Y", 2.0)],
         })
-        out, refilled = filter_duplicates(runs, DuplicateParams(t=1, s=2))
+        out, refilled = filter_duplicates(runs, t=1, s=2)
         assert out["q2"].doc_ids() == ["X", "Y"]
         assert refilled == {"q2": {"X", "Y"}}
 
     def test_large_t_is_identity(self):
         runs = runs_from({"q1": [("X", 1.0)], "q2": [("X", 2.0)]})
-        out, _ = filter_duplicates(runs, DuplicateParams(t=50, s=0))
+        out, _ = filter_duplicates(runs, t=50, s=0)
         assert {q: s.entries for q, s in out.items()} == {q: s.entries for q, s in runs.items()}
 
     def test_cap_invariant_under_random_runs(self):
@@ -95,7 +92,7 @@ class TestFilterDuplicates:
                     f"q{qi}", {d: rng.random() for d in docs})
             t = rng.randrange(1, 3)
             s = rng.randrange(0, 3)
-            out, refilled = filter_duplicates(runs, DuplicateParams(t=t, s=s))
+            out, refilled = filter_duplicates(runs, t=t, s=s)
             counts = {}
             for qid, slist in out.items():
                 marks = refilled.get(qid, set())
@@ -108,27 +105,26 @@ class TestFilterDuplicates:
 class TestDynamicCutoff:
     def test_threshold_arithmetic(self):
         runs = runs_from({"q": [("a", 0.9), ("b", 0.7), ("c", 0.5), ("d", 0.2)]})
-        out = dynamic_cutoff(runs, CutoffParams(h=3, l=1, p=0.7))
+        out = dynamic_cutoff(runs, h=3, l=1, p=0.7)
         # Threshold 0.63: only 0.9 and 0.7 qualify.
         assert out["q"].doc_ids() == ["a", "b"]
 
     def test_run3_default_optimum_applies(self):
         entries = [(f"d{i}", 1.0 - 0.05 * i) for i in range(12)]
         runs = runs_from({"q": entries})
-        params = CutoffParams(h=TASK1_RUN3_PARAMS["h"], l=TASK1_RUN3_PARAMS["l"],
-                              p=TASK1_RUN3_PARAMS["p"])
-        out = dynamic_cutoff(runs, params)
+        out = dynamic_cutoff(runs, h=TASK1_RUN3_PARAMS["h"], l=TASK1_RUN3_PARAMS["l"],
+                             p=TASK1_RUN3_PARAMS["p"])
         # Threshold 0.46; scores > 0.46 are 1.0 .. 0.50 (11 entries), capped at h=7.
         assert len(out["q"]) == 7
 
     def test_equal_scores_keep_min_h_len(self):
         runs = runs_from({"q": [("a", 1.0), ("b", 1.0), ("c", 1.0)]})
-        assert len(dynamic_cutoff(runs, CutoffParams(h=2, l=1, p=0.9))["q"]) == 2
-        assert len(dynamic_cutoff(runs, CutoffParams(h=9, l=1, p=0.9))["q"]) == 3
+        assert len(dynamic_cutoff(runs, h=2, l=1, p=0.9)["q"]) == 2
+        assert len(dynamic_cutoff(runs, h=9, l=1, p=0.9)["q"]) == 3
 
     def test_l_forces_minimum(self):
         runs = runs_from({"q": [("a", 1.0), ("b", 0.1), ("c", 0.05)]})
-        out = dynamic_cutoff(runs, CutoffParams(h=3, l=2, p=0.5))
+        out = dynamic_cutoff(runs, h=3, l=2, p=0.5)
         assert out["q"].doc_ids() == ["a", "b"]
 
     def test_param_validation(self):
@@ -171,21 +167,21 @@ def test_pipeline_refuses_non_numeric_params(params, field):
 class TestThresholdCutoff:
     def test_threshold_arithmetic(self):
         runs = runs_from({"q": [("a", 10.0), ("b", 6.0)]})
-        out = threshold_cutoff(runs, ThresholdParams(p=0.7))
+        out = threshold_cutoff(runs, p=0.7)
         assert out["q"].doc_ids() == ["a"]  # 6 < 7
 
     def test_p_zero_keeps_all(self):
         runs = runs_from({"q": [("a", 10.0), ("b", 6.0), ("c", 1.0)]})
-        assert len(threshold_cutoff(runs, ThresholdParams(p=0.0))["q"]) == 3
+        assert len(threshold_cutoff(runs, p=0.0)["q"]) == 3
 
     def test_singleton_kept_for_any_p(self):
         runs = runs_from({"q": [("a", 4.0)]})
         for p in (0.0, 0.5, 1.0):
-            assert threshold_cutoff(runs, ThresholdParams(p=p))["q"].doc_ids() == ["a"]
+            assert threshold_cutoff(runs, p=p)["q"].doc_ids() == ["a"]
 
     def test_p_one_keeps_exactly_top(self):
         runs = runs_from({"q": [("a", 10.0), ("b", 9.99)]})
-        assert threshold_cutoff(runs, ThresholdParams(p=1.0))["q"].doc_ids() == ["a"]
+        assert threshold_cutoff(runs, p=1.0)["q"].doc_ids() == ["a"]
 
 
 def random_runs(rng, n_queries=10, max_len=12):
@@ -206,8 +202,7 @@ class TestInvariants:
             h = rng.randrange(1, 9)
             l = rng.randrange(0, h + 1)
             p = rng.random()
-            params = CutoffParams(h=h, l=l, p=p)
-            out = dynamic_cutoff(runs, params)
+            out = dynamic_cutoff(runs, h=h, l=l, p=p)
             for qid, slist in out.items():
                 original = runs[qid].entries
                 assert min(l, len(original)) <= len(slist) <= h
@@ -226,10 +221,11 @@ class TestInvariants:
             out = {}
             for qid, slist in runs.items():
                 entries = slist.entries
-                passing = sum(1 for _, sc in entries if entries and sc > params.p * entries[0][1])
-                count = min(params.h, passing)
-                if count < params.l:
-                    count = min(params.l, len(entries))
+                passing = sum(1 for _, sc in entries
+                              if entries and sc > params["p"] * entries[0][1])
+                count = min(params["h"], passing)
+                if count < params["l"]:
+                    count = min(params["l"], len(entries))
                 out[qid] = tuple(entries[:count])
             return out
 
@@ -241,9 +237,28 @@ class TestInvariants:
                             qid, {d: round(sc, 1) for d, sc in slist.entries})
                         for qid, slist in runs.items()}
             h = rng.randrange(1, 12)
-            params = CutoffParams(h=h, l=rng.randrange(0, h + 1),
-                                  p=rng.choice([0.0, 1.0, rng.random()]))
-            assert _entries(dynamic_cutoff(runs, params)) == reference(runs, params)
+            params = dict(h=h, l=rng.randrange(0, h + 1), p=rng.choice([0.0, 1.0, rng.random()]))
+            assert _entries(dynamic_cutoff(runs, **params)) == reference(runs, params)
+
+    def test_threshold_cutoff_matches_whole_list_rule(self):
+        # Reference: keep every entry above p*S over the whole list, else the top entry.
+        def reference(runs, p):
+            out = {}
+            for qid, slist in runs.items():
+                entries = slist.entries
+                kept = [(d, sc) for d, sc in entries if sc > p * entries[0][1]] if entries else []
+                out[qid] = tuple(kept or entries[:1])
+            return out
+
+        rng = random.Random(37)
+        for _ in range(500):
+            runs = random_runs(rng, n_queries=5, max_len=15)
+            if rng.random() < 0.5:  # coarse scores give ties at the threshold
+                runs = {qid: ScoredList.from_scores(
+                            qid, {d: round(sc, 1) for d, sc in slist.entries})
+                        for qid, slist in runs.items()}
+            p = rng.choice([0.0, 1.0, rng.random()])
+            assert _entries(threshold_cutoff(runs, p)) == reference(runs, p)
 
     def test_filters_idempotent(self):
         rng = random.Random(29)
@@ -264,18 +279,18 @@ class TestInvariants:
             once = filter_query_cases(runs, qids)
             assert _entries(filter_query_cases(once, qids)) == _entries(once)
 
-            params = DuplicateParams(t=rng.randrange(1, 3), s=rng.randrange(0, 3))
-            once, _ = filter_duplicates(runs, params)
-            twice, _ = filter_duplicates(once, params)
+            params = dict(t=rng.randrange(1, 3), s=rng.randrange(0, 3))
+            once, _ = filter_duplicates(runs, **params)
+            twice, _ = filter_duplicates(once, **params)
             assert _entries(twice) == _entries(once)
 
-            cut = CutoffParams(h=rng.randrange(1, 8), l=0, p=rng.random())
-            once = dynamic_cutoff(runs, cut)
-            assert _entries(dynamic_cutoff(once, cut)) == _entries(once)
+            cut = dict(h=rng.randrange(1, 8), l=0, p=rng.random())
+            once = dynamic_cutoff(runs, **cut)
+            assert _entries(dynamic_cutoff(once, **cut)) == _entries(once)
 
-            thr = ThresholdParams(p=rng.random())
-            once = threshold_cutoff(runs, thr)
-            assert _entries(threshold_cutoff(once, thr)) == _entries(once)
+            p = rng.random()
+            once = threshold_cutoff(runs, p=p)
+            assert _entries(threshold_cutoff(once, p=p)) == _entries(once)
 
 
 def _entries(runs):
@@ -462,8 +477,11 @@ class TestStagedGridSearch:
 
     def test_stages_follow_order_and_params(self):
         pipeline = PostprocessPipeline(order=("cutoff", "query", "duplicate"))
-        keys = [key for key, _ in pipeline.stages({"h": 3, "l": 1, "p": 0.5})]
-        assert keys == [CutoffParams(h=3, l=1, p=0.5), "query"]
+        keys = [key for key, _ in pipeline.stages({"h": 3, "l": 1, "p": 0.5, "t": 2, "s": 0})]
+        assert keys == [("cutoff", 3, 1, 0.5), ("query",), ("duplicate", 2, 0)]
+        # A filter whose parameter is missing is an error, never a skipped stage.
+        with pytest.raises(KeyError, match="'t'"):
+            pipeline.stages({"h": 3, "l": 1, "p": 0.5})
 
 
 class TestThresholdProportionTuning:
@@ -476,7 +494,7 @@ class TestThresholdProportionTuning:
         # Runner-up ratios: 0.9, 0.75, 0.6, 0.45, 0.3.
         p_values = [0.0, 0.2, 0.4, 0.5, 0.7, 0.85, 0.95]
         chosen = tune_threshold_by_proportion(runs, p_values, target_fraction=0.4)
-        cut = threshold_cutoff(runs, ThresholdParams(p=chosen))
+        cut = threshold_cutoff(runs, p=chosen)
         frac = sum(1 for s in cut.values() if len(s) >= 2) / len(cut)
         assert abs(frac - 0.4) <= 0.02
         # p=0.5 keeps runner-ups 0.9/0.75/0.6 (3 of 5); p=0.7 keeps 2 of 5.
