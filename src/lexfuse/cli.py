@@ -329,10 +329,6 @@ def _tokenizer_config(cfg, ngram=False):
                                                       {"ngram_lo": 1, "ngram_hi": 1}))
 
 
-def _load_docs(path):
-    return {doc.id: doc for doc in ingest.read_clean_jsonl(path)}
-
-
 def _load_query_ids(stage):
     path = stage.file("queries_file")
     ids = evaluation._read_json(path)
@@ -346,7 +342,7 @@ def _query_docs(stage, corpus=None):
     ``corpus`` is the loaded ``clean.jsonl`` if the caller has it) or question files."""
     name = "queries.jsonl" if stage.cfg["task"] == "statute" else "clean.jsonl"
     if corpus is None or name == "queries.jsonl":
-        corpus = _load_docs(stage.artifact(name))
+        corpus = ingest.read_clean_jsonl(stage.artifact(name))
     query_ids = _load_query_ids(stage)
     missing = [q for q in query_ids if q not in corpus]
     if missing:
@@ -372,29 +368,24 @@ def _restrict(runs, qids):
 
 # -- commands --------------------------------------------------------------------
 
-def _tokenized_doc(doc_id, body, tokenizer):
-    doc = ingest.CleanDocument(id=doc_id, body=body)
-    doc.token_length = len(ingest.tokenize(doc.text, tokenizer))
-    return doc
-
-
 def cmd_ingest(stage):
     cfg = stage.cfg
     corpus_dir = stage.directory("corpus_dir")
     raws = ingest.load_raw_corpus(corpus_dir)
     if not raws:
         raise DataError(f"no .txt documents under {corpus_dir}")
-    tokenizer = _tokenizer_config(cfg)
-
     if cfg["task"] == "statute":
-        articles = [ingest.preprocess_article(raw) for raw in raws]
-        docs = [_tokenized_doc(a.article_id, a.content, tokenizer) for a in articles]
+        docs = [ingest.preprocess_article(raw) for raw in raws]
         stats = ingest.IngestStats(documents=len(docs))
-        queries = [_tokenized_doc(raw.id, raw.text.strip(), tokenizer)
+        queries = [ingest.CleanDocument(id=raw.id, body=raw.text.strip())
                    for raw in ingest.load_raw_corpus(stage.directory("queries_dir"))]
-        stage.write("queries.jsonl", lambda tmp: ingest.write_clean_jsonl(queries, tmp))
     else:
-        docs, stats = ingest.preprocess_corpus(raws, tokenizer)
+        (docs, stats), queries = ingest.preprocess_corpus(raws), []
+    tokenizer = _tokenizer_config(cfg)
+    for doc in docs + queries:  # cases, or articles and statute questions
+        doc.token_length = len(ingest.tokenize(doc.text, tokenizer))
+    if cfg["task"] == "statute":
+        stage.write("queries.jsonl", lambda tmp: ingest.write_clean_jsonl(queries, tmp))
 
     out = stage.write("clean.jsonl", lambda tmp: ingest.write_clean_jsonl(docs, tmp))
     stats_payload = dataclasses.asdict(stats)
@@ -407,7 +398,7 @@ def cmd_ingest(stage):
 def cmd_index(stage):
     from . import indexing
     docs = ingest.read_clean_jsonl(stage.artifact("clean.jsonl"))
-    pairs = [(d.id, d.text) for d in docs]
+    pairs = [(d.id, d.text) for d in docs.values()]
     for name, ngram in (("index_plain.json", False), ("index_ngram.json", True)):
         index = indexing.build_index(pairs, _tokenizer_config(stage.cfg, ngram=ngram))
         out = stage.write(name, lambda tmp: index.save(tmp))
@@ -442,11 +433,11 @@ def cmd_features(stage):
     cfg = stage.cfg
     schema = features.get_schema(cfg["schema"])
     features.check_sources(schema, [*_SCORER_FEATURE.values(), *cfg["external_scores"]])
-    candidates = _load_docs(stage.artifact("clean.jsonl"))
+    candidates = ingest.read_clean_jsonl(stage.artifact("clean.jsonl"))
     queries = _query_docs(stage, candidates)
 
     depth = cfg["rerank_depth"]
-    internal = {}
+    scores, paths = {}, {}  # score source name -> {query_id: ScoredList}, its file
     for scorer in scorers.SCORER_NAMES:
         path = stage.artifact(f"scores_{scorer}.tsv")
         lists = scorers.read_score_dump(path)
@@ -456,14 +447,15 @@ def cmd_features(stage):
                         for doc_id, _ in lists[qid].entries if doc_id not in candidates), None)
         if unknown is not None:
             raise DataError(f"{path}: candidate {unknown!r} is not in clean.jsonl")
-        internal[_SCORER_FEATURE[scorer]] = lists
+        scores[_SCORER_FEATURE[scorer]], paths[_SCORER_FEATURE[scorer]] = lists, path
+    for name in sorted(cfg["external_scores"]):
+        path = stage.file("external_scores", name)
+        scores[name], paths[name] = features.ExternalScoreFile.load(name, path).lists, path
 
-    externals = [
-        features.ExternalScoreFile.load(name, stage.file("external_scores", name))
-        for name in sorted(cfg["external_scores"])
-    ]
-
-    table = features.assemble(queries, candidates, internal, externals, schema)
+    try:
+        table = features.assemble(queries, candidates, scores, _SCORER_FEATURE.values(), schema)
+    except features.AssemblyError as exc:
+        raise DataError(f"{paths[exc.feature]}: {exc}") from None
     if cfg.get("qrels_file"):
         qrels = evaluation.load_qrels(stage.file("qrels_file"))
         table, unseen = features.attach_labels(table, qrels)
@@ -520,7 +512,7 @@ def cmd_rerank(stage):
 def _pipeline(stage):
     # Statute questions carry no trial date, so the corpus dates are all
     # the date filter can use.
-    docs = _load_docs(stage.artifact("clean.jsonl"))
+    docs = ingest.read_clean_jsonl(stage.artifact("clean.jsonl"))
     dates = {doc_id: doc.trial_date for doc_id, doc in docs.items()}
     query_ids = frozenset(_load_query_ids(stage))
     return postprocess.PostprocessPipeline(dates=dates, query_ids=query_ids,

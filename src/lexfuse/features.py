@@ -8,7 +8,6 @@ scores are consumed from score-dump TSV files; a missing pair maps to
 score 0.0 and rank list_length + 1.
 """
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -20,7 +19,11 @@ from .scorers import read_score_dump
 
 
 class AssemblyError(DataError):
-    """Feature assembly could not resolve a value."""
+    """Feature assembly could not resolve a value; ``feature`` names its column."""
+
+    def __init__(self, message, feature=None):
+        super().__init__(message)
+        self.feature = feature
 
 
 class ExternalScoreError(DataError):
@@ -174,83 +177,78 @@ class ExternalScoreFile:
             raise ExternalScoreError(str(exc)) from None
 
 
-def rank_feature(slist):
-    """Map doc_id -> 1-based rank for a sorted ScoredList.
-
-    Callers treat docs absent from the list as rank len(list) + 1.
-    """
-    return {doc_id: i + 1 for i, (doc_id, _) in enumerate(slist.entries)}
-
-
-_META_FEATURES = {
-    "query_length": lambda q, c: q.token_length,
-    "candidate_length": lambda q, c: c.token_length,
-    "article_length": lambda q, c: c.token_length,
-    "query_ref_num": lambda q, c: q.placeholder_count,
-    "doc_ref_num": lambda q, c: c.placeholder_count,
+# Document features: name -> (the query's or the candidate's document, attribute).
+_DOCUMENT_FEATURES = {
+    "query_length": ("query", "token_length"),
+    "candidate_length": ("candidate", "token_length"),
+    "article_length": ("candidate", "token_length"),
+    "query_ref_num": ("query", "placeholder_count"),
+    "doc_ref_num": ("candidate", "placeholder_count"),
 }
-
-
-def _lookups(slist):
-    """(scores, ranks, length) of one query's list; empty if the query has none."""
-    if slist is None:
-        return {}, {}, 0
-    return dict(slist.entries), rank_feature(slist), len(slist)
 
 
 def check_sources(schema, sources):
     """Refuse a ``schema`` feature that is neither a document feature nor read from
     the score ``sources`` (names): config keys schema and external_scores disagree."""
     bases = dict.fromkeys(n[:-5] if n.endswith("_rank") else n for n in schema.feature_names)
-    missing = [name for name in bases if name not in _META_FEATURES and name not in sources]
+    missing = [name for name in bases if name not in _DOCUMENT_FEATURES and name not in sources]
     if missing:
         raise SettingError(f"config key 'schema': {schema.name} has no source for "
                            f"{', '.join(missing)}; name their score files in "
                            f"config key 'external_scores'")
 
 
-def assemble(queries, candidates, internal_scores, externals, schema):
-    """Build the FeatureTable of every (query, candidate) pair.
+def _score_column(lists, rows, rank):
+    """One score (or, if ``rank``, 1-based rank) per row of ``rows``, a list of
+    (query_id, candidate ids) in table order. A candidate missing from its query's
+    list (or a query with no list) scores 0.0 and ranks the list's length + 1."""
+    column = []
+    for qid, cids in rows:
+        entries = lists[qid].entries if qid in lists else ()
+        if rank:
+            lookup = {doc_id: i for i, (doc_id, _) in enumerate(entries, 1)}
+            missing = len(entries) + 1
+        else:
+            lookup, missing = dict(entries), 0.0
+        column.extend([lookup.get(cid, missing) for cid in cids])
+    return column
+
+
+def assemble(queries, candidates, scores, pool, schema):
+    """Build the FeatureTable of every (query, candidate) pair, one column at a time.
 
     ``queries`` and ``candidates`` map ids to cleaned documents (anything
-    with ``token_length`` and ``placeholder_count``). The candidate pool
-    for each query is the union of that query's entries across all
-    internal scorer lists, so pairs outside any list produce no row.
-    Every schema feature must have a source (``check_sources``).
+    with ``token_length`` and ``placeholder_count``); ``scores`` maps the
+    name of each score source to its {query_id: ScoredList}. The rows of a
+    query are the union of its lists in the ``pool`` sources, so pairs
+    outside every pool list produce no row. Every schema feature must have
+    a source (``check_sources``). A non-finite value is an AssemblyError
+    naming its feature and the first such pair in row order.
     """
-    sources = dict(internal_scores)
-    for ext in externals:
-        if ext.name in sources:
-            raise AssemblyError(f"duplicate feature source: {ext.name!r}")
-        sources[ext.name] = ext.lists
-
-    def resolve(name, views, cid, qdoc, cdoc):
-        meta = _META_FEATURES.get(name)
-        if meta is not None:
-            return float(meta(qdoc, cdoc))
-        base = name[:-5] if name.endswith("_rank") else name
-        scores, ranks, length = views[base]
-        return float(scores.get(cid, 0.0) if base == name else ranks.get(cid, length + 1))
-
-    query_ids, candidate_ids, values = [], [], []
+    rows = []  # (query_id, sorted candidate ids) of each query with a row
     for qid in sorted(queries):
-        qdoc = queries[qid]
-        views = {name: _lookups(lists.get(qid)) for name, lists in sources.items()}
-        for cid in sorted(set().union(*(views[name][0] for name in internal_scores))):
-            try:
-                cdoc = candidates[cid]
-            except KeyError:
-                raise AssemblyError(f"candidate {cid!r} has no cleaned document") from None
-            row = [resolve(n, views, cid, qdoc, cdoc) for n in schema.feature_names]
-            for name, value in zip(schema.feature_names, row):
-                if not math.isfinite(value):
-                    raise AssemblyError(
-                        f"non-finite feature {name!r} for pair ({qid}, {cid})"
-                    )
-            values.extend(row)
-            query_ids.append(qid)
-            candidate_ids.append(cid)
-    X = np.array(values, dtype=np.float64).reshape(len(query_ids), len(schema))
+        pooled = set().union(*(scores[name][qid].doc_ids() for name in pool
+                               if qid in scores[name]))
+        if pooled:
+            rows.append((qid, sorted(pooled)))
+    query_ids = [qid for qid, cids in rows for _ in cids]
+    candidate_ids = [cid for _, cids in rows for cid in cids]
+    documents = {"query": (queries, query_ids), "candidate": (candidates, candidate_ids)}
+    X = np.empty((len(query_ids), len(schema)), dtype=np.float64)
+    for j, name in enumerate(schema.feature_names):
+        if name in _DOCUMENT_FEATURES:
+            side, attr = _DOCUMENT_FEATURES[name]
+            docs, ids = documents[side]
+            X[:, j] = [getattr(docs[doc_id], attr) for doc_id in ids]
+        else:
+            base = name[:-5] if name.endswith("_rank") else name
+            X[:, j] = _score_column(scores[base], rows, base != name)
+    bad = np.flatnonzero(~np.isfinite(X))
+    if bad.size:
+        i, j = divmod(int(bad[0]), len(schema))
+        name = schema.feature_names[j]
+        raise AssemblyError(f"non-finite feature {name!r} for pair "
+                            f"({query_ids[i]}, {candidate_ids[i]})", feature=name)
     return FeatureTable(schema, query_ids, candidate_ids, X)
 
 

@@ -129,12 +129,6 @@ class CleanDocument:
 
 
 @dataclass
-class ArticleEntry:
-    article_id: str
-    content: str
-
-
-@dataclass
 class IngestStats:
     documents: int = 0
     placeholders_removed: int = 0
@@ -255,12 +249,13 @@ def extract_trial_date(text):
     return best
 
 
-def preprocess_case(raw, tokenizer_config=TokenizerConfig()):
+def preprocess_case(raw):
     """Run the full case-cleaning pipeline on one raw document.
 
     Returns ``(doc, (paragraphs_dropped, kept_verbatim))``. The trial
     date and the placeholder count are taken from the original text so
-    earlier cleaning steps cannot destroy their evidence.
+    earlier cleaning steps cannot destroy their evidence. The token
+    length is left for the caller to set.
     """
     trial = extract_trial_date(raw.text)
     _, placeholder_count = remove_placeholders(raw.text)
@@ -283,7 +278,6 @@ def preprocess_case(raw, tokenizer_config=TokenizerConfig()):
         trial_date=trial,
         placeholder_count=placeholder_count,
     )
-    doc.token_length = len(tokenize(doc.text, tokenizer_config))
     return doc, (dropped, kept_verbatim)
 
 
@@ -301,7 +295,7 @@ def preprocess_article(raw):
         if stripped and _CAPTION_RE.match(stripped):
             continue
         kept.append(line)
-    return ArticleEntry(article_id=raw.id, content="\n".join(kept).strip())
+    return CleanDocument(id=raw.id, body="\n".join(kept).strip())
 
 
 # -- corpus I/O -------------------------------------------------------------
@@ -315,12 +309,12 @@ def load_raw_corpus(corpus_dir):
     return docs
 
 
-def preprocess_corpus(raws, tokenizer_config=TokenizerConfig()):
+def preprocess_corpus(raws):
     """Clean every raw case document; return (docs, stats)."""
     stats = IngestStats()
     docs = []
     for raw in raws:
-        doc, (dropped, kept_verbatim) = preprocess_case(raw, tokenizer_config)
+        doc, (dropped, kept_verbatim) = preprocess_case(raw)
         docs.append(doc)
         stats.documents += 1
         stats.placeholders_removed += doc.placeholder_count
@@ -351,7 +345,8 @@ def write_clean_jsonl(docs, path):
 
 
 def read_clean_jsonl(path):
-    """The documents of a ``write_clean_jsonl`` file; a bad line is a DataError naming it."""
+    """{id: document} of a ``write_clean_jsonl`` file, in file order; a bad line is a
+    DataError naming it."""
     docs = {}
     with _text(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -361,9 +356,11 @@ def read_clean_jsonl(path):
                 rec = json.loads(line)
                 rec["trial_date"] = date.fromisoformat(rec["trial_date"]) if rec["trial_date"] else None
                 doc = CleanDocument(**rec)
+                if not all(isinstance(n, int) for n in (doc.placeholder_count, doc.token_length)):
+                    raise TypeError("placeholder_count and token_length must be integers")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: not a cleaned document: {exc!r}") from None
             if doc.id in docs:
                 raise DataError(f"{path}:{lineno}: duplicate document id {doc.id!r}")
             docs[doc.id] = doc
-    return list(docs.values())
+    return docs

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lexfuse import cli, ltr
+from lexfuse import cli, ltr, scorers, synth
 from lexfuse.evaluation import load_qrels, micro_prf1, read_run_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -169,7 +170,8 @@ class TestCrossProcessDeterminism:
                 },
                 grid_p=[0.0, 0.5], grid_h=[4], grid_l=[0], grid_t=[1], grid_s=[0],
             )
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+                p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
             for command in ("synth", "ingest", "index", "score", "features",
                             "train", "rerank", "tune", "postprocess"):
                 proc = subprocess.run(
@@ -881,6 +883,25 @@ class TestCorruptArtifacts:
         assert run("eval", cfg) == 3
         assert "internal error: KeyError: 'boom'" in capsys.readouterr().err
 
+    def test_non_finite_external_score_names_its_file(self, tiny_chain, capsys):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        config = json.loads(Path(cfg).read_text())
+        rows = {tuple(line.split("\t")[:2])
+                for line in (work / "features.tsv").read_text().splitlines()[1:]}
+        lines = Path(config["external_scores"]["DELTA"]).read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if tuple(line.split("\t")[:2]) in rows)
+        qid, cid, _ = lines[at].split("\t")
+        lines[at] = f"{qid}\t{cid}\tnan"
+        path = root / "nan_DELTA.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        config["external_scores"]["DELTA"] = str(path)
+        cfg = write_config(root / "cfg_nan.json", **config)
+        capsys.readouterr()
+        assert run("features", cfg) == 2
+        assert (f"data error: {path}: non-finite feature 'DELTA' for pair ({qid}, {cid})"
+                in capsys.readouterr().err)
+
     def test_validation_fraction_leaving_no_training_queries(self, tiny_chain, capsys):
         root, cfg = tiny_chain
         fresh_work(root)
@@ -890,6 +911,19 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert "features.tsv" in err and "ltr_validation_fraction 0.999" in err
         assert "4 of the 4 queries" in err
+
+
+class TestLibraryDefaults:
+    @pytest.mark.parametrize("default, prefix", [
+        (ltr.TrainConfig(), "ltr_"), (synth.SyntheticSpec(), "synth_"),
+        (scorers.Bm25Params(), "bm25_"), (scorers.TASK1_BM25, "bm25_"),
+        (scorers.QldParams(), "qld_"),
+    ], ids=["TrainConfig", "SyntheticSpec", "Bm25Params", "TASK1_BM25", "QldParams"])
+    def test_match_the_settings_table(self, default, prefix):
+        # A field with no prefixed key (seed) takes the key of its own name.
+        for field in dataclasses.fields(default):
+            key = prefix + field.name if prefix + field.name in cli.DEFAULTS else field.name
+            assert getattr(default, field.name) == cli.DEFAULTS[key], key
 
 
 class TestStageReads:

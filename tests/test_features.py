@@ -21,7 +21,6 @@ from lexfuse.features import (
     attach_labels,
     check_sources,
     get_schema,
-    rank_feature,
 )
 from lexfuse.ingest import CleanDocument
 
@@ -151,6 +150,80 @@ def rows_of(table):
 
 
 
+# -- reference: the per-cell assembly that the column-by-column build replaced ----
+
+
+def reference_rank_feature(slist):
+    """Map doc_id -> 1-based rank for a sorted ScoredList.
+
+    Callers treat docs absent from the list as rank len(list) + 1.
+    """
+    return {doc_id: i + 1 for i, (doc_id, _) in enumerate(slist.entries)}
+
+
+_REFERENCE_META_FEATURES = {
+    "query_length": lambda q, c: q.token_length,
+    "candidate_length": lambda q, c: c.token_length,
+    "article_length": lambda q, c: c.token_length,
+    "query_ref_num": lambda q, c: q.placeholder_count,
+    "doc_ref_num": lambda q, c: c.placeholder_count,
+}
+
+
+def _reference_lookups(slist):
+    """(scores, ranks, length) of one query's list; empty if the query has none."""
+    if slist is None:
+        return {}, {}, 0
+    return dict(slist.entries), reference_rank_feature(slist), len(slist)
+
+
+def reference_assemble(queries, candidates, internal_scores, externals, schema):
+    """Build the FeatureTable of every (query, candidate) pair, one cell at a time.
+
+    The candidate pool for each query is the union of that query's entries
+    across all internal scorer lists.
+    """
+    sources = dict(internal_scores)
+    for ext in externals:
+        if ext.name in sources:
+            raise AssemblyError(f"duplicate feature source: {ext.name!r}")
+        sources[ext.name] = ext.lists
+
+    def resolve(name, views, cid, qdoc, cdoc):
+        meta = _REFERENCE_META_FEATURES.get(name)
+        if meta is not None:
+            return float(meta(qdoc, cdoc))
+        base = name[:-5] if name.endswith("_rank") else name
+        scores, ranks, length = views[base]
+        return float(scores.get(cid, 0.0) if base == name else ranks.get(cid, length + 1))
+
+    query_ids, candidate_ids, values = [], [], []
+    for qid in sorted(queries):
+        qdoc = queries[qid]
+        views = {name: _reference_lookups(lists.get(qid)) for name, lists in sources.items()}
+        for cid in sorted(set().union(*(views[name][0] for name in internal_scores))):
+            try:
+                cdoc = candidates[cid]
+            except KeyError:
+                raise AssemblyError(f"candidate {cid!r} has no cleaned document") from None
+            row = [resolve(n, views, cid, qdoc, cdoc) for n in schema.feature_names]
+            for name, value in zip(schema.feature_names, row):
+                if not math.isfinite(value):
+                    raise AssemblyError(
+                        f"non-finite feature {name!r} for pair ({qid}, {cid})"
+                    )
+            values.extend(row)
+            query_ids.append(qid)
+            candidate_ids.append(cid)
+    X = np.array(values, dtype=np.float64).reshape(len(query_ids), len(schema))
+    return FeatureTable(schema, query_ids, candidate_ids, X)
+
+
+def fused(internal, *externals):
+    """The score sources ``assemble`` takes: the lexical lists and the external files."""
+    return {**internal, **{ext.name: ext.lists for ext in externals}}
+
+
 def doc(doc_id, length=10, refs=0):
     return CleanDocument(id=doc_id, body="x", placeholder_count=refs, token_length=length)
 
@@ -177,18 +250,32 @@ class TestSchemas:
             FeatureSchema("bad", ("a", "a"))
 
 
+RANKED = FeatureSchema("ranked", ("BM25", "BM25_rank"))
+
+
+def ranks_of(entries, pool=()):
+    """{candidate: BM25_rank} that ``assemble`` gives one query's BM25 list
+    ``entries``; ``pool`` ids, listed by QLD only, add rows the BM25 list lacks."""
+    slist = ScoredList("q", entries)
+    scores = {"BM25": {"q": slist}, "QLD": {"q": ScoredList("q", [(c, 0.0) for c in pool])}}
+    table = assemble({"q": doc("q")}, {c: doc(c) for c in [*slist.doc_ids(), *pool]},
+                     scores, ["BM25", "QLD"], RANKED)
+    return dict(zip(table.candidate_ids, table.X[:, 1].tolist()))
+
+
 class TestRankFeature:
+    """The ``<source>_rank`` columns ``assemble`` builds."""
+
     def test_basic(self):
-        assert rank_feature(ScoredList("q", [("A", 0.9), ("B", 0.5)])) == {"A": 1, "B": 2}
+        assert ranks_of([("A", 0.9), ("B", 0.5)]) == {"A": 1, "B": 2}
 
     def test_absent_doc_policy(self):
         entries = [(f"d{i:03d}", float(100 - i)) for i in range(100)]
-        ranks = rank_feature(ScoredList("q", entries))
-        assert ranks.get("missing", len(entries) + 1) == 101
+        assert ranks_of(entries, pool=["missing"])["missing"] == 101
 
     def test_ties_already_broken_by_id(self):
         slist = ScoredList.from_scores("q", {"B": 0.5, "A": 0.5})
-        assert rank_feature(slist) == {"A": 1, "B": 2}
+        assert ranks_of(slist.entries) == {"A": 1, "B": 2}
 
     def test_bijection_onto_1_to_n(self):
         rng = random.Random(2)
@@ -196,7 +283,7 @@ class TestRankFeature:
             n = rng.randrange(0, 20)
             slist = ScoredList.from_scores(
                 "q", {f"d{i}": rng.random() for i in range(n)})
-            ranks = rank_feature(slist)
+            ranks = ranks_of(slist.entries)
             assert sorted(ranks.values()) == list(range(1, n + 1))
 
 
@@ -216,7 +303,8 @@ class TestAssemble:
         queries, candidates, internal = small_setup()
         sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8), ("B", 0.6)])})
         delta = ExternalScoreFile("DELTA", {"q1": ScoredList("q1", [("A", 0.7)])})
-        table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
+        table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
+                         TASK1_SCHEMA)
         assert len(table) == 2
         row_a = rows_of(table)[0]
         assert (row_a.query_id, row_a.candidate_id) == ("q1", "A")
@@ -238,7 +326,8 @@ class TestAssemble:
         queries, candidates, internal = small_setup()
         delta = ExternalScoreFile("DELTA", {"q1": ScoredList("q1", [("A", 0.7)])})
         sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8)])})
-        table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
+        table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
+                         TASK1_SCHEMA)
         row_b = rows_of(table)[1]
         named = dict(zip(TASK1_SCHEMA.feature_names, row_b.values))
         # B is absent from both external files: score 0.0, rank len+1 = 2.
@@ -257,7 +346,8 @@ class TestAssemble:
         }
         sailer = ExternalScoreFile("SAILER", {})
         delta = ExternalScoreFile("DELTA", {})
-        table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
+        table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
+                         TASK1_SCHEMA)
         assert [r.query_id for r in rows_of(table)] == ["q1"]
 
     def test_pool_is_union_of_scorer_lists(self):
@@ -269,7 +359,7 @@ class TestAssemble:
             "BM25_ngram": {"q1": ScoredList("q1", [])},
         }
         schema = FeatureSchema("mini", ("BM25", "QLD", "BM25_ngram"))
-        table = assemble(queries, candidates, internal, [], schema)
+        table = assemble(queries, candidates, internal, internal, schema)
         assert [r.candidate_id for r in rows_of(table)] == ["A", "B"]
         named = dict(zip(schema.feature_names, rows_of(table)[1].values))
         assert named["BM25"] == 0.0  # B missing from the BM25 list
@@ -289,9 +379,10 @@ class TestAssemble:
             for name, lists in internal.items()
         }
         schema = FeatureSchema("mini", ("BM25", "QLD", "BM25_ngram"))
-        t1 = assemble(queries, candidates, internal, [], schema)
+        t1 = assemble(queries, candidates, internal, internal, schema)
         t2 = assemble(dict(reversed(list(queries.items()))),
-                      dict(reversed(list(candidates.items()))), flipped, [], schema)
+                      dict(reversed(list(candidates.items()))), flipped,
+                      list(reversed(flipped)), schema)
         assert [(r.query_id, r.candidate_id, r.values) for r in rows_of(t1)] == \
                [(r.query_id, r.candidate_id, r.values) for r in rows_of(t2)]
 
@@ -306,7 +397,8 @@ class TestExternalScoreFile:
         candidates = {c: doc(c) for c in ("A", "B", "missing")}
         lexical = {"q1": ScoredList("q1", [("A", 3.0), ("B", 2.0), ("missing", 1.0)])}
         schema = FeatureSchema("mini", ("BM25", "SAILER", "SAILER_rank"))
-        table = assemble(queries, candidates, {"BM25": lexical}, [ext], schema)
+        table = assemble(queries, candidates, {"BM25": lexical, "SAILER": ext.lists}, ["BM25"],
+                         schema)
         named = {r.candidate_id: dict(zip(schema.feature_names, r.values)) for r in rows_of(table)}
         assert named["A"]["SAILER"] == 0.9
         assert named["B"]["SAILER_rank"] == 2
@@ -363,7 +455,8 @@ class TestFeatureTableTsv:
         queries, candidates, internal = small_setup()
         sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8)])})
         delta = ExternalScoreFile("DELTA", {})
-        table = assemble(queries, candidates, internal, [sailer, delta], TASK1_SCHEMA)
+        table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
+                         TASK1_SCHEMA)
         table, _ = attach_labels(table, {"q1": {"A"}})
         path = tmp_path / "features.tsv"
         table.to_tsv(path)
@@ -376,8 +469,8 @@ class TestFeatureTableTsv:
         queries, candidates, internal = small_setup()
         schema = FeatureSchema("mini", ("BM25", "QLD", "BM25_ngram"))
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        assemble(queries, candidates, internal, [], schema).to_tsv(p1)
-        assemble(queries, candidates, internal, [], schema).to_tsv(p2)
+        assemble(queries, candidates, internal, internal, schema).to_tsv(p1)
+        assemble(queries, candidates, internal, internal, schema).to_tsv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_label_or_value_names_file_and_lineno(self, tmp_path):
@@ -514,3 +607,76 @@ class TestColumnarMatchesRowReference:
                 for r in RowTable(SCHEMA_MIXED, rows).rows]
             pairs = set(zip(table.query_ids, table.candidate_ids))
             assert unseen == sum((q, d) not in pairs for q, docs in qrels.items() for d in docs)
+
+
+ASSEMBLY_FEATURES = ("query_length", "candidate_length", "article_length", "query_ref_num",
+                     "doc_ref_num", "L1", "L1_rank", "L2", "L2_rank", "E1", "E1_rank")
+
+
+def random_assembly(rng):
+    """Random ``reference_assemble`` inputs: two pool sources L1 and L2 and one
+    external file E1, with tied scores, missing pairs, empty lists, queries
+    without any list and (rarely) NaN or infinite scores and document counts."""
+    def count():
+        return rng.choice([math.nan, math.inf]) if rng.random() < 0.03 else rng.randrange(5)
+
+    def score():
+        if rng.random() < 0.03:
+            return rng.choice([math.nan, math.inf, -math.inf])
+        return rng.choice([0.0, 0.5, -1.25, 1 / 3, rng.gauss(0, 1)])
+
+    cids = [f"c{i:02d}" for i in range(rng.randrange(1, 12))]
+    queries = {f"q{i}": CleanDocument(id=f"q{i}", body="x", placeholder_count=count(),
+                                      token_length=count())
+               for i in range(rng.randrange(0, 6))}
+    candidates = {cid: CleanDocument(id=cid, body="x", placeholder_count=count(),
+                                     token_length=count()) for cid in cids}
+
+    def lists():
+        out = {}
+        for qid in queries:
+            if rng.random() < 0.25:
+                continue  # no list for this query
+            docs = rng.sample(cids, rng.randrange(0, len(cids) + 1))
+            out[qid] = ScoredList.from_scores(qid, {d: score() for d in docs})
+        return out
+
+    internal = {"L1": lists(), "L2": lists()}
+    names = rng.sample(ASSEMBLY_FEATURES, rng.randrange(1, len(ASSEMBLY_FEATURES) + 1))
+    return queries, candidates, internal, ExternalScoreFile("E1", lists()), \
+        FeatureSchema("random", tuple(names))
+
+
+def assembled(fn, *args):
+    """(ids, X shape, X bytes) of the table ``fn(*args)`` builds, or its AssemblyError."""
+    try:
+        table = fn(*args)
+    except AssemblyError as exc:
+        return f"AssemblyError: {exc}"
+    return table.query_ids, table.candidate_ids, table.X.shape, table.X.tobytes()
+
+
+class TestAssembleMatchesPerCellReference:
+    def test_tables_or_errors_match(self):
+        errors = 0
+        for seed in range(300):
+            queries, candidates, internal, external, schema = random_assembly(
+                random.Random(seed))
+            want = assembled(reference_assemble, queries, candidates, internal, [external],
+                             schema)
+            got = assembled(assemble, queries, candidates, fused(internal, external),
+                            ["L1", "L2"], schema)
+            assert got == want, seed
+            errors += isinstance(want, str)
+        assert 20 < errors < 280  # both outcomes are exercised
+
+    def test_error_names_the_feature(self):
+        queries, candidates, internal = small_setup()
+        # Row A's last cell and row B's first: the first bad cell in row order is A's.
+        internal["BM25"]["q1"] = ScoredList("q1", [("A", 2.0), ("B", math.inf)])
+        internal["QLD"]["q1"] = ScoredList("q1", [("B", -1.0), ("A", math.nan)])
+        schema = FeatureSchema("mini", ("BM25", "QLD_rank", "QLD"))
+        with pytest.raises(AssemblyError, match=r"^non-finite feature 'QLD' for pair \(q1, A\)$"
+                           ) as caught:
+            assemble(queries, candidates, internal, internal, schema)
+        assert caught.value.feature == "QLD"

@@ -6,7 +6,6 @@ import pytest
 from lexfuse.evaluation import DataError
 from lexfuse.ingest import (
     PLACEHOLDERS,
-    ArticleEntry,
     CleanDocument,
     RawDocument,
     extract_summary,
@@ -201,16 +200,16 @@ class TestPreprocessCase:
 class TestPreprocessArticle:
     def test_part_line_removed(self):
         raw = RawDocument(id="a1", text="Part I General Provisions\nArticle 1 text here")
-        assert preprocess_article(raw).content == "Article 1 text here"
+        assert preprocess_article(raw).body == "Article 1 text here"
 
     def test_caption_line_removed(self):
         raw = RawDocument(id="a3", text="(Standards for Construction)\nArticle 3 text here")
-        assert preprocess_article(raw).content == "Article 3 text here"
+        assert preprocess_article(raw).body == "Article 3 text here"
 
     def test_plain_article_unchanged(self):
         raw = RawDocument(id="a2", text="Article 2 applies to all contracts")
         entry = preprocess_article(raw)
-        assert entry == ArticleEntry(article_id="a2", content="Article 2 applies to all contracts")
+        assert entry == CleanDocument(id="a2", body="Article 2 applies to all contracts")
 
     def test_no_structural_lines_survive(self):
         rng = random.Random(11)
@@ -223,7 +222,7 @@ class TestPreprocessArticle:
                     lines.append(rng.choice(lead_ins))
                 else:
                     lines.append(f"Article {rng.randrange(100)} body text")
-            content = preprocess_article(RawDocument(id="x", text="\n".join(lines))).content
+            content = preprocess_article(RawDocument(id="x", text="\n".join(lines))).body
             for line in content.splitlines():
                 assert not line.startswith(("Part ", "Chapter "))
                 assert not (line.startswith("(") and line.endswith(")"))
@@ -238,13 +237,15 @@ class TestJsonlRoundTrip:
         docs, stats = preprocess_corpus(raws)
         assert stats.documents == 2
         assert stats.placeholders_removed == 1
+        for length, doc in enumerate(docs, 3):
+            doc.token_length = length
         path = tmp_path / "clean.jsonl"
         write_clean_jsonl(docs, path)
         loaded = read_clean_jsonl(path)
-        assert [d.id for d in loaded] == ["a", "b"]
-        by_id = {d.id: d for d in loaded}
+        assert list(loaded) == ["a", "b"]
+        assert all(doc_id == d.id for doc_id, d in loaded.items())
         for doc in docs:
-            other = by_id[doc.id]
+            other = loaded[doc.id]
             assert (doc.body, doc.summary, doc.trial_date) == (
                 other.body, other.summary, other.trial_date)
             assert (doc.placeholder_count, doc.token_length) == (
@@ -257,6 +258,10 @@ class TestJsonlRoundTrip:
         ('{"id": "b", "body": "x", "summary": null, "trial_date": null, '
          '"placeholder_count": 0, "token_length": 1}', "duplicate document id 'b'"),
         ('{"id": "b", "bod', "not a cleaned document"),
+        ('{"id": "a", "body": "x", "summary": null, "trial_date": null, '
+         '"placeholder_count": 0, "token_length": NaN}', "not a cleaned document"),
+        ('{"id": "a", "body": "x", "summary": null, "trial_date": null, '
+         '"placeholder_count": 1.5, "token_length": 1}', "not a cleaned document"),
     ])
     def test_bad_line_is_a_data_error_naming_file_and_line(self, tmp_path, line, problem):
         path = tmp_path / "clean.jsonl"
