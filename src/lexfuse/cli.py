@@ -85,6 +85,8 @@ SETTINGS = {
 DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
 
 _SCORER_FEATURE = {"bm25": "BM25", "qld": "QLD", "bm25_ngram": "BM25_ngram"}
+# Features lexfuse computes itself, which no external_scores entry may name.
+_NOT_EXTERNAL = (*_SCORER_FEATURE.values(), *ingest.DOCUMENT_FEATURES)
 
 
 def _within(rule, x):
@@ -134,10 +136,9 @@ def _value(key, value):
         _, kind, rule = SETTINGS[allowed]
         return [_number(label, v, kind, rule) for v in value]
     if kind is dict:
-        if not all(isinstance(v, str) for v in value.values()) or set(value) & set(
-                _SCORER_FEATURE.values()):
+        if not all(isinstance(v, str) for v in value.values()) or set(value) & set(_NOT_EXTERNAL):
             raise ConfigError(f"{label}: must map feature names other than "
-                              f"{', '.join(_SCORER_FEATURE.values())} to paths, got {value!r}")
+                              f"{', '.join(_NOT_EXTERNAL)} to paths, got {value!r}")
         return dict(value)
     if key == "filter_order":
         names = tuple(name.strip() for name in value.split(",") if name.strip())
@@ -475,11 +476,7 @@ def cmd_train(stage):
         # Early stopping uses a slice of the train split; the tune split
         # stays unseen so the post-processing grid search is not biased
         # by model selection.
-        keep = set(splits["train"])
-        rows = [i for i, qid in enumerate(table.query_ids) if qid in keep]
-        table = features.FeatureTable(
-            table.schema, [table.query_ids[i] for i in rows],
-            [table.candidate_ids[i] for i in rows], table.X[rows], table.labels[rows])
+        table = table.select(set(splits["train"]))
     try:
         model = ltr.train(table, config)
     except ltr.TrainingError as exc:

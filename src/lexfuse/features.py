@@ -9,12 +9,13 @@ score 0.0 and rank list_length + 1.
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 
 from .evaluation import DataError, SettingError, _text
+from .ingest import DOCUMENT_FEATURES
 from .scorers import read_score_dump
 
 
@@ -24,10 +25,6 @@ class AssemblyError(DataError):
     def __init__(self, message, feature=None):
         super().__init__(message)
         self.feature = feature
-
-
-class ExternalScoreError(DataError):
-    """An external score file or feature table file is malformed."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +105,13 @@ class FeatureTable:
     def __len__(self):
         return len(self.query_ids)
 
+    def select(self, query_ids):
+        """The table of the rows of the queries in the set ``query_ids``, in table order."""
+        keep = [qid in query_ids for qid in self.query_ids]
+        return FeatureTable(self.schema, list(compress(self.query_ids, keep)),
+                            list(compress(self.candidate_ids, keep)), self.X[keep],
+                            self.labels[keep])
+
     def to_tsv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("query_id\tcandidate_id\tlabel\t" + "\t".join(self.schema.feature_names) + "\n")
@@ -122,7 +126,7 @@ class FeatureTable:
         with _text(path) as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if header[:3] != ["query_id", "candidate_id", "label"]:
-                raise ExternalScoreError(f"{path}:1: bad feature table header")
+                raise DataError(f"{path}:1: bad feature table header")
             names = tuple(header[3:])
             try:
                 schema = next(
@@ -130,8 +134,8 @@ class FeatureTable:
                     None,
                 ) or FeatureSchema("custom", names)
             except ValueError as exc:
-                raise ExternalScoreError(f"{path}:1: {exc}") from None
-            query_ids, candidate_ids, labels, values = [], [], [], []
+                raise DataError(f"{path}:1: {exc}") from None
+            query_ids, candidate_ids, labels, values, linenos = [], [], [], [], []
             seen = {}  # query_id -> candidate ids read so far
             for lineno, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
@@ -139,26 +143,30 @@ class FeatureTable:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3 + len(names):
-                    raise ExternalScoreError(f"{path}:{lineno}: expected {3 + len(names)} fields")
+                    raise DataError(f"{path}:{lineno}: expected {3 + len(names)} fields")
                 qid, cid = parts[0], parts[1]
                 try:
                     label = int(parts[2])
                     values.extend(map(float, parts[3:]))
                 except ValueError:
-                    raise ExternalScoreError(
+                    raise DataError(
                         f"{path}:{lineno}: bad label or feature value"
                     ) from None
                 if label not in (-1, 0, 1):
-                    raise ExternalScoreError(f"{path}:{lineno}: label must be -1, 0 or 1")
+                    raise DataError(f"{path}:{lineno}: label must be -1, 0 or 1")
                 labels.append(label)
                 cids = seen.setdefault(qid, set())
                 if cid in cids:
-                    raise ExternalScoreError(
+                    raise DataError(
                         f"{path}:{lineno}: duplicate candidate {cid!r} for query {qid!r}")
                 cids.add(cid)
                 query_ids.append(qid)
                 candidate_ids.append(cid)
+                linenos.append(lineno)
         X = np.array(values, dtype=np.float64).reshape(len(query_ids), len(names))
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise DataError(f"{path}:{linenos[bad[0]]}: non-finite feature value")
         return cls(schema, query_ids, candidate_ids, X, labels)
 
 
@@ -171,27 +179,14 @@ class ExternalScoreFile:
 
     @classmethod
     def load(cls, name, path):
-        try:
-            return cls(name, read_score_dump(path))
-        except ValueError as exc:
-            raise ExternalScoreError(str(exc)) from None
-
-
-# Document features: name -> (the query's or the candidate's document, attribute).
-_DOCUMENT_FEATURES = {
-    "query_length": ("query", "token_length"),
-    "candidate_length": ("candidate", "token_length"),
-    "article_length": ("candidate", "token_length"),
-    "query_ref_num": ("query", "placeholder_count"),
-    "doc_ref_num": ("candidate", "placeholder_count"),
-}
+        return cls(name, read_score_dump(path))
 
 
 def check_sources(schema, sources):
     """Refuse a ``schema`` feature that is neither a document feature nor read from
     the score ``sources`` (names): config keys schema and external_scores disagree."""
     bases = dict.fromkeys(n[:-5] if n.endswith("_rank") else n for n in schema.feature_names)
-    missing = [name for name in bases if name not in _DOCUMENT_FEATURES and name not in sources]
+    missing = [name for name in bases if name not in DOCUMENT_FEATURES and name not in sources]
     if missing:
         raise SettingError(f"config key 'schema': {schema.name} has no source for "
                            f"{', '.join(missing)}; name their score files in "
@@ -236,8 +231,8 @@ def assemble(queries, candidates, scores, pool, schema):
     documents = {"query": (queries, query_ids), "candidate": (candidates, candidate_ids)}
     X = np.empty((len(query_ids), len(schema)), dtype=np.float64)
     for j, name in enumerate(schema.feature_names):
-        if name in _DOCUMENT_FEATURES:
-            side, attr = _DOCUMENT_FEATURES[name]
+        if name in DOCUMENT_FEATURES:
+            side, attr = DOCUMENT_FEATURES[name]
             docs, ids = documents[side]
             X[:, j] = [getattr(docs[doc_id], attr) for doc_id in ids]
         else:

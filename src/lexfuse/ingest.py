@@ -128,6 +128,17 @@ class CleanDocument:
         return self.body
 
 
+# The feature columns read from a CleanDocument: name -> (the query's or the
+# candidate's document, attribute). No score file can supply them.
+DOCUMENT_FEATURES = {
+    "query_length": ("query", "token_length"),
+    "candidate_length": ("candidate", "token_length"),
+    "article_length": ("candidate", "token_length"),
+    "query_ref_num": ("query", "placeholder_count"),
+    "doc_ref_num": ("candidate", "placeholder_count"),
+}
+
+
 @dataclass
 class IngestStats:
     documents: int = 0

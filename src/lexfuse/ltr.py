@@ -15,7 +15,7 @@ fully deterministic under a fixed seed.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,8 @@ _MIN_GAIN = 1e-12
 # Most (relevant, irrelevant) pairs one objective batch holds, which bounds
 # the memory of its (queries, relevant, irrelevant) arrays.
 _BATCH_PAIRS = 1 << 16
+# TrainConfig fields that only steer training; model.json's config echo leaves them out.
+_NOT_ECHOED = ("validation_fraction", "patience")
 
 
 class TrainingError(DataError):
@@ -82,23 +84,11 @@ class RegressionTree:
         return out
 
     def to_dict(self):
-        return {
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": [float(v) for v in self.value],
-        }
+        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            feature=list(data["feature"]),
-            threshold=list(data["threshold"]),
-            left=list(data["left"]),
-            right=list(data["right"]),
-            value=list(data["value"]),
-        )
+        return cls(**{f.name: list(data[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -246,15 +236,18 @@ def _fit_tree(XT, grad, hess, presorted, max_leaves, min_samples_leaf):
 # -- lambda gradients ----------------------------------------------------------
 
 def _batches(labels, groups):
-    """Query groups batched by shape: (rows, relevant rows).
+    """The query groups with a relevant row, batched by shape: (rows, relevant rows).
 
     Returns (queries, rows, relevant, irrelevant) tuples: the index of each
     query in ``groups`` and its row ids, one query per array row, in row
-    order. Labels never change in a training run, so this runs once.
+    order. A query with no relevant row has no NDCG and no lambda, so it is
+    left out here. Labels never change in a training run, so this runs once.
     """
     shapes = {}
     for q, (start, end) in enumerate(groups):
-        shapes.setdefault((end - start, int(labels[start:end].sum())), []).append(q)
+        n_pos = int(labels[start:end].sum())
+        if n_pos:
+            shapes.setdefault((end - start, n_pos), []).append(q)
     batches = []
     for (n, n_pos), queries in shapes.items():
         step = max(1, _BATCH_PAIRS // max(n, n_pos * (n - n_pos)))
@@ -273,37 +266,33 @@ def _ranked(scores, rows):
 
 
 def _mean_ndcg(scores, labels, batches, k):
-    """Mean NDCG@k over the queries with a relevant row; 0.0 if none.
+    """Mean NDCG@k over the batched queries; 0.0 if there are none.
 
     The per-query values are averaged in ``groups`` order, as one array.
     With binary labels, NDCG@1 is precision at 1.
     """
-    queries, values = [], []
-    for q, rows, relevant, _ in batches:
-        n_pos = relevant.shape[1]
-        if n_pos == 0:
-            continue
+    if not batches:
+        return 0.0
+    values = []
+    for _, rows, relevant, _ in batches:
         ranked = labels[_ranked(scores, rows)][:, :k]
         positions = np.arange(1, ranked.shape[1] + 1)
         dcg = np.sum(ranked / np.log2(positions + 1), axis=1)
-        idcg = float(np.sum(1.0 / np.log2(np.arange(1, min(k, n_pos) + 1) + 1)))
-        queries.append(q)
+        idcg = float(np.sum(1.0 / np.log2(np.arange(1, min(k, relevant.shape[1]) + 1) + 1)))
         values.append(dcg / idcg)
-    if not values:
-        return 0.0
-    return float(np.mean(np.concatenate(values)[np.argsort(np.concatenate(queries))]))
+    order = np.argsort(np.concatenate([q for q, _, _, _ in batches]))
+    return float(np.mean(np.concatenate(values)[order]))
 
 
 def _lambda_gradients(scores, batches, k):
-    batches = [(rows, pos, neg) for _, rows, pos, neg in batches
-               if pos.shape[1] and neg.shape[1]]
+    """Per-row lambda and its curvature; a query with no irrelevant row gets zeros."""
     rank = np.full(len(scores), k + 1, dtype=np.int64)
-    for rows, _, _ in batches:
+    for _, rows, _, _ in batches:
         rank[_ranked(scores, rows)] = np.arange(1, rows.shape[1] + 1)
     discount = np.where(rank <= k, 1.0 / np.log2(rank + 1.0), 0.0)
     lam = np.zeros(len(scores), dtype=np.float64)
     hess = np.zeros(len(scores), dtype=np.float64)
-    for _, pos, neg in batches:
+    for _, _, pos, neg in batches:
         n_ideal = min(k, pos.shape[1])
         idcg = float(np.sum(1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)))
         diff = np.clip(scores[pos][:, :, None] - scores[neg][:, None, :], -60.0, 60.0)
@@ -337,28 +326,15 @@ def _table_arrays(table):
     return X, y, groups, [qids[i] for i in starts]
 
 
-def _split_queries(qids, groups, config):
-    rng = random.Random(config.seed)
+def _validation_queries(qids, config):
+    """The seeded ``validation_fraction`` of ``qids`` that early stopping scores, as a set."""
     shuffled = sorted(qids)
-    rng.shuffle(shuffled)
+    random.Random(config.seed).shuffle(shuffled)
     n_valid = max(1, round(config.validation_fraction * len(shuffled)))
     if n_valid >= len(shuffled):
         raise TrainingError(f"ltr_validation_fraction {config.validation_fraction} puts {n_valid} "
                             f"of the {len(shuffled)} queries in validation, leaving none to train")
-    valid = set(shuffled[:n_valid])
-    train_groups = [(q, g) for q, g in zip(qids, groups) if q not in valid]
-    valid_groups = [(q, g) for q, g in zip(qids, groups) if q in valid]
-    return train_groups, valid_groups
-
-
-def _subset(X, y, named_groups):
-    idx = []
-    groups = []
-    for _, (start, end) in named_groups:
-        groups.append((len(idx), len(idx) + (end - start)))
-        idx.extend(range(start, end))
-    idx = np.asarray(idx, dtype=np.int64)
-    return X[idx], y[idx], groups
+    return set(shuffled[:n_valid])
 
 
 def train(table, config=TrainConfig()):
@@ -369,7 +345,7 @@ def train(table, config=TrainConfig()):
     best validation NDCG; training stops early after ``patience``
     iterations without improvement.
     """
-    X, y, groups, qids = _table_arrays(table)
+    _, y, groups, qids = _table_arrays(table)
     if int(y.sum()) == 0:
         raise TrainingError("no positive labels anywhere in the table")
     mixed = sum(
@@ -382,9 +358,9 @@ def train(table, config=TrainConfig()):
             f"got {mixed}"
         )
 
-    train_named, valid_named = _split_queries(qids, groups, config)
-    X_tr, y_tr, groups_tr = _subset(X, y, train_named)
-    X_va, y_va, groups_va = _subset(X, y, valid_named)
+    valid = _validation_queries(qids, config)
+    X_tr, y_tr, groups_tr, _ = _table_arrays(table.select(set(qids) - valid))
+    X_va, y_va, groups_va, _ = _table_arrays(table.select(valid))
     batches_tr = _batches(y_tr, groups_tr)
     batches_va = _batches(y_va, groups_va)
     XT = np.ascontiguousarray(X_tr.T)
@@ -419,15 +395,8 @@ def train(table, config=TrainConfig()):
         base_score=0.0,
         schema_name=table.schema.name,
         feature_names=tuple(table.schema.feature_names),
-        config={
-            "num_trees": config.num_trees,
-            "max_leaves": config.max_leaves,
-            "learning_rate": config.learning_rate,
-            "min_samples_leaf": config.min_samples_leaf,
-            "ndcg_truncation": config.ndcg_truncation,
-            "seed": config.seed,
-            "best_iteration": best_iter,
-        },
+        config={**{key: value for key, value in asdict(config).items() if key not in _NOT_ECHOED},
+                "best_iteration": best_iter},
         history=history,
     )
     best_scores = ensemble.predict_matrix(X_va)

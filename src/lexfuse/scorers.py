@@ -30,9 +30,6 @@ class Bm25Params:
     b: float = 1.0
 
 
-TASK1_BM25 = Bm25Params(k1=3.0, b=1.0)  # case-retrieval feature setting
-
-
 @dataclass(frozen=True)
 class QldParams:
     mu: float = 2000.0
@@ -108,7 +105,7 @@ def score_all(index, query_id, query_text, scorer="bm25", params=None):
     if scorer == "qld":
         params, term_part = params or QldParams(), _qld_term
     else:
-        params, term_part = params or TASK1_BM25, _bm25_term
+        params, term_part = params or Bm25Params(), _bm25_term
     per_doc, memo = _memo(index, (scorer, params), _setting, index, scorer, params)
     live = []
     for term, q_count in sorted(Counter(tokenize(query_text, index.config)).items()):

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from lexfuse import ltr
-from lexfuse.evaluation import ScoredList, SettingError
+from lexfuse.evaluation import DataError, ScoredList, SettingError
 from lexfuse.features import (
     _BUILTIN_SCHEMAS,
     TASK1_SCHEMA,
     TASK3_SCHEMA,
     AssemblyError,
-    ExternalScoreError,
     ExternalScoreFile,
     FeatureSchema,
     FeatureTable,
@@ -63,7 +62,7 @@ class RowTable:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if header[:3] != ["query_id", "candidate_id", "label"]:
-                raise ExternalScoreError(f"{path}:1: bad feature table header")
+                raise DataError(f"{path}:1: bad feature table header")
             names = tuple(header[3:])
             schema = next(
                 (s for s in _BUILTIN_SCHEMAS.values() if s.feature_names == names),
@@ -76,12 +75,12 @@ class RowTable:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3 + len(names):
-                    raise ExternalScoreError(f"{path}:{lineno}: expected {3 + len(names)} fields")
+                    raise DataError(f"{path}:{lineno}: expected {3 + len(names)} fields")
                 try:
                     label = int(parts[2])
                     values = tuple(float(v) for v in parts[3:])
                 except ValueError:
-                    raise ExternalScoreError(
+                    raise DataError(
                         f"{path}:{lineno}: bad label or feature value"
                     ) from None
                 rows.append(FeatureRow(
@@ -408,19 +407,19 @@ class TestExternalScoreFile:
     def test_malformed_line_names_file_and_lineno(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("q1\tA\t0.5\nq1\tB\n")
-        with pytest.raises(ExternalScoreError, match=r"bad\.tsv:2"):
+        with pytest.raises(DataError, match=r"bad\.tsv:2"):
             ExternalScoreFile.load("X", path)
 
     def test_non_numeric_score(self, tmp_path):
         path = tmp_path / "bad2.tsv"
         path.write_text("q1\tA\tnot-a-number\n")
-        with pytest.raises(ExternalScoreError, match=r"bad2\.tsv:1"):
+        with pytest.raises(DataError, match=r"bad2\.tsv:1"):
             ExternalScoreFile.load("X", path)
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("q1\tA\t0.5\nq1\tA\t0.6\n")
-        with pytest.raises(ExternalScoreError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             ExternalScoreFile.load("X", path)
 
 
@@ -475,11 +474,14 @@ class TestFeatureTableTsv:
 
     def test_bad_label_or_value_names_file_and_lineno(self, tmp_path):
         header = "query_id\tcandidate_id\tlabel\tf\n"
+        # A blank line and rows out of order: the line is the file's, not the row's.
         for name, row in (("label.tsv", "q1\tA\tyes\t1.0\n"),
-                          ("value.tsv", "q1\tA\t1\tmany\n")):
+                          ("value.tsv", "q1\tA\t1\tmany\n"),
+                          ("nan.tsv", "q1\tA\t1\tnan\n"), ("inf.tsv", "q1\tA\t1\t-Infinity\n"),
+                          ("overflow.tsv", "q1\tA\t1\t1e999\n")):
             path = tmp_path / name
-            path.write_text(header + "q1\tB\t0\t2.0\n" + row)
-            with pytest.raises(ExternalScoreError, match=rf"{name.replace('.', '[.]')}:3"):
+            path.write_text(header + "q2\tB\t0\t2.0\n\n" + row + "q0\tC\t0\tinf\n")
+            with pytest.raises(DataError, match=rf"{name.replace('.', '[.]')}:4: "):
                 FeatureTable.from_tsv(path)
 
     def test_schema_length_enforced(self):
@@ -491,14 +493,14 @@ class TestFeatureTableTsv:
         for name, features in (("repeated.tsv", "\tf\tf"), ("none.tsv", "")):
             path = tmp_path / name
             path.write_text(f"query_id\tcandidate_id\tlabel{features}\nq1\tA\t1{features}\n")
-            with pytest.raises(ExternalScoreError, match=rf"{name.replace('.', '[.]')}:1: "):
+            with pytest.raises(DataError, match=rf"{name.replace('.', '[.]')}:1: "):
                 FeatureTable.from_tsv(path)
 
     def test_duplicate_pair_names_file_and_line(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("query_id\tcandidate_id\tlabel\tf\n"
                         "q1\tA\t1\t1.0\nq2\tA\t0\t2.0\nq1\tB\t0\t3.0\nq1\tA\t0\t4.0\n")
-        with pytest.raises(ExternalScoreError,
+        with pytest.raises(DataError,
                            match=r"dup[.]tsv:5: duplicate candidate 'A' for query 'q1'"):
             FeatureTable.from_tsv(path)
 
@@ -680,3 +682,16 @@ class TestAssembleMatchesPerCellReference:
                            ) as caught:
             assemble(queries, candidates, internal, internal, schema)
         assert caught.value.feature == "QLD"
+
+
+class TestSelect:
+    def test_keeps_the_rows_of_the_chosen_queries_in_table_order(self):
+        rows = random_rows(random.Random(3))
+        table = table_from_rows(SCHEMA_MIXED, rows)
+        for chosen in (set(), {"q1"}, set(table.query_ids), {"q0", "q2", "absent"}):
+            got = table.select(chosen)
+            want = table_from_rows(SCHEMA_MIXED, [r for r in rows if r.query_id in chosen])
+            assert (got.schema, got.query_ids, got.candidate_ids) == (
+                want.schema, want.query_ids, want.candidate_ids)
+            assert got.X.shape == want.X.shape and got.X.tolist() == want.X.tolist()
+            assert got.labels.tolist() == want.labels.tolist()

@@ -442,12 +442,33 @@ def ref_lambda_gradients(scores, labels, groups, k):
     return lam, hess
 
 
+def ref_split(table, config):
+    """The (X, labels, groups) of the train and of the validation queries, as
+    ``train`` splits them: a seeded shuffle of the sorted query ids, whose first
+    ``validation_fraction`` (at least one query, never all) validates."""
+    qids = table.query_ids
+    starts = [i for i in range(len(qids)) if i == 0 or qids[i] != qids[i - 1]]
+    named = [(qids[a], (a, b)) for a, b in zip(starts, starts[1:] + [len(qids)])]
+    shuffled = sorted(q for q, _ in named)
+    random.Random(config.seed).shuffle(shuffled)
+    n_valid = max(1, round(config.validation_fraction * len(shuffled)))
+    if n_valid >= len(shuffled):
+        raise TrainingError("no training queries")
+    valid = set(shuffled[:n_valid])
+    out = []
+    for part in ([g for g in named if g[0] not in valid], [g for g in named if g[0] in valid]):
+        idx, groups = [], []
+        for _, (start, end) in part:
+            groups.append((len(idx), len(idx) + (end - start)))
+            idx.extend(range(start, end))
+        idx = np.asarray(idx, dtype=np.int64)
+        out.append((table.X[idx], table.labels[idx], groups))
+    return out
+
+
 def ref_train(table, config):
     """``train`` as it was before the presorted layout: the bit-level oracle."""
-    X, y, groups, qids = ltr._table_arrays(table)
-    train_named, valid_named = ltr._split_queries(qids, groups, config)
-    X_tr, y_tr, groups_tr = ltr._subset(X, y, train_named)
-    X_va, y_va, groups_va = ltr._subset(X, y, valid_named)
+    (X_tr, y_tr, groups_tr), (X_va, y_va, groups_va) = ref_split(table, config)
     k = config.ndcg_truncation
     scores_tr = np.zeros(len(X_tr), dtype=np.float64)
     scores_va = np.zeros(len(X_va), dtype=np.float64)

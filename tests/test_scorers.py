@@ -9,7 +9,6 @@ from lexfuse.evaluation import ScoredList
 from lexfuse.indexing import build_index
 from lexfuse.ingest import TokenizerConfig, tokenize
 from lexfuse.scorers import (
-    TASK1_BM25,
     Bm25Params,
     QldParams,
     read_score_dump,
@@ -23,7 +22,7 @@ from test_indexing import UnknownDocumentError, term_frequency
 # -- single-document scorers over the index: one document ordinal at a time,
 # -- term by term, reading each frequency off the postings.
 
-def bm25_score(index, query_terms, doc, params=TASK1_BM25):
+def bm25_score(index, query_terms, doc, params=Bm25Params()):
     """BM25 score of document ordinal ``doc`` for the given query terms.
 
     Repeated query terms contribute once per occurrence; terms absent
