@@ -176,11 +176,8 @@ def check_config(raw):
 
 
 def load_config(path):
-    """Checked settings of config file ``path``, and the sha256 the manifest records."""
-    raw = evaluation._read_json(path, ConfigError)
-    cfg = check_config(raw)
-    written = json.dumps(dict(DEFAULTS, **raw), sort_keys=True).encode("utf-8")
-    return cfg, hashlib.sha256(written).hexdigest()
+    """Checked settings of config file ``path``."""
+    return check_config(evaluation._read_json(path, ConfigError))
 
 
 # -- small infrastructure ------------------------------------------------------
@@ -227,9 +224,8 @@ class Stage:
     artifact fails when an artifact it was built from has since changed.
     """
 
-    def __init__(self, cfg, config_sha256, command):
+    def __init__(self, cfg, command):
         self.cfg = cfg
-        self.config_sha256 = config_sha256
         self.command = command
         self.inputs = {}  # path -> sha256
         self.outputs = []
@@ -308,7 +304,6 @@ class Stage:
             manifest["artifacts"][path.name] = {
                 "command": self.command,
                 "sha256": _sha256(path),
-                "config_sha256": self.config_sha256,
                 "inputs": dict(sorted(self.inputs.items())),
             }
         _atomic_write(
@@ -438,7 +433,7 @@ def cmd_features(stage):
     queries = _query_docs(stage, candidates)
 
     depth = cfg["rerank_depth"]
-    scores, paths = {}, {}  # score source name -> {query_id: ScoredList}, its file
+    scores = {}  # score source name -> {query_id: ScoredList}
     for scorer in scorers.SCORER_NAMES:
         path = stage.artifact(f"scores_{scorer}.tsv")
         lists = scorers.read_score_dump(path)
@@ -448,15 +443,12 @@ def cmd_features(stage):
                         for doc_id, _ in lists[qid].entries if doc_id not in candidates), None)
         if unknown is not None:
             raise DataError(f"{path}: candidate {unknown!r} is not in clean.jsonl")
-        scores[_SCORER_FEATURE[scorer]], paths[_SCORER_FEATURE[scorer]] = lists, path
+        scores[_SCORER_FEATURE[scorer]] = lists
     for name in sorted(cfg["external_scores"]):
         path = stage.file("external_scores", name)
-        scores[name], paths[name] = features.ExternalScoreFile.load(name, path).lists, path
+        scores[name] = features.ExternalScoreFile.load(name, path).lists
 
-    try:
-        table = features.assemble(queries, candidates, scores, _SCORER_FEATURE.values(), schema)
-    except features.AssemblyError as exc:
-        raise DataError(f"{paths[exc.feature]}: {exc}") from None
+    table = features.assemble(queries, candidates, scores, _SCORER_FEATURE.values(), schema)
     if cfg.get("qrels_file"):
         qrels = evaluation.load_qrels(stage.file("qrels_file"))
         table, unseen = features.attach_labels(table, qrels)
@@ -652,7 +644,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        stage = Stage(*load_config(args.config), args.command)
+        stage = Stage(load_config(args.config), args.command)
         try:
             _COMMANDS[args.command](stage)
         finally:

@@ -16,6 +16,7 @@ flagged in the report.
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 
@@ -240,7 +241,7 @@ def _read_scored_table(path, width, score_field):
     """Rows of a query/doc/score table as {query_id: {doc_id: score}}, in file order.
 
     Each non-empty line has ``width`` tab-separated fields: the query id,
-    the document id, and the score at ``score_field``.
+    the document id, and the score at ``score_field``, a finite number.
     """
     per_query = {}
     qid = scores = None
@@ -259,6 +260,8 @@ def _read_scored_table(path, width, score_field):
                 score = float(raw)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad score {raw!r}") from None
+            if not isfinite(score):
+                raise DataError(f"{path}:{lineno}: non-finite score {raw!r}")
             if doc_id in scores:
                 raise DataError(
                     f"{path}:{lineno}: duplicate candidate {doc_id!r} for query {qid!r}")

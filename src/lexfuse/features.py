@@ -20,11 +20,7 @@ from .scorers import read_score_dump
 
 
 class AssemblyError(DataError):
-    """Feature assembly could not resolve a value; ``feature`` names its column."""
-
-    def __init__(self, message, feature=None):
-        super().__init__(message)
-        self.feature = feature
+    """Feature assembly could not resolve a value."""
 
 
 @dataclass(frozen=True)
@@ -241,9 +237,8 @@ def assemble(queries, candidates, scores, pool, schema):
     bad = np.flatnonzero(~np.isfinite(X))
     if bad.size:
         i, j = divmod(int(bad[0]), len(schema))
-        name = schema.feature_names[j]
-        raise AssemblyError(f"non-finite feature {name!r} for pair "
-                            f"({query_ids[i]}, {candidate_ids[i]})", feature=name)
+        raise AssemblyError(f"non-finite feature {schema.feature_names[j]!r} for pair "
+                            f"({query_ids[i]}, {candidate_ids[i]})")
     return FeatureTable(schema, query_ids, candidate_ids, X)
 
 

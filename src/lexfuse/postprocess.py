@@ -140,22 +140,10 @@ class PostprocessPipeline:
     query_ids: frozenset = frozenset()
     order: tuple = ("date", "query", "duplicate", "cutoff")
 
-    def stages(self, params):
-        """Ordered ``(key, filter)`` pairs, one per stage of ``order``.
-
-        ``filter(runs)`` returns the filtered runs. ``key`` is the stage
-        name followed by the values of its parameters, so two parameter
-        sets whose stage keys agree up to some point share that prefix's
-        output. A parameter missing from ``params`` raises KeyError.
-        """
-        out = []
-        for name in self.order:
-            values = tuple(params[key] for key in FILTERS[name])
-            out.append(((name, *values),
-                        lambda runs, name=name, values=values: self._filter(name, runs, values)))
-        return out
-
-    def _filter(self, name, runs, values):
+    def run_filter(self, name, runs, params):
+        """Filter ``name`` run on ``runs``, given the values of its ``FILTERS[name]``
+        parameters from ``params``; a missing one raises KeyError."""
+        values = [params[key] for key in FILTERS[name]]
         # Module functions are looked up at each call, so a wrapped one is used.
         if name == "date":
             return filter_by_trial_date(runs, self.dates)
@@ -166,10 +154,9 @@ class PostprocessPipeline:
         return (dynamic_cutoff if name == "cutoff" else threshold_cutoff)(runs, *values)
 
     def apply(self, runs, params):
-        current = runs
-        for _, stage in self.stages(params):
-            current = stage(current)
-        return current
+        for name in self.order:
+            runs = self.run_filter(name, runs, params)
+        return runs
 
 
 _METRICS = {"micro_f1": micro_prf1, "macro_f2": macro_prf2}
@@ -184,9 +171,9 @@ def _tie_break_key(params):
 def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
     """Exhaustively evaluate every grid point; return (best params, table).
 
-    Each point runs ``pipeline.stages(params)`` on ``validation_runs``.
-    Stage outputs are memoized by the tuple of stage keys leading up to
-    them, so every distinct prefix of the filter chain is computed once
+    Each point runs the filters of ``pipeline.order`` on ``validation_runs``.
+    A filter's output is memoized by the names and parameter values of the
+    filters up to it, so every distinct prefix of the chain is computed once
     per call (with the default order, date and query filters once and the
     duplicate filter once per (t, s)). The argmax is deterministic: ties
     break on (smaller h, larger p, smaller t, smaller s, smaller l), so
@@ -201,17 +188,14 @@ def grid_search(pipeline, grid, validation_runs, qrels, metric="micro_f1"):
         params = dict(zip(names, combo))
         if "h" in params and "l" in params and params["l"] > params["h"]:
             continue  # infeasible: the cutoff minimum cannot exceed the maximum
-        stages = pipeline.stages(params)
-        current = validation_runs
-        prefix = ()
-        for i, (key, stage) in enumerate(stages):
-            prefix += (key,)
-            if i == len(stages) - 1:
-                current = stage(current)  # the full chain is never shared
-            elif prefix in memo:
-                current = memo[prefix]
-            else:
-                current = memo[prefix] = stage(current)
+        current, prefix = validation_runs, ()
+        for name in pipeline.order[:-1]:
+            prefix += ((name, *(params[key] for key in FILTERS[name])),)
+            if prefix not in memo:
+                memo[prefix] = pipeline.run_filter(name, current, params)
+            current = memo[prefix]
+        for name in pipeline.order[-1:]:  # the full chain is never shared
+            current = pipeline.run_filter(name, current, params)
         report = metric_fn(current, qrels)
         table.append(dict(params, precision=report.precision, recall=report.recall,
                           f_measure=report.f_measure))

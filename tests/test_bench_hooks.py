@@ -7,9 +7,13 @@ run; these checks fail first, at tier-1 speed. perfbench is only read here.
 import importlib
 import inspect
 import sys
+from datetime import date
 from pathlib import Path
 
+import pytest
+
 from lexfuse import features, ltr, postprocess
+from lexfuse.evaluation import ScoredList
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,3 +67,47 @@ def test_every_span_name_is_a_lexfuse_function_or_a_wrapped_method(monkeypatch):
 def test_train_takes_the_table_first():
     # launcher._count_train counts the rows of the table it finds at args[0].
     assert next(iter(inspect.signature(ltr.train).parameters)) == "table"
+
+
+ORDERS = [("date", "query", "duplicate", "cutoff"), ("date", "query", "cutoff", "duplicate"),
+          ("threshold",)]
+
+
+def recorded_filters(monkeypatch):
+    """Patch each function perfbench wraps for a filter label with a recorder; the
+    returned list gets the label of every call, in call order."""
+    layers = perfbench_module(monkeypatch, "layers")
+    calls = []
+    for label, fn_name in layers.FILTER_FUNCTIONS.items():
+        fn = getattr(postprocess, fn_name)
+        monkeypatch.setattr(postprocess, fn_name, lambda *args, label=label, fn=fn:
+                            calls.append(label) or fn(*args))
+    return calls
+
+
+def filter_scenario(order):
+    runs = {qid: ScoredList.from_scores(qid, {"A": 1.0, "B": 0.6, "q1": 0.5, "C": 0.2})
+            for qid in ("q1", "q2")}
+    dates = {"q1": date(2005, 1, 1), "q2": date(2010, 1, 1), "B": date(2008, 1, 1)}
+    pipeline = postprocess.PostprocessPipeline(dates=dates, query_ids=frozenset(runs),
+                                               order=order)
+    return pipeline, runs, {"q1": {"A"}, "q2": {"B"}}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_apply_runs_every_filter_through_its_wrapped_name(monkeypatch, order):
+    # The traced run counts each filter's drops on these functions only.
+    calls = recorded_filters(monkeypatch)
+    pipeline, runs, _ = filter_scenario(order)
+    pipeline.apply(runs, {"p": 0.5, "h": 3, "l": 1, "t": 1, "s": 1})
+    assert calls == list(order)
+
+
+def test_grid_search_runs_every_filter_through_its_wrapped_name(monkeypatch):
+    calls = recorded_filters(monkeypatch)
+    order = ORDERS[0]
+    pipeline, runs, qrels = filter_scenario(order)
+    grid = {"p": [0.3, 0.7], "h": [1, 3], "l": [1], "t": [1, 2], "s": [0, 1]}
+    _, table = postprocess.grid_search(pipeline, grid, runs, qrels)
+    assert calls[:len(order)] == list(order)  # the first point runs the whole chain
+    assert set(calls) == set(order) and calls.count(order[-1]) == len(table)

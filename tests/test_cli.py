@@ -542,6 +542,17 @@ class TestErrors:
         assert run("eval", cfg) == 2
         assert f"data error: {qrels_path}" in capsys.readouterr().err
 
+    def test_non_finite_run_score_is_data_error_naming_its_line(self, tmp_path, capsys):
+        run_path = tmp_path / "run.tsv"
+        run_path.write_text("q1\tA\t1\t1.000000\tx\nq1\tB\t2\tinf\tx\n")
+        qrels_path = tmp_path / "qrels.json"
+        qrels_path.write_text('{"q1": ["A"]}')
+        cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"),
+                           qrels_file=str(qrels_path), eval_run=str(run_path))
+        capsys.readouterr()
+        assert run("eval", cfg) == 2
+        assert f"data error: {run_path}:2: non-finite score 'inf'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ['{"train": [], "tune": [], "test": 5}', '{"train": [],\n'],
                              ids=["not-a-list", "truncated"])
     def test_malformed_splits_is_data_error_naming_the_file(self, tmp_path, capsys, text):
@@ -885,24 +896,42 @@ class TestCorruptArtifacts:
         assert run("eval", cfg) == 3
         assert "internal error: KeyError: 'boom'" in capsys.readouterr().err
 
-    def test_non_finite_external_score_names_its_file(self, tiny_chain, capsys):
-        root, cfg = tiny_chain
+    @staticmethod
+    def _features_with_nan_external_score(root, cfg, capsys, in_table):
+        """Exit code and stderr of ``features`` when one DELTA score reads nan; the
+        edited pair is a table row if ``in_table``, else outside every pool list."""
         work = fresh_work(root)
         config = json.loads(Path(cfg).read_text())
         rows = {tuple(line.split("\t")[:2])
                 for line in (work / "features.tsv").read_text().splitlines()[1:]}
         lines = Path(config["external_scores"]["DELTA"]).read_text().splitlines()
-        at = next(i for i, line in enumerate(lines) if tuple(line.split("\t")[:2]) in rows)
-        qid, cid, _ = lines[at].split("\t")
+        pairs = [tuple(line.split("\t")[:2]) for line in lines]
+        if in_table:
+            at = next(i for i, pair in enumerate(pairs) if pair in rows)
+            qid, cid = pairs[at]
+        else:  # a new line for a query and candidate that both have rows, but not together
+            qid, cid = next((q, c) for q, _ in sorted(rows) for _, c in sorted(rows)
+                            if (q, c) not in rows and (q, c) not in pairs)
+            at = len(lines)
+            lines.append("")
         lines[at] = f"{qid}\t{cid}\tnan"
         path = root / "nan_DELTA.tsv"
         path.write_text("\n".join(lines) + "\n")
         config["external_scores"]["DELTA"] = str(path)
         cfg = write_config(root / "cfg_nan.json", **config)
         capsys.readouterr()
-        assert run("features", cfg) == 2
-        assert (f"data error: {path}: non-finite feature 'DELTA' for pair ({qid}, {cid})"
-                in capsys.readouterr().err)
+        return run("features", cfg), capsys.readouterr().err, f"{path}:{at + 1}"
+
+    def test_non_finite_external_score_names_its_file(self, tiny_chain, capsys):
+        code, err, where = self._features_with_nan_external_score(*tiny_chain, capsys, True)
+        assert code == 2
+        assert f"data error: {where}: non-finite score 'nan'" in err
+
+    def test_non_finite_external_score_outside_the_table_is_refused(self, tiny_chain, capsys):
+        # The pair makes no row, but its nan would scramble the ranks of the query's rows.
+        code, err, where = self._features_with_nan_external_score(*tiny_chain, capsys, False)
+        assert code == 2
+        assert f"data error: {where}: non-finite score 'nan'" in err
 
     @pytest.mark.parametrize("command", ["train", "rerank"])
     def test_non_finite_feature_names_its_line(self, tiny_chain, capsys, command):

@@ -475,13 +475,22 @@ class TestStagedGridSearch:
         assert len(table) > len(grid["t"]) * len(grid["s"])
         assert calls == {"date": 1, "duplicate": len(grid["t"]) * len(grid["s"])}
 
-    def test_stages_follow_order_and_params(self):
-        pipeline = PostprocessPipeline(order=("cutoff", "query", "duplicate"))
-        keys = [key for key, _ in pipeline.stages({"h": 3, "l": 1, "p": 0.5, "t": 2, "s": 0})]
-        assert keys == [("cutoff", 3, 1, 0.5), ("query",), ("duplicate", 2, 0)]
+    def test_filters_follow_order_and_params(self, monkeypatch):
+        calls = []
+        for fn_name in ("dynamic_cutoff", "filter_query_cases", "filter_duplicates"):
+            fn = getattr(postprocess, fn_name)
+            monkeypatch.setattr(postprocess, fn_name, lambda runs, *args, fn=fn, fn_name=fn_name:
+                                calls.append((fn_name, args)) or fn(runs, *args))
+        runs = runs_from({"q": [("A", 1.0), ("B", 0.9)]})
+        pipeline = PostprocessPipeline(query_ids=frozenset({"B"}),
+                                       order=("cutoff", "query", "duplicate"))
+        pipeline.apply(runs, {"h": 3, "l": 1, "p": 0.5, "t": 2, "s": 0})
+        assert calls == [("dynamic_cutoff", (3, 1, 0.5)),
+                         ("filter_query_cases", (frozenset({"B"}),)),
+                         ("filter_duplicates", (2, 0))]
         # A filter whose parameter is missing is an error, never a skipped stage.
         with pytest.raises(KeyError, match="'t'"):
-            pipeline.stages({"h": 3, "l": 1, "p": 0.5})
+            pipeline.run_filter("duplicate", runs, {"h": 3, "l": 1, "p": 0.5})
 
 
 class TestThresholdProportionTuning:

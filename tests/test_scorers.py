@@ -1,11 +1,12 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lexfuse.evaluation import ScoredList
+from lexfuse.evaluation import DataError, ScoredList
 from lexfuse.indexing import build_index
 from lexfuse.ingest import TokenizerConfig, tokenize
 from lexfuse.scorers import (
@@ -458,14 +459,14 @@ class TestScoreDump:
 
     def test_matches_always_sort_reader(self, tmp_path):
         rng = random.Random(47)
-        # Distinct floats that round to the same six decimals, plus signed zeros and NaN.
-        raw = [1.0000001, 1.0000004, 0.9999996, 2.5, 0.0, -0.0, -3.0000002, -2.9999998,
-               float("nan")]
+        # Distinct floats that round to the same six decimals, plus signed zeros; every
+        # fourth trial may draw a NaN, which the reader refuses at its first line.
+        raw = [1.0000001, 1.0000004, 0.9999996, 2.5, 0.0, -0.0, -3.0000002, -2.9999998]
         for trial in range(80):
             rows = []
             for qid in rng.sample(["q1", "q2", "q10", "é"], rng.randrange(1, 5)):
                 docs = rng.sample(AWKWARD_IDS, rng.randrange(1, len(AWKWARD_IDS)))
-                pool = raw if trial % 4 else raw[:-1] + [0.25]
+                pool = raw + [0.25] if trial % 4 else raw + [math.nan]
                 scores = {doc_id: rng.choice(pool) for doc_id in docs}
                 entries = list(scores.items())
                 order = rng.choice(("written", "shuffled", "ids_descending"))
@@ -482,6 +483,12 @@ class TestScoreDump:
             path = tmp_path / f"dump{trial}.tsv"
             path.write_text("".join(f"{q}\t{d}\t{s:.6f}\n" for q, d, s in rows),
                             encoding="utf-8")
+            bad = next((i for i, (_, _, s) in enumerate(rows, 1) if math.isnan(s)), None)
+            if bad is not None:
+                with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{bad}: "
+                                   "non-finite score 'nan'$"):
+                    read_score_dump(path)
+                continue
             got, want = read_score_dump(path), always_sort_reader(path)
             assert list(got) == list(want)
             for qid in want:
