@@ -5,8 +5,8 @@ rerank, tune, postprocess, eval, synth) against a flat JSON config file.
 Each command reads and writes through one ``Stage``: outputs are written
 atomically (temp file + rename) and every artifact is recorded in a
 manifest with the hash of every input the command read, so identical
-config and seed reproduce byte-identical files and stale artifacts are
-refused.
+config and seed reproduce byte-identical files and stale or edited
+artifacts are refused.
 
 Commands import ``indexing``, ``scorers``, ``features`` and ``ltr`` when
 they run, so the stages that need none of them never load numpy.
@@ -26,9 +26,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, ingest, postprocess, synth
-
-ConfigError = evaluation.SettingError  # exit 1
-DataError = evaluation.DataError  # exit 2
+from .evaluation import DataError, SettingError
 
 # Every config key: (default, kind, allowed). ``kind`` is int, float, bool,
 # str, dict (external_scores: feature name -> path) or list (grid_p, grid_h,
@@ -98,7 +96,7 @@ def _within(rule, x):
 
 
 def _number(label, value, kind, rule=None):
-    """``value`` as a ``kind`` (int or float) that meets ``rule``, or ConfigError ``label: ...``.
+    """``value`` as a ``kind`` (int or float) that meets ``rule``, or SettingError ``label: ...``.
 
     Only finite numbers count and an int takes only integral values: a string, a bool,
     NaN or 2.5 for an int is refused, never converted or truncated."""
@@ -117,11 +115,11 @@ def _number(label, value, kind, rule=None):
             problem = rule
         else:
             return int(value) if kind is int else number
-    raise ConfigError(f"{label}: must be {problem}, got {value!r}")
+    raise SettingError(f"{label}: must be {problem}, got {value!r}")
 
 
 def _value(key, value):
-    """``value`` as config key ``key`` takes it; a ConfigError names the key otherwise."""
+    """``value`` as config key ``key`` takes it; a SettingError names the key otherwise."""
     default, kind, allowed = SETTINGS[key]
     label = f"config key {key!r}"
     if value is None and default is None:
@@ -129,28 +127,28 @@ def _value(key, value):
     if kind in (int, float):
         return _number(label, value, kind, allowed)
     if not isinstance(value, kind):
-        raise ConfigError(f"{label}: must be a {kind.__name__}, got {value!r}")
+        raise SettingError(f"{label}: must be a {kind.__name__}, got {value!r}")
     if kind is list:
         if not value:
-            raise ConfigError(f"{label}: must not be empty")
+            raise SettingError(f"{label}: must not be empty")
         _, kind, rule = SETTINGS[allowed]
         return [_number(label, v, kind, rule) for v in value]
     if kind is dict:
         if not all(isinstance(v, str) for v in value.values()) or set(value) & set(_NOT_EXTERNAL):
-            raise ConfigError(f"{label}: must map feature names other than "
-                              f"{', '.join(_NOT_EXTERNAL)} to paths, got {value!r}")
+            raise SettingError(f"{label}: must map feature names other than "
+                               f"{', '.join(_NOT_EXTERNAL)} to paths, got {value!r}")
         return dict(value)
     if key == "filter_order":
         names = tuple(name.strip() for name in value.split(",") if name.strip())
         if not set(names) <= set(allowed) or len(set(names)) < len(names):
-            raise ConfigError(f"{label}: must name distinct filters of {', '.join(allowed)}, "
-                              f"got {value!r}")
+            raise SettingError(f"{label}: must name distinct filters of {', '.join(allowed)}, "
+                               f"got {value!r}")
         return names
     if key == "run_tag" and any(c in value for c in "\t\n\r"):
-        raise ConfigError(f"{label}: must not hold a tab, newline or carriage return, "
-                          f"got {value!r}")
+        raise SettingError(f"{label}: must not hold a tab, newline or carriage return, "
+                           f"got {value!r}")
     if allowed and value not in allowed:
-        raise ConfigError(f"{label}: must be one of {', '.join(allowed)}, got {value!r}")
+        raise SettingError(f"{label}: must be one of {', '.join(allowed)}, got {value!r}")
     return value
 
 
@@ -158,26 +156,26 @@ def check_config(raw):
     """DEFAULTS overlaid with the JSON object ``raw``, each value checked against SETTINGS
     and given as its key's kind (40.0 for an int key is 40, filter_order a tuple)."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        raise SettingError(f"config must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(SETTINGS))
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise SettingError(f"unknown config keys: {', '.join(unknown)}")
     cfg = {key: _value(key, raw.get(key, default)) for key, default in DEFAULTS.items()}
     for low, high in (("ngram_lo", "ngram_hi"), ("post_l", "post_h")):
         if cfg[low] > cfg[high]:
-            raise ConfigError(f"config key {low!r}: {cfg[low]} is above {high} {cfg[high]}")
+            raise SettingError(f"config key {low!r}: {cfg[low]} is above {high} {cfg[high]}")
     grid = _grid(dict(cfg, filter_order=postprocess.FILTERS))
     if min(grid["l"]) > max(grid["h"]):
-        raise ConfigError("config key 'grid_l': every value is above every grid_h value")
+        raise SettingError("config key 'grid_l': every value is above every grid_h value")
     if cfg["eval_split"] != "all" and not cfg["splits_file"]:
-        raise ConfigError(f"config key 'eval_split': {cfg['eval_split']!r} needs "
-                          f"config key 'splits_file'")
+        raise SettingError(f"config key 'eval_split': {cfg['eval_split']!r} needs "
+                           f"config key 'splits_file'")
     return cfg
 
 
 def load_config(path):
     """Checked settings of config file ``path``."""
-    return check_config(evaluation._read_json(path, ConfigError))
+    return check_config(evaluation._read_json(path, SettingError))
 
 
 # -- small infrastructure ------------------------------------------------------
@@ -221,7 +219,8 @@ class Stage:
     Every input is hashed when it is resolved and every output is written
     atomically; ``record`` then enters each output in ``manifest.json``
     with the full set of inputs the command had read. Reading a work-dir
-    artifact fails when an artifact it was built from has since changed.
+    artifact fails when its bytes, or those of an artifact it was built
+    from, differ from the manifest; an artifact with no entry is read as is.
     """
 
     def __init__(self, cfg, command):
@@ -233,7 +232,7 @@ class Stage:
     @property
     def work(self):
         if not self.cfg.get("work_dir"):
-            raise ConfigError("config key 'work_dir' is required")
+            raise SettingError("config key 'work_dir' is required")
         return Path(self.cfg["work_dir"])
 
     def _manifest(self):
@@ -243,8 +242,9 @@ class Stage:
         manifest = evaluation._read_json(path)
         artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
         if not isinstance(artifacts, dict) or not all(
-                isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
-                and isinstance(entry.get("inputs"), dict) for entry in artifacts.values()):
+                isinstance(entry, dict) and isinstance(entry.get("inputs"), dict)
+                and all(isinstance(entry.get(key), str) for key in ("command", "sha256"))
+                for entry in artifacts.values()):
             raise DataError(f"{path}: not a lexfuse manifest")
         return manifest
 
@@ -262,14 +262,18 @@ class Stage:
                 raise DataError(f"stale artifact: {path} was built from an older {source} "
                                 f"(per {self.work / 'manifest.json'}); "
                                 f"rerun the stage that writes {name}")
-        self.inputs[str(path)] = _sha256(path)
+        digest = self.inputs[str(path)] = _sha256(path)
+        if current.get(str(path), digest) != digest:
+            command = artifacts[name]["command"]
+            raise DataError(f"{path}: modified since {command} wrote it "
+                            f"(per {self.work / 'manifest.json'}); rerun {command}")
         return path
 
     def _config_path(self, key, name):
         value = self.cfg.get(key) if name is None else self.cfg[key].get(name)
         label = key if name is None else f"{key}[{name!r}]"
         if not value:
-            raise ConfigError(f"config key {label!r} is required for this command")
+            raise SettingError(f"config key {label!r} is required for this command")
         return Path(value), label
 
     def file(self, key, name=None):
@@ -471,7 +475,7 @@ def cmd_train(stage):
         table = table.select(set(splits["train"]))
     try:
         model = ltr.train(table, config)
-    except ltr.TrainingError as exc:
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     out = stage.write("model.json", lambda tmp: model.save(tmp))
     stage.write("train_log.tsv", lambda tmp: ltr.write_training_log(model.history, tmp))
@@ -489,7 +493,7 @@ def cmd_rerank(stage):
     model = ltr.TreeEnsemble.load(model_path)
     try:
         runs = ltr._calibrate_positive(ltr.predict(model, table))
-    except ltr.SchemaMismatchError as exc:
+    except DataError as exc:
         raise DataError(f"{model_path} and {table_path}: {exc}") from None
     out = stage.write(
         "run_raw.tsv",
@@ -552,7 +556,7 @@ def _tuned_params(path, order):
                         f"{{{', '.join(names)}}}, got {params!r}; rerun tune")
     try:
         cfg = check_config({f"post_{name}": value for name, value in params.items()})
-    except ConfigError as exc:
+    except SettingError as exc:
         raise DataError(f"{path}: {exc}") from None
     return {name: cfg[f"post_{name}"] for name in params}
 
@@ -581,8 +585,8 @@ def cmd_eval(stage):
     splits = _load_splits(stage)
     if cfg["eval_split"] != "all":
         if cfg["eval_split"] not in splits:
-            raise ConfigError(f"config key 'eval_split': no split {cfg['eval_split']!r} "
-                              f"in {cfg['splits_file']}")
+            raise SettingError(f"config key 'eval_split': no split {cfg['eval_split']!r} "
+                               f"in {cfg['splits_file']}")
         runs = _restrict(runs, splits[cfg["eval_split"]])
         qrels = _restrict(qrels, splits[cfg["eval_split"]])
     report = postprocess._METRICS[cfg["metric"]](runs, qrels)
@@ -603,7 +607,7 @@ def cmd_eval(stage):
 def cmd_synth(stage):
     cfg = stage.cfg
     if not cfg.get("synth_dir"):
-        raise ConfigError("config key 'synth_dir' is required for synth")
+        raise SettingError("config key 'synth_dir' is required for synth")
     spec = _record(synth.SyntheticSpec, cfg, "synth_", seed=cfg["seed"])
     summary = synth.generate(spec, cfg["synth_dir"])
     print(
@@ -628,7 +632,7 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise SettingError(message)
 
 
 def _build_parser():
@@ -652,7 +656,7 @@ def main(argv=None):
             # manifest must describe them.
             stage.record()
         return 0
-    except ConfigError as exc:
+    except SettingError as exc:
         print(f"lexfuse: usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:

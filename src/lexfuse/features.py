@@ -19,10 +19,6 @@ from .ingest import DOCUMENT_FEATURES
 from .scorers import read_score_dump
 
 
-class AssemblyError(DataError):
-    """Feature assembly could not resolve a value."""
-
-
 @dataclass(frozen=True)
 class FeatureSchema:
     name: str
@@ -79,8 +75,8 @@ class FeatureTable:
     def __init__(self, schema, query_ids, candidate_ids, X, labels=None):
         X = np.asarray(X, dtype=np.float64)
         if X.shape != (len(query_ids), len(schema)):
-            raise AssemblyError(f"feature matrix has shape {X.shape}, schema has "
-                                f"{len(schema)} features for {len(query_ids)} rows")
+            raise ValueError(f"feature matrix has shape {X.shape}, schema has "
+                             f"{len(schema)} features for {len(query_ids)} rows")
         if labels is None:
             labels = np.full(len(query_ids), -1)
         labels = np.asarray(labels, dtype=np.int64)
@@ -213,7 +209,7 @@ def assemble(queries, candidates, scores, pool, schema):
     name of each score source to its {query_id: ScoredList}. The rows of a
     query are the union of its lists in the ``pool`` sources, so pairs
     outside every pool list produce no row. Every schema feature must have
-    a source (``check_sources``). A non-finite value is an AssemblyError
+    a source (``check_sources``). A non-finite value is a DataError
     naming its feature and the first such pair in row order.
     """
     rows = []  # (query_id, sorted candidate ids) of each query with a row
@@ -237,8 +233,8 @@ def assemble(queries, candidates, scores, pool, schema):
     bad = np.flatnonzero(~np.isfinite(X))
     if bad.size:
         i, j = divmod(int(bad[0]), len(schema))
-        raise AssemblyError(f"non-finite feature {schema.feature_names[j]!r} for pair "
-                            f"({query_ids[i]}, {candidate_ids[i]})")
+        raise DataError(f"non-finite feature {schema.feature_names[j]!r} for pair "
+                        f"({query_ids[i]}, {candidate_ids[i]})")
     return FeatureTable(schema, query_ids, candidate_ids, X)
 
 

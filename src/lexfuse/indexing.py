@@ -19,10 +19,6 @@ INDEX_FORMAT = "lexfuse-index"
 INDEX_VERSION = 2
 
 
-class DuplicateDocumentError(DataError):
-    """Two documents in one corpus share an id."""
-
-
 class Postings(Mapping):
     """term -> ``(df, 2)`` int64 ``(ordinal, tf)`` rows sorted by ordinal: a view of ``rows``."""
 
@@ -94,8 +90,11 @@ class InvertedIndex:
         rows = np.array(flat, dtype=np.int64).reshape(-1, 2)
         if len(rows) and not 0 <= rows[:, 0].min() <= rows[:, 0].max() < len(doc_ids):
             raise DataError("index snapshot: a posting names no document")
-        return cls(TokenizerConfig(**data["config"]), doc_ids, data["doc_len"],
-                   Postings(terms, doc_freq, rows))
+        config = TokenizerConfig(**data["config"])
+        settings = (config.min_token_len, config.ngram_lo, config.ngram_hi)
+        if type(config.lowercase) is not bool or any(type(v) is not int for v in settings):
+            raise DataError("index snapshot: lowercase must be a bool, the other settings integers")
+        return cls(config, doc_ids, data["doc_len"], Postings(terms, doc_freq, rows))
 
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False),
@@ -117,7 +116,7 @@ def build_index(docs, config=TokenizerConfig()):
     seen = set()
     for doc_id, text in docs:
         if doc_id in seen:
-            raise DuplicateDocumentError(f"duplicate document id: {doc_id!r}")
+            raise DataError(f"duplicate document id: {doc_id!r}")
         seen.add(doc_id)
         doc_ids.append(doc_id)
         terms = tokenize(text, config)

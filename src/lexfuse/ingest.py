@@ -367,8 +367,11 @@ def read_clean_jsonl(path):
                 rec = json.loads(line)
                 rec["trial_date"] = date.fromisoformat(rec["trial_date"]) if rec["trial_date"] else None
                 doc = CleanDocument(**rec)
-                if not all(isinstance(n, int) for n in (doc.placeholder_count, doc.token_length)):
-                    raise TypeError("placeholder_count and token_length must be integers")
+                if not (isinstance(doc.id, str) and isinstance(doc.body, str)
+                        and isinstance(doc.summary, (str, type(None)))
+                        and all(type(n) is int for n in (doc.placeholder_count, doc.token_length))):
+                    raise TypeError("id and body must be strings, summary a string or null, "
+                                    "placeholder_count and token_length integers")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: not a cleaned document: {exc!r}") from None
             if doc.id in docs:

@@ -34,14 +34,6 @@ _BATCH_PAIRS = 1 << 16
 _NOT_ECHOED = ("validation_fraction", "patience")
 
 
-class TrainingError(DataError):
-    """The feature table cannot be trained on as configured."""
-
-
-class SchemaMismatchError(DataError):
-    """Prediction input does not match the model's feature schema."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Boosting settings; the objective is NDCG@ndcg_truncation.
@@ -88,7 +80,11 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**{f.name: list(data[f.name]) for f in fields(cls)})
+        tree = cls(**{f.name: list(data[f.name]) for f in fields(cls)})
+        if any(type(v) is not int for v in tree.feature + tree.left + tree.right) or not all(
+                type(v) in (int, float) and math.isfinite(v) for v in tree.threshold + tree.value):
+            raise TypeError("features and children must be integers, thresholds and values finite")
+        return tree
 
 
 @dataclass
@@ -316,11 +312,11 @@ def _table_arrays(table):
     if bad.size:
         i = int(bad[0])
         problem = "has no label" if y[i] < 0 else "label must be 0/1"
-        raise TrainingError(f"row ({qids[i]}, {table.candidate_ids[i]}) {problem}")
+        raise DataError(f"row ({qids[i]}, {table.candidate_ids[i]}) {problem}")
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         i = int(bad[0])
-        raise TrainingError(f"non-finite feature in row ({qids[i]}, {table.candidate_ids[i]})")
+        raise DataError(f"non-finite feature in row ({qids[i]}, {table.candidate_ids[i]})")
     starts = [i for i in range(len(qids)) if i == 0 or qids[i] != qids[i - 1]]
     groups = list(zip(starts, starts[1:] + [len(qids)]))
     return X, y, groups, [qids[i] for i in starts]
@@ -332,8 +328,8 @@ def _validation_queries(qids, config):
     random.Random(config.seed).shuffle(shuffled)
     n_valid = max(1, round(config.validation_fraction * len(shuffled)))
     if n_valid >= len(shuffled):
-        raise TrainingError(f"ltr_validation_fraction {config.validation_fraction} puts {n_valid} "
-                            f"of the {len(shuffled)} queries in validation, leaving none to train")
+        raise DataError(f"ltr_validation_fraction {config.validation_fraction} puts {n_valid} "
+                        f"of the {len(shuffled)} queries in validation, leaving none to train")
     return set(shuffled[:n_valid])
 
 
@@ -347,13 +343,13 @@ def train(table, config=TrainConfig()):
     """
     _, y, groups, qids = _table_arrays(table)
     if int(y.sum()) == 0:
-        raise TrainingError("no positive labels anywhere in the table")
+        raise DataError("no positive labels anywhere in the table")
     mixed = sum(
         1 for start, end in groups
         if y[start:end].sum() > 0 and (y[start:end] == 0).sum() > 0
     )
     if mixed < 2:
-        raise TrainingError(
+        raise DataError(
             "need at least 2 queries with both relevant and irrelevant rows, "
             f"got {mixed}"
         )
@@ -407,7 +403,7 @@ def train(table, config=TrainConfig()):
 def predict(model, table):
     """Score a FeatureTable; returns {query_id: ScoredList}."""
     if tuple(table.schema.feature_names) != tuple(model.feature_names):
-        raise SchemaMismatchError(
+        raise DataError(
             f"table schema {table.schema.name!r} does not match model "
             f"schema {model.schema_name!r}"
         )

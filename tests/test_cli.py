@@ -24,6 +24,14 @@ def run(command, config_path):
     return cli.main([command, "--config", config_path])
 
 
+def forget(work, name):
+    """Drop ``name``'s manifest entry, so a stage reads a hand-edited ``name`` as it is."""
+    path = work / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["artifacts"][name]
+    path.write_text(json.dumps(manifest))
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """One small case-retrieval chain, shared across tests."""
@@ -504,6 +512,7 @@ class TestErrors:
                             for term, df in zip(data.pop("terms"), data.pop("doc_freq"))}
         data["version"] = 1
         path.write_text(json.dumps(data))
+        forget(tmp_path / "work", "index_plain.json")
         capsys.readouterr()
         assert run("score", cfg) == 2
         assert "unsupported index version" in capsys.readouterr().err
@@ -856,6 +865,8 @@ class TestCorruptArtifacts:
             else:
                 del data[at:]  # truncated
             (work / name).write_bytes(bytes(data))
+            if name != "manifest.json":
+                forget(work, name)  # reach the reader, not the manifest's digest check
             capsys.readouterr()
             code = run(READERS[name], cfg)
             out, err = capsys.readouterr()
@@ -880,10 +891,68 @@ class TestCorruptArtifacts:
         root, cfg = tiny_chain
         work = fresh_work(root)
         (work / name).write_text(edit((work / name).read_text()))
+        if name != "manifest.json":
+            forget(work, name)
         capsys.readouterr()
         assert run(READERS[name], cfg) == 2
         err = capsys.readouterr().err
         assert f"data error: {work / name}" in err and problem in err
+
+    def test_edited_features_table_is_refused_until_features_reruns(self, tiny_chain, capsys):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        lines = (work / "features.tsv").read_text().splitlines(keepends=True)
+        fields = lines[1].split("\t")
+        fields[3] = "12345"  # the first feature of the first row
+        lines[1] = "\t".join(fields)
+        (work / "features.tsv").write_text("".join(lines))
+        for command in ("train", "rerank"):
+            capsys.readouterr()
+            assert run(command, cfg) == 2, command
+            assert (f"data error: {work / 'features.tsv'}: modified since features wrote it "
+                    f"(per {work / 'manifest.json'}); rerun features") in capsys.readouterr().err
+        for command in ("features", "train", "rerank"):
+            assert run(command, cfg) == 0, command
+        assert (work / "run_raw.tsv").read_bytes() == (
+            root / "pristine" / "run_raw.tsv").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(set(READERS) - {"manifest.json"}))
+    def test_edited_artifact_is_refused_naming_its_writer(self, tiny_chain, capsys, name):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        writer = json.loads((work / "manifest.json").read_text())["artifacts"][name]["command"]
+        with open(work / name, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        capsys.readouterr()
+        assert run(READERS[name], cfg) == 2
+        assert (f"data error: {work / name}: modified since {writer} wrote it"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, command, edit", [
+        ("clean.jsonl", "index", lambda doc: doc.update(body=5)),
+        ("clean.jsonl", "index", lambda doc: doc.update(summary=7)),
+        ("clean.jsonl", "index", lambda doc: doc.update(id=7)),
+        ("clean.jsonl", "features", lambda doc: doc.update(token_length=True)),
+        ("model.json", "rerank", lambda model: model["trees"][0]["threshold"].__setitem__(0, "x")),
+        ("model.json", "rerank", lambda model: model["trees"][0]["value"].__setitem__(-1, "y")),
+        ("index_ngram.json", "score", lambda index: index["config"].update(ngram_hi="3")),
+    ], ids=["body", "summary", "id", "token-length", "threshold", "leaf-value", "ngram-hi"])
+    def test_wrong_typed_field_is_a_data_error_naming_it(self, tiny_chain, capsys, name,
+                                                         command, edit):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        lines = (work / name).read_text().splitlines()
+        at = len(lines) // 2  # the middle record of clean.jsonl; the one line of a JSON file
+        record = json.loads(lines[at])
+        edit(record)
+        lines[at] = json.dumps(record)
+        (work / name).write_text("\n".join(lines) + "\n")
+        forget(work, name)
+        capsys.readouterr()
+        assert run(command, cfg) == 2
+        where = f"{work / name}:{at + 1}" if name.endswith(".jsonl") else f"{work / name}"
+        err = capsys.readouterr().err
+        assert f"data error: {where}: " in err and "Traceback" not in err
 
     def test_internal_key_error_is_exit_3(self, tiny_chain, capsys, monkeypatch):
         root, cfg = tiny_chain
@@ -943,6 +1012,7 @@ class TestCorruptArtifacts:
         fields[4] = "nan"  # the second feature of the row
         lines[at] = "\t".join(fields)
         (work / "features.tsv").write_text("".join(lines))
+        forget(work, "features.tsv")
         capsys.readouterr()
         assert run(command, cfg) == 2
         assert (f"data error: {work / 'features.tsv'}:{at + 1}: non-finite feature value"

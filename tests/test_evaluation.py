@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import random
 
 import pytest
 
+import lexfuse
 from lexfuse import cli
 from lexfuse.evaluation import (
     ScoredList,
@@ -164,6 +168,16 @@ class TestRecallAtK:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             recall_at_k({}, {}, 0)
+
+
+def test_only_the_two_error_classes_are_defined():
+    # One class per error exit code: SettingError exits 1, DataError 2, anything else 3.
+    modules = [lexfuse] + [importlib.import_module(f"lexfuse.{info.name}")
+                           for info in pkgutil.iter_modules(lexfuse.__path__)]
+    defined = {name for module in modules
+               for name, obj in inspect.getmembers(module, inspect.isclass)
+               if issubclass(obj, BaseException) and obj.__module__ == module.__name__}
+    assert defined == {"SettingError", "DataError"}
 
 
 class TestSettingNumber:

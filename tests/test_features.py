@@ -12,7 +12,6 @@ from lexfuse.features import (
     _BUILTIN_SCHEMAS,
     TASK1_SCHEMA,
     TASK3_SCHEMA,
-    AssemblyError,
     ExternalScoreFile,
     FeatureSchema,
     FeatureTable,
@@ -40,7 +39,7 @@ class RowTable:
     def __init__(self, schema, rows):
         for row in rows:
             if len(row.values) != len(schema):
-                raise AssemblyError(
+                raise ValueError(
                     f"row ({row.query_id}, {row.candidate_id}) has "
                     f"{len(row.values)} values, schema has {len(schema)}"
                 )
@@ -99,16 +98,16 @@ def row_table_arrays(table):
     y = np.empty(n, dtype=np.int64)
     for i, row in enumerate(table.rows):
         if row.label is None:
-            raise ltr.TrainingError(f"row ({row.query_id}, {row.candidate_id}) has no label")
+            raise DataError(f"row ({row.query_id}, {row.candidate_id}) has no label")
         if row.label not in (0, 1):
-            raise ltr.TrainingError(
+            raise DataError(
                 f"row ({row.query_id}, {row.candidate_id}) label must be 0/1")
         X[i] = row.values
         y[i] = row.label
     bad = np.nonzero(~np.isfinite(X))[0]
     if bad.size:
         row = table.rows[int(bad[0])]
-        raise ltr.TrainingError(
+        raise DataError(
             f"non-finite feature in row ({row.query_id}, {row.candidate_id})")
     groups = []
     qids = []
@@ -185,7 +184,7 @@ def reference_assemble(queries, candidates, internal_scores, externals, schema):
     sources = dict(internal_scores)
     for ext in externals:
         if ext.name in sources:
-            raise AssemblyError(f"duplicate feature source: {ext.name!r}")
+            raise DataError(f"duplicate feature source: {ext.name!r}")
         sources[ext.name] = ext.lists
 
     def resolve(name, views, cid, qdoc, cdoc):
@@ -204,11 +203,11 @@ def reference_assemble(queries, candidates, internal_scores, externals, schema):
             try:
                 cdoc = candidates[cid]
             except KeyError:
-                raise AssemblyError(f"candidate {cid!r} has no cleaned document") from None
+                raise DataError(f"candidate {cid!r} has no cleaned document") from None
             row = [resolve(n, views, cid, qdoc, cdoc) for n in schema.feature_names]
             for name, value in zip(schema.feature_names, row):
                 if not math.isfinite(value):
-                    raise AssemblyError(
+                    raise DataError(
                         f"non-finite feature {name!r} for pair ({qid}, {cid})"
                     )
             values.extend(row)
@@ -486,7 +485,7 @@ class TestFeatureTableTsv:
 
     def test_schema_length_enforced(self):
         schema = FeatureSchema("mini", ("a", "b"))
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ValueError, match="shape"):
             table_from_rows(schema, [FeatureRow("q", "c", (1.0,))])
 
     def test_bad_header_names_file_and_line_1(self, tmp_path):
@@ -538,11 +537,11 @@ def random_model(rng):
 
 
 def outcome(fn, *args):
-    """``fn(*args)``, or the message of the TrainingError it raises."""
+    """``fn(*args)``, or the message of the DataError it raises."""
     try:
         return fn(*args)
-    except ltr.TrainingError as exc:
-        return f"TrainingError: {exc}"
+    except DataError as exc:
+        return f"DataError: {exc}"
 
 
 class TestColumnarMatchesRowReference:
@@ -650,11 +649,11 @@ def random_assembly(rng):
 
 
 def assembled(fn, *args):
-    """(ids, X shape, X bytes) of the table ``fn(*args)`` builds, or its AssemblyError."""
+    """(ids, X shape, X bytes) of the table ``fn(*args)`` builds, or its DataError."""
     try:
         table = fn(*args)
-    except AssemblyError as exc:
-        return f"AssemblyError: {exc}"
+    except DataError as exc:
+        return f"DataError: {exc}"
     return table.query_ids, table.candidate_ids, table.X.shape, table.X.tobytes()
 
 
@@ -678,7 +677,7 @@ class TestAssembleMatchesPerCellReference:
         internal["BM25"]["q1"] = ScoredList("q1", [("A", 2.0), ("B", math.inf)])
         internal["QLD"]["q1"] = ScoredList("q1", [("B", -1.0), ("A", math.nan)])
         schema = FeatureSchema("mini", ("BM25", "QLD_rank", "QLD"))
-        with pytest.raises(AssemblyError, match=r"^non-finite feature 'QLD' for pair \(q1, A\)$"):
+        with pytest.raises(DataError, match=r"^non-finite feature 'QLD' for pair \(q1, A\)$"):
             assemble(queries, candidates, internal, internal, schema)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from lexfuse import cli
 from lexfuse.evaluation import DataError
-from lexfuse.indexing import DuplicateDocumentError, InvertedIndex, build_index
+from lexfuse.indexing import InvertedIndex, build_index
 from lexfuse.ingest import TokenizerConfig, tokenize
 from lexfuse.scorers import SCORER_NAMES, score_all
 
@@ -87,7 +87,7 @@ class TestBuildIndex:
         assert index.doc_len.tolist() == [3]
 
     def test_duplicate_id_rejected(self):
-        with pytest.raises(DuplicateDocumentError, match="dup1"):
+        with pytest.raises(DataError, match="dup1"):
             build_index([("dup1", "x"), ("dup1", "y")])
 
     def test_postings_sum_equals_collection_frequency(self):
@@ -203,6 +203,9 @@ class TestSerialization:
         (lambda d: d["doc_len"].append(3), "disagree"),
         (lambda d: d.pop("terms"), "'terms'"),
         (lambda d: d["config"].update(ngram=2), "ngram"),
+        (lambda d: d["config"].update(ngram_hi="3"), "settings integers"),
+        (lambda d: d["config"].update(lowercase=1), "lowercase must be a bool"),
+        (lambda d: d["postings"].__setitem__(1, 10**400), "too large"),
     ])
     def test_bad_snapshot_is_a_data_error_naming_the_file(self, tmp_path, change, problem):
         path = tmp_path / "index.json"

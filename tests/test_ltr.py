@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from lexfuse import ltr
+from lexfuse.evaluation import DataError
 from lexfuse.features import FeatureSchema
 from lexfuse.ltr import (
     RegressionTree,
-    SchemaMismatchError,
     TrainConfig,
-    TrainingError,
     TreeEnsemble,
     predict,
     train,
@@ -90,14 +89,14 @@ class TestTrainGuards:
     def test_single_query_rejected(self):
         rng = random.Random(0)
         table = make_table(1, 10, 2, rng)
-        with pytest.raises(TrainingError, match="at least 2 queries"):
+        with pytest.raises(DataError, match="at least 2 queries"):
             train(table, TrainConfig(num_trees=5, min_samples_leaf=1))
 
     def test_no_positive_labels_rejected(self):
         rows = [FeatureRow(f"q{q}", f"c{i}", (0.0, 0.0, 0.0), 0)
                 for q in range(3) for i in range(4)]
         table = table_from_rows(SCHEMA3, rows)
-        with pytest.raises(TrainingError, match="no positive labels"):
+        with pytest.raises(DataError, match="no positive labels"):
             train(table, TrainConfig(num_trees=5, min_samples_leaf=1))
 
     def test_non_finite_feature_names_row(self):
@@ -108,13 +107,13 @@ class TestTrainGuards:
             FeatureRow("q1", "c1", (0.0, 0.0, 0.0), 0),
         ]
         table = table_from_rows(SCHEMA3, rows)
-        with pytest.raises(TrainingError, match=r"\(q1, c0\)"):
+        with pytest.raises(DataError, match=r"\(q1, c0\)"):
             train(table, TrainConfig(num_trees=5, min_samples_leaf=1))
 
     def test_unlabeled_row_rejected(self):
         rows = [FeatureRow("q0", "c0", (1.0, 0.0, 0.0))]
         table = table_from_rows(SCHEMA3, rows)
-        with pytest.raises(TrainingError, match="no label"):
+        with pytest.raises(DataError, match="no label"):
             train(table, TrainConfig(num_trees=5, min_samples_leaf=1))
 
 
@@ -239,7 +238,7 @@ class TestPredict:
     def test_schema_mismatch_rejected(self):
         model = TreeEnsemble(trees=[], base_score=0.0, schema_name="other",
                              feature_names=("x", "y"))
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(DataError, match="does not match model schema 'other'"):
             predict(model, self.make_small_table())
 
 
@@ -259,6 +258,12 @@ class TestSerializationAndDeterminism:
         ("right", 0, 9),
         ("feature", 0, 3),
         ("value", None, [0.0]),
+        ("threshold", 0, "x"),  # a field of the wrong type
+        ("value", 2, "y"),
+        ("threshold", 0, float("nan")),
+        pytest.param("value", 1, 10**400, id="value-overflow"),
+        ("feature", 0, 0.0),
+        ("left", 0, True),
     ])
     def test_malformed_tree_is_a_data_error_naming_the_file(self, tmp_path, field, index,
                                                             value):
@@ -272,7 +277,8 @@ class TestSerializationAndDeterminism:
             data["trees"][0][field][index] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ltr.DataError, match=r"model\.json: malformed model: tree 0"):
+        with pytest.raises(ltr.DataError, match=r"model\.json: malformed model: "
+                                                r"(tree 0|features and children|int too large)"):
             TreeEnsemble.load(path)
 
     def test_seed_determinism(self, tmp_path):
@@ -453,7 +459,7 @@ def ref_split(table, config):
     random.Random(config.seed).shuffle(shuffled)
     n_valid = max(1, round(config.validation_fraction * len(shuffled)))
     if n_valid >= len(shuffled):
-        raise TrainingError("no training queries")
+        raise DataError("no training queries")
     valid = set(shuffled[:n_valid])
     out = []
     for part in ([g for g in named if g[0] not in valid], [g for g in named if g[0] in valid]):
@@ -569,8 +575,8 @@ class TestPresortedBitEquality:
                 seed=seed, validation_fraction=0.3, patience=6)
             try:
                 expected = ref_train(table, config)
-            except TrainingError:
-                with pytest.raises(TrainingError):
+            except DataError:
+                with pytest.raises(DataError):
                     train(table, config)
                 continue
             got = train(table, config)
