@@ -87,6 +87,8 @@ class InvertedIndex:
         if (len(data["doc_len"]) != len(doc_ids) or len(terms) != len(doc_freq)
                 or 2 * sum(doc_freq) != len(flat)):
             raise DataError("index snapshot: array lengths disagree")
+        if not set(map(type, flat + data["doc_len"])) <= {int}:
+            raise DataError("index snapshot: doc_len and postings must hold integers")
         rows = np.array(flat, dtype=np.int64).reshape(-1, 2)
         if len(rows) and not 0 <= rows[:, 0].min() <= rows[:, 0].max() < len(doc_ids):
             raise DataError("index snapshot: a posting names no document")

@@ -369,9 +369,10 @@ def read_clean_jsonl(path):
                 doc = CleanDocument(**rec)
                 if not (isinstance(doc.id, str) and isinstance(doc.body, str)
                         and isinstance(doc.summary, (str, type(None)))
-                        and all(type(n) is int for n in (doc.placeholder_count, doc.token_length))):
+                        and all(type(n) is int and 0 <= n < 2**63
+                                for n in (doc.placeholder_count, doc.token_length))):
                     raise TypeError("id and body must be strings, summary a string or null, "
-                                    "placeholder_count and token_length integers")
+                                    "placeholder_count and token_length integers in [0, 2**63)")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: not a cleaned document: {exc!r}") from None
             if doc.id in docs:

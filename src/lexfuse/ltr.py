@@ -80,11 +80,7 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, data):
-        tree = cls(**{f.name: list(data[f.name]) for f in fields(cls)})
-        if any(type(v) is not int for v in tree.feature + tree.left + tree.right) or not all(
-                type(v) in (int, float) and math.isfinite(v) for v in tree.threshold + tree.value):
-            raise TypeError("features and children must be integers, thresholds and values finite")
-        return tree
+        return cls(**{f.name: list(data[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -122,17 +118,21 @@ class TreeEnsemble:
             raise DataError(f"unsupported model version: {data.get('version')!r}")
         model = cls(
             trees=[RegressionTree.from_dict(t) for t in data["trees"]],
-            base_score=float(data["base_score"]),
+            base_score=data["base_score"],
             schema_name=data["schema_name"],
             feature_names=tuple(data["feature_names"]),
             config=data.get("config"),
         )
+        if type(model.base_score) is not float or not math.isfinite(model.base_score):
+            raise DataError(f"base_score must be a finite float, got {model.base_score!r}")
         for k, t in enumerate(model.trees):
             n = len(t.feature)
             # A split's children follow it, so walking a tree always ends.
             if not n or {len(t.threshold), len(t.left), len(t.right), len(t.value)} != {n} or any(
-                    f != -1 and not (0 <= f < len(model.feature_names) and i < a < n and i < b < n)
-                    for i, (f, a, b) in enumerate(zip(t.feature, t.left, t.right))):
+                    {type(f), type(a), type(b)} != {int} or f != -1
+                    and not (0 <= f < len(model.feature_names) and i < a < n and i < b < n)
+                    for i, (f, a, b) in enumerate(zip(t.feature, t.left, t.right))
+            ) or not all(type(v) is float and math.isfinite(v) for v in t.threshold + t.value):
                 raise DataError(f"tree {k} is not a tree over the model's features")
         return model
 
@@ -403,10 +403,8 @@ def train(table, config=TrainConfig()):
 def predict(model, table):
     """Score a FeatureTable; returns {query_id: ScoredList}."""
     if tuple(table.schema.feature_names) != tuple(model.feature_names):
-        raise DataError(
-            f"table schema {table.schema.name!r} does not match model "
-            f"schema {model.schema_name!r}"
-        )
+        raise DataError(f"table schema {table.schema.name!r} does not match model "
+                        f"schema {model.schema_name!r}")
     scores = model.predict_matrix(table.X).tolist()
     per_query = {}
     for qid, cid, score in zip(table.query_ids, table.candidate_ids, scores):

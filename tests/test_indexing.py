@@ -206,6 +206,9 @@ class TestSerialization:
         (lambda d: d["config"].update(ngram_hi="3"), "settings integers"),
         (lambda d: d["config"].update(lowercase=1), "lowercase must be a bool"),
         (lambda d: d["postings"].__setitem__(1, 10**400), "too large"),
+        (lambda d: d["postings"].__setitem__(1, 1.7), "postings must hold integers"),
+        (lambda d: d["postings"].__setitem__(1, True), "postings must hold integers"),
+        (lambda d: d["doc_len"].__setitem__(0, "5"), "postings must hold integers"),
     ])
     def test_bad_snapshot_is_a_data_error_naming_the_file(self, tmp_path, change, problem):
         path = tmp_path / "index.json"

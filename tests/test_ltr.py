@@ -277,8 +277,18 @@ class TestSerializationAndDeterminism:
             data["trees"][0][field][index] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ltr.DataError, match=r"model\.json: malformed model: "
-                                                r"(tree 0|features and children|int too large)"):
+        with pytest.raises(ltr.DataError, match=r"model\.json: malformed model: tree 0"):
+            TreeEnsemble.load(path)
+
+    @pytest.mark.parametrize("base_score", ["nan", True, 0, 10**400, float("inf")])
+    def test_bad_base_score_is_a_data_error_naming_the_file(self, tmp_path, base_score):
+        data = TreeEnsemble(trees=[], base_score=0.0, schema_name=SCHEMA3.name,
+                            feature_names=SCHEMA3.feature_names).to_dict()
+        data["base_score"] = base_score
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ltr.DataError, match=r"model\.json: malformed model: base_score must "
+                                                r"be a finite float"):
             TreeEnsemble.load(path)
 
     def test_seed_determinism(self, tmp_path):
