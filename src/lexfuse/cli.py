@@ -48,9 +48,9 @@ SETTINGS = {
     "min_token_len": (1, int, ">= 1"),
     "ngram_lo": (1, int, ">= 1"),
     "ngram_hi": (3, int, ">= 1"),
-    "bm25_k1": (3.0, float, ">= 0"),
+    "bm25_k1": (3.0, float, "in [0, 1000]"),
     "bm25_b": (1.0, float, "in [0, 1]"),
-    "qld_mu": (2000.0, float, "> 0"),
+    "qld_mu": (2000.0, float, ">= 1"),
     "rerank_depth": (200, int, ">= 0"),  # 0 keeps every scored candidate
     "schema": ("task1_v1", str, None),  # resolved by features.get_schema
     "external_scores": ({}, dict, None),

@@ -1,10 +1,11 @@
 """The immutable inverted index behind the lexical scorers.
 
-Documents are tokenized with ``ingest.tokenize``; postings are int64
-``(ordinal, tf)`` rows, one contiguous block per term.
+Documents are numbered in id order and tokenized with ``ingest.tokenize``;
+postings are int64 ``(ordinal, tf)`` rows, one contiguous block per term.
 """
 
 import json
+from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import asdict
@@ -84,6 +85,8 @@ class InvertedIndex:
             raise DataError(f"unsupported index version: {data.get('version')!r}")
         doc_ids, terms, doc_freq, flat = (data[key] for key in (
             "doc_ids", "terms", "doc_freq", "postings"))
+        if doc_ids != sorted(set(map(str, doc_ids))):
+            raise DataError("index snapshot: doc_ids must be distinct strings in increasing order")
         if (len(data["doc_len"]) != len(doc_ids) or len(terms) != len(doc_freq)
                 or 2 * sum(doc_freq) != len(flat)):
             raise DataError("index snapshot: array lengths disagree")
@@ -110,27 +113,23 @@ class InvertedIndex:
 def build_index(docs, config=TokenizerConfig()):
     """Build an InvertedIndex from ``(id, text)`` pairs; duplicate ids are rejected.
 
-    Terms are numbered in order of first occurrence, so the index is
-    deterministic given input order.
+    Documents are numbered in id order and terms in order of first occurrence,
+    so the index depends only on the set of pairs.
     """
     doc_ids, doc_len, distinct = [], [], []  # distinct: terms per document
-    keys, tfs = [], []  # term and tf of each posting, document by document
-    seen = set()
-    for doc_id, text in docs:
-        if doc_id in seen:
+    slot, term_of, tfs = {}, array("q"), array("q")  # term -> number; each posting's number, tf
+    for doc_id, text in sorted(docs, key=lambda pair: pair[0]):
+        if doc_ids and doc_id == doc_ids[-1]:
             raise DataError(f"duplicate document id: {doc_id!r}")
-        seen.add(doc_id)
         doc_ids.append(doc_id)
         terms = tokenize(text, config)
         doc_len.append(len(terms))
         counts = Counter(terms)
         distinct.append(len(counts))
-        keys.extend(counts)
+        term_of.extend(slot.setdefault(term, len(slot)) for term in counts)
         tfs.extend(counts.values())
-    slot = dict(zip(dict.fromkeys(keys), range(len(keys))))
-    term_of = np.fromiter(map(slot.__getitem__, keys), dtype=np.int64, count=len(keys))
     ordinals = np.repeat(np.arange(len(doc_ids), dtype=np.int64), distinct)
     order = np.argsort(term_of, kind="stable")  # each term's rows stay in document order
-    rows = np.column_stack((ordinals, np.array(tfs, dtype=np.int64)))[order]
+    rows = np.column_stack((ordinals, tfs))[order]
     doc_freq = np.bincount(term_of, minlength=len(slot))
     return InvertedIndex(config, doc_ids, doc_len, Postings(slot, doc_freq, rows))

@@ -97,7 +97,7 @@ def tokenize(text, config=TokenizerConfig()):
     if config.ngram_lo == 1 and config.ngram_hi == 1:
         return words
     out = []
-    for n in range(config.ngram_lo, config.ngram_hi + 1):
+    for n in range(config.ngram_lo, min(config.ngram_hi, len(words)) + 1):
         if n == 1:
             out.extend(words)
         else:
@@ -312,9 +312,11 @@ def preprocess_article(raw):
 # -- corpus I/O -------------------------------------------------------------
 
 def load_raw_corpus(corpus_dir):
-    """Read ``<id>.txt`` files from a directory, sorted by id."""
+    """Read ``<id>.txt`` files of a directory, sorted by id; no id may hold a tab or line break."""
     docs = []
     for path in sorted(Path(corpus_dir).glob("*.txt")):
+        if any(c in path.stem for c in "\t\n\r"):
+            raise DataError(f"{path}: an id must not hold a tab, newline or carriage return")
         with _text(path) as fh:
             docs.append(RawDocument(id=path.stem, text=fh.read()))
     return docs
@@ -367,11 +369,12 @@ def read_clean_jsonl(path):
                 rec = json.loads(line)
                 rec["trial_date"] = date.fromisoformat(rec["trial_date"]) if rec["trial_date"] else None
                 doc = CleanDocument(**rec)
-                if not (isinstance(doc.id, str) and isinstance(doc.body, str)
-                        and isinstance(doc.summary, (str, type(None)))
+                if not (isinstance(doc.id, str) and not any(c in doc.id for c in "\t\n\r")
+                        and isinstance(doc.body, str) and isinstance(doc.summary, (str, type(None)))
                         and all(type(n) is int and 0 <= n < 2**63
                                 for n in (doc.placeholder_count, doc.token_length))):
-                    raise TypeError("id and body must be strings, summary a string or null, "
+                    raise TypeError("id and body must be strings, the id without a tab, newline or "
+                                    "carriage return, summary a string or null, "
                                     "placeholder_count and token_length integers in [0, 2**63)")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: not a cleaned document: {exc!r}") from None

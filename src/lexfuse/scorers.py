@@ -79,14 +79,6 @@ def _qld_term(index, p, doc_len_logs, term, q_count):
     return docs, q_count * (_logs(tf, s) - math.log(s)), math.log(s)
 
 
-def _id_order(index):
-    """Documents as an object array, and each one's position in ``sorted(doc_ids)``."""
-    position = np.empty(index.num_docs, dtype=np.int64)
-    position[sorted(range(index.num_docs), key=index.doc_ids.__getitem__)] = np.arange(
-        index.num_docs)
-    return np.array(index.doc_ids, dtype=object), position
-
-
 def score_all(index, query_id, query_text, scorer="bm25", params=None):
     """Score every document in the index for one query.
 
@@ -125,8 +117,8 @@ def score_all(index, query_id, query_text, scorer="bm25", params=None):
         scores = np.zeros(index.num_docs)
     for _, (docs, contributions, _) in live:
         scores[docs] += contributions
-    ids, position = _memo(index, "id_order", _id_order, index)
-    order = np.lexsort((position, -scores))
+    ids = _memo(index, "ids", np.array, index.doc_ids, object)
+    order = np.argsort(-scores, kind="stable")  # documents are numbered in id order
     return ScoredList(query_id, list(zip(ids[order].tolist(), scores[order].tolist())))
 
 

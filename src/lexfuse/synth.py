@@ -52,12 +52,15 @@ class SyntheticSpec:
     decoys_per_query: int = 3
 
 
+_SYLLABLES = [c + v for c in _CONSONANTS for v in _VOWELS]
+_MAX_VOCAB = len(_SYLLABLES) ** 2 + len(_SYLLABLES) ** 3  # every word _make_vocab can draw
+
+
 def _make_vocab(size, rng):
-    syllables = [c + v for c in _CONSONANTS for v in _VOWELS]
     words = set()
     while len(words) < size:
         n = rng.choice((2, 3))
-        words.add("".join(rng.choice(syllables) for _ in range(n)))
+        words.add("".join(rng.choice(_SYLLABLES) for _ in range(n)))
     return sorted(words)
 
 
@@ -127,10 +130,10 @@ def generate(spec, out_dir):
     Returns a summary dict (counts and paths). Fully deterministic for a
     given spec.
     """
+    if spec.vocab_size > _MAX_VOCAB:
+        raise SettingError(f"config key 'synth_vocab_size': {spec.vocab_size} is too large; "
+                           f"the syllable table makes at most {_MAX_VOCAB} distinct words")
     rng = random.Random(spec.seed)
-    out = Path(out_dir)
-    corpus_dir = out / "corpus"
-    corpus_dir.mkdir(parents=True, exist_ok=True)
     vocab = _make_vocab(spec.vocab_size, rng)
 
     query_ids = [f"q{i:04d}" for i in range(spec.num_queries)]
@@ -142,6 +145,9 @@ def generate(spec, out_dir):
             f"config key 'synth_num_candidates': {spec.num_candidates} is too small; need "
             f"at least {needed + spec.num_queries} for planted docs plus background"
         )
+    out = Path(out_dir)
+    corpus_dir = out / "corpus"
+    corpus_dir.mkdir(parents=True, exist_ok=True)
 
     next_candidate = 0
 

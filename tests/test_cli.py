@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -240,6 +241,30 @@ class TestSynthCommand:
                 c_text = (synth_dir / "corpus" / f"{cid}.txt").read_text()
                 assert marks & set(c_text.split())
 
+    def test_vocab_size_beyond_the_syllable_table_exits_1_before_drawing(
+            self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a word was drawn before the vocabulary size was checked")
+
+        monkeypatch.setattr(synth, "_make_vocab", no_draws)
+        cfg = write_config(tmp_path / "cfg.json", synth_dir=str(tmp_path / "s"),
+                           synth_vocab_size=65**2 + 65**3 + 1)  # 65 syllables
+        assert run("synth", cfg) == 1
+        assert ("usage error: config key 'synth_vocab_size': 278851 is too large; the syllable "
+                "table makes at most 278850 distinct words" in capsys.readouterr().err)
+        assert not (tmp_path / "s").exists()
+
+    def test_case_workload_inputs_are_pinned(self, tmp_path):
+        """The case benchmark inputs (30 queries, 800 candidates, seed 1) keep their bytes:
+        sha256 over each file's relative path, a NUL and the file's sha256."""
+        synth.generate(synth.SyntheticSpec(num_queries=30, num_candidates=800, seed=1), tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(str(path.relative_to(tmp_path)).encode("utf-8") + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).hexdigest().encode("ascii"))
+        assert digest.hexdigest() == \
+            "d6b7e5e47bab4414db188f84fd3f5a8fd5de96fa8b56251692c4b87dbd008c07"
+
 
 class TestEvalCommand:
     def test_reproduces_worked_micro_example(self, tmp_path):
@@ -474,6 +499,20 @@ class TestErrors:
 
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["frobnicate", "--config", "x.json"]) == 1
+
+    @pytest.mark.parametrize("task", ["case", "statute"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_id_that_breaks_a_tsv_field_is_a_data_error_naming_the_file(
+            self, tmp_path, capsys, task, char):
+        articles, questions, _ = build_statute_fixture(tmp_path)
+        bad = (articles if task == "case" else questions) / f"c{char}x.txt"
+        bad.write_text("May a person rely on contract formation here?")
+        cfg = write_config(tmp_path / "cfg.json", task=task, corpus_dir=str(articles),
+                           queries_dir=str(questions), work_dir=str(tmp_path / "w"))
+        assert run("ingest", cfg) == 2
+        assert (f"data error: {bad}: an id must not hold a tab, newline or carriage return"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "w" / "clean.jsonl").exists()
 
     def test_stage_out_of_order_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", work_dir=str(tmp_path / "w"))
@@ -717,8 +756,10 @@ OUT_OF_RANGE = [
     ("ngram_hi", {"ngram_hi": 0}, "eval"),
     ("ngram_lo", {"ngram_lo": 3, "ngram_hi": 1}, "eval"),
     ("bm25_k1", {"bm25_k1": -0.5}, "eval"),
+    ("bm25_k1", {"bm25_k1": 1e308}, "score"),  # scores overflow to inf
     ("bm25_b", {"bm25_b": 2.0}, "eval"),
     ("qld_mu", {"qld_mu": 0}, "eval"),
+    ("qld_mu", {"qld_mu": 1e-320}, "score"),  # mu * p(t|C) underflows to 0
     ("rerank_depth", {"rerank_depth": -3}, "eval"),
     ("schema", {"schema": "nope"}, "features"),
     ("external_scores", {"external_scores": {"BM25": "x.tsv"}}, "eval"),

@@ -118,7 +118,7 @@ class TestBuildIndex:
             ]
             for config in configs:
                 index = build_index(docs, config)
-                counts = [Counter(tokenize(text, config)) for _, text in docs]
+                counts = [Counter(tokenize(text, config)) for _, text in sorted(docs)]
                 coll = sum(counts, Counter())
                 total = sum(coll.values())
                 assert index.total_coll_tokens == total
@@ -133,6 +133,20 @@ class TestBuildIndex:
                         assert term_frequency(index, term, ordinal) == c[term]
                 assert term_frequency(index, "unseen", 0) == 0
                 assert index.collection_prob("unseen") == 0.0
+
+    def test_any_input_order_gives_the_same_index(self):
+        rng = random.Random(31)
+        vocab = [f"w{i}" for i in range(15)]
+        for _ in range(30):
+            docs = [(doc_id, " ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 20))))
+                    for doc_id in rng.sample(["d2", "d10", "a", "Z", "é", "日本", "-1"],
+                                             rng.randrange(1, 8))]
+            for config in (TokenizerConfig(), TokenizerConfig(ngram_lo=1, ngram_hi=3)):
+                want = build_index(docs, config).to_dict()
+                assert want["doc_ids"] == sorted(doc_id for doc_id, _ in docs)
+                for _ in range(3):
+                    shuffled = rng.sample(docs, len(docs))
+                    assert build_index(shuffled, config).to_dict() == want
 
     def test_ngram_range_1_1_equals_plain(self):
         docs = [("d1", "the cat sat"), ("d2", "the dog ran far")]
@@ -209,6 +223,9 @@ class TestSerialization:
         (lambda d: d["postings"].__setitem__(1, 1.7), "postings must hold integers"),
         (lambda d: d["postings"].__setitem__(1, True), "postings must hold integers"),
         (lambda d: d["doc_len"].__setitem__(0, "5"), "postings must hold integers"),
+        (lambda d: d["doc_ids"].__setitem__(1, "d1"), "doc_ids must be distinct strings"),
+        (lambda d: d["doc_ids"].reverse(), "doc_ids must be distinct strings in increasing"),
+        (lambda d: d["doc_ids"].__setitem__(0, 1), "doc_ids must be distinct strings"),
     ])
     def test_bad_snapshot_is_a_data_error_naming_the_file(self, tmp_path, change, problem):
         path = tmp_path / "index.json"

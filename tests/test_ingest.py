@@ -274,6 +274,9 @@ class TestJsonlRoundTrip:
          f'"placeholder_count": 0, "token_length": {10**400}}}', "not a cleaned document"),
         ('{"id": "a", "body": "x", "summary": null, "trial_date": null, '
          '"placeholder_count": -1, "token_length": 1}', "not a cleaned document"),
+        *[(f'{{"id": "a{esc}b", "body": "x", "summary": null, "trial_date": null, '
+           '"placeholder_count": 0, "token_length": 1}', "not a cleaned document: .*id without")
+          for esc in (r"\t", r"\n", r"\r")],
     ])
     def test_bad_line_is_a_data_error_naming_file_and_line(self, tmp_path, line, problem):
         path = tmp_path / "clean.jsonl"
