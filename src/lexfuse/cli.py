@@ -452,12 +452,13 @@ def cmd_features(stage):
         path = stage.file("external_scores", name)
         scores[name] = features.ExternalScoreFile.load(name, path).lists
 
-    table = features.assemble(queries, candidates, scores, _SCORER_FEATURE.values(), schema)
-    if cfg.get("qrels_file"):
-        qrels = evaluation.load_qrels(stage.file("qrels_file"))
-        table, unseen = features.attach_labels(table, qrels)
-        if unseen:
-            print(f"features: warning: {unseen} qrel pairs never appear in the table")
+    qrels = evaluation.load_qrels(stage.file("qrels_file")) if cfg.get("qrels_file") else None
+    table = features.assemble(queries, candidates, scores, _SCORER_FEATURE.values(), schema,
+                              qrels)
+    # Rows are distinct pairs, so each qrel pair labels at most one row.
+    unseen = sum(map(len, qrels.values())) - int((table.labels == 1).sum()) if qrels else 0
+    if unseen:
+        print(f"features: warning: {unseen} qrel pairs never appear in the table")
     out = stage.write("features.tsv", lambda tmp: table.to_tsv(tmp))
     print(f"features: {len(table)} rows x {len(schema)} features -> {out}")
 
@@ -492,7 +493,7 @@ def cmd_rerank(stage):
     table = features.FeatureTable.from_tsv(table_path)
     model = ltr.TreeEnsemble.load(model_path)
     try:
-        runs = ltr._calibrate_positive(ltr.predict(model, table))
+        runs = ltr.predict(model, table)
     except DataError as exc:
         raise DataError(f"{model_path} and {table_path}: {exc}") from None
     out = stage.write(

@@ -5,7 +5,8 @@ Two built-in schemas mirror the feature sets used for case retrieval
 ranks, two dense scores with ranks) and statute retrieval (9 features:
 lengths, two lexical scores, five reranker scores). External neural
 scores are consumed from score-dump TSV files; a missing pair maps to
-score 0.0 and rank list_length + 1.
+score 0.0 and rank list_length + 1. ``assemble`` labels each row from the
+qrels as it builds the table, so a table is complete when it is made.
 """
 
 from dataclasses import dataclass
@@ -201,7 +202,7 @@ def _score_column(lists, rows, rank):
     return column
 
 
-def assemble(queries, candidates, scores, pool, schema):
+def assemble(queries, candidates, scores, pool, schema, qrels=None):
     """Build the FeatureTable of every (query, candidate) pair, one column at a time.
 
     ``queries`` and ``candidates`` map ids to cleaned documents (anything
@@ -210,7 +211,9 @@ def assemble(queries, candidates, scores, pool, schema):
     query are the union of its lists in the ``pool`` sources, so pairs
     outside every pool list produce no row. Every schema feature must have
     a source (``check_sources``). A non-finite value is a DataError
-    naming its feature and the first such pair in row order.
+    naming its feature and the first such pair in row order. With
+    ``qrels`` ({query_id: set of relevant ids}) each row is labeled 1 or 0;
+    without, -1.
     """
     rows = []  # (query_id, sorted candidate ids) of each query with a row
     for qid in sorted(queries):
@@ -235,22 +238,6 @@ def assemble(queries, candidates, scores, pool, schema):
         i, j = divmod(int(bad[0]), len(schema))
         raise DataError(f"non-finite feature {schema.feature_names[j]!r} for pair "
                         f"({query_ids[i]}, {candidate_ids[i]})")
-    return FeatureTable(schema, query_ids, candidate_ids, X)
-
-
-def attach_labels(table, qrels):
-    """Label rows 1/0 from qrels; return (table, count of unseen qrel pairs).
-
-    The labeled table shares the ids and ``X`` of ``table``. Qrel entries
-    naming candidates that never appear in the table are ignored; the
-    second return value counts them.
-    """
-    per_query = {}
-    for qid, cid in zip(table.query_ids, table.candidate_ids):
-        per_query.setdefault(qid, set()).add(cid)
-    unseen = sum(1 for qid, docs in qrels.items() for doc_id in docs
-                 if doc_id not in per_query.get(qid, ()))
-    labels = [1 if cid in qrels.get(qid, ()) else 0
-              for qid, cid in zip(table.query_ids, table.candidate_ids)]
-    return FeatureTable(table.schema, table.query_ids, table.candidate_ids,
-                        table.X, labels), unseen
+    labels = None if qrels is None else [
+        cid in qrels.get(qid, ()) for qid, cid in zip(query_ids, candidate_ids)]
+    return FeatureTable(schema, query_ids, candidate_ids, X, labels)

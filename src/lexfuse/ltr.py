@@ -32,6 +32,8 @@ _MIN_GAIN = 1e-12
 _BATCH_PAIRS = 1 << 16
 # TrainConfig fields that only steer training; model.json's config echo leaves them out.
 _NOT_ECHOED = ("validation_fraction", "patience")
+# The lowest normalized score ``predict`` gives.
+_SCORE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -317,9 +319,14 @@ def _table_arrays(table):
     if bad.size:
         i = int(bad[0])
         raise DataError(f"non-finite feature in row ({qids[i]}, {table.candidate_ids[i]})")
-    starts = [i for i in range(len(qids)) if i == 0 or qids[i] != qids[i - 1]]
-    groups = list(zip(starts, starts[1:] + [len(qids)]))
-    return X, y, groups, [qids[i] for i in starts]
+    groups = _groups(qids)
+    return X, y, groups, [qids[start] for start, _ in groups]
+
+
+def _groups(query_ids):
+    """The (start, end) row range of each query of a table, in table order."""
+    starts = [i for i in range(len(query_ids)) if i == 0 or query_ids[i] != query_ids[i - 1]]
+    return list(zip(starts, starts[1:] + [len(query_ids)]))
 
 
 def _validation_queries(qids, config):
@@ -401,47 +408,29 @@ def train(table, config=TrainConfig()):
 
 
 def predict(model, table):
-    """Score a FeatureTable; returns {query_id: ScoredList}."""
+    """Score a FeatureTable; returns {query_id: ScoredList}, ties ranked by id.
+
+    Each query's scores are min-max normalized into [1e-6, 1] (all 1.0 when
+    equal): tree outputs can be negative, which breaks the score-ratio
+    cutoffs (p * S exceeds S when S < 0). The map is strictly monotone, so
+    rankings are unchanged, it survives the run file's six-decimal
+    quantization, and it pins the top score S at 1.0.
+    """
     if tuple(table.schema.feature_names) != tuple(model.feature_names):
         raise DataError(f"table schema {table.schema.name!r} does not match model "
                         f"schema {model.schema_name!r}")
-    scores = model.predict_matrix(table.X).tolist()
-    per_query = {}
-    for qid, cid, score in zip(table.query_ids, table.candidate_ids, scores):
-        per_query.setdefault(qid, {})[cid] = score
-    return {qid: ScoredList.from_scores(qid, docs) for qid, docs in per_query.items()}
-
-
-_SCORE_FLOOR = 1e-6
-
-
-def _calibrate_positive(runs):
-    """Min-max normalize each query's scores into [1e-6, 1].
-
-    Tree-ensemble outputs can be negative, which breaks the score-ratio
-    cutoffs (p * S exceeds S when S < 0). The per-query affine map is
-    strictly monotone, so rankings are unchanged, it survives the run
-    file's six-decimal quantization, and it pins the top score S at 1.0
-    so the p * S rule reads as a normalized-score threshold.
-    """
-    out = {}
-    for qid, slist in runs.items():
-        if not slist.entries:
-            out[qid] = slist
-            continue
-        top = slist.entries[0][1]
-        bottom = slist.entries[-1][1]
-        span = top - bottom
-        if span <= 0:
-            entries = [(doc_id, 1.0) for doc_id, _ in slist.entries]
-        else:
-            scale = 1.0 - _SCORE_FLOOR
-            entries = [
-                (doc_id, _SCORE_FLOOR + scale * (score - bottom) / span)
-                for doc_id, score in slist.entries
-            ]
-        out[qid] = ScoredList(qid, entries)
-    return out
+    scores = model.predict_matrix(table.X)
+    runs = {}
+    for start, end in _groups(table.query_ids):
+        # Rows run in candidate-id order, so the stable sort keeps tied ids ascending.
+        order = np.argsort(-scores[start:end], kind="stable")
+        ranked = scores[start:end][order]
+        span = ranked[0] - ranked[-1]
+        normalized = np.ones(len(ranked)) if span <= 0 else (
+            _SCORE_FLOOR + (1.0 - _SCORE_FLOOR) * (ranked - ranked[-1]) / span)
+        qid, cids = table.query_ids[start], table.candidate_ids[start:end]
+        runs[qid] = ScoredList(qid, list(zip([cids[i] for i in order], normalized.tolist())))
+    return runs
 
 
 def write_training_log(history, path):

@@ -14,6 +14,7 @@ import pytest
 
 from lexfuse import features, ltr, postprocess
 from lexfuse.evaluation import ScoredList
+from lexfuse.ingest import CleanDocument
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,6 +63,15 @@ def test_every_span_name_is_a_lexfuse_function_or_a_wrapped_method(monkeypatch):
             assert inspect.isclass(cls) and cls.__module__ == module.__name__, name
             assert (module.__name__, cls_name, attr) in wrapped_methods, name
             assert callable(getattr(cls, attr)), name
+
+
+def test_assemble_returns_the_table_whose_len_counts_its_rows():
+    # launcher counts features.rows as len() of what features.assemble returns.
+    docs = {doc_id: CleanDocument(id=doc_id, body="x") for doc_id in ("q", "A", "B")}
+    scores = {"BM25": {"q": ScoredList("q", [("A", 1.0), ("B", 0.5)])}}
+    table = features.assemble({"q": docs["q"]}, docs, scores, ["BM25"],
+                              features.FeatureSchema("one", ("BM25",)), {"q": {"A"}})
+    assert isinstance(table, features.FeatureTable) and len(table) == len(table.X) == 2
 
 
 def test_train_takes_the_table_first():

@@ -1084,6 +1084,27 @@ class TestLibraryDefaults:
             assert getattr(default, field.name) == cli.DEFAULTS[key], key
 
 
+class TestFeaturesCommand:
+    def test_warning_counts_the_qrel_pairs_outside_the_table(self, tiny_chain, capsys):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        settings = json.loads(Path(cfg).read_text())
+        qrels = load_qrels(settings["qrels_file"])
+        qrels[min(qrels)].add("ghost")
+        qrels["no-such-query"] = {"c0"}
+        path = root / "qrels_ghost.json"
+        path.write_text(json.dumps({qid: sorted(docs) for qid, docs in qrels.items()}))
+        capsys.readouterr()
+        assert run("features", write_config(root / "cfg_ghost.json", **dict(
+            settings, qrels_file=str(path), rerank_depth=1))) == 0
+        rows = (work / "features.tsv").read_text().splitlines()[1:]
+        pairs = {tuple(row.split("\t")[:2]) for row in rows}
+        unseen = sum((qid, d) not in pairs for qid, docs in qrels.items() for d in docs)
+        assert unseen > 2  # the two made-up pairs and relevant documents below depth 1
+        assert (f"features: warning: {unseen} qrel pairs never appear in the table"
+                in capsys.readouterr().out)
+
+
 class TestStageReads:
     def test_case_features_reads_clean_jsonl_once(self, tmp_path, monkeypatch):
         cfg = tiny_chain_config(tmp_path)

@@ -16,7 +16,6 @@ from lexfuse.features import (
     FeatureSchema,
     FeatureTable,
     assemble,
-    attach_labels,
     check_sources,
     get_schema,
 )
@@ -130,6 +129,28 @@ def row_predict(model, table):
     for row, score in zip(table.rows, scores):
         per_query.setdefault(row.query_id, {})[row.candidate_id] = float(score)
     return {qid: ScoredList.from_scores(qid, docs) for qid, docs in per_query.items()}
+
+
+def reference_normalize(runs):
+    """Min-max normalize each query's scores into [1e-6, 1], list by list."""
+    out = {}
+    for qid, slist in runs.items():
+        if not slist.entries:
+            out[qid] = slist
+            continue
+        top = slist.entries[0][1]
+        bottom = slist.entries[-1][1]
+        span = top - bottom
+        if span <= 0:
+            entries = [(doc_id, 1.0) for doc_id, _ in slist.entries]
+        else:
+            scale = 1.0 - 1e-6
+            entries = [
+                (doc_id, 1e-6 + scale * (score - bottom) / span)
+                for doc_id, score in slist.entries
+            ]
+        out[qid] = ScoredList(qid, entries)
+    return out
 
 
 def table_from_rows(schema, rows):
@@ -422,30 +443,23 @@ class TestExternalScoreFile:
             ExternalScoreFile.load("X", path)
 
 
-class TestAttachLabels:
-    def make_table(self):
-        schema = FeatureSchema("mini", ("f",))
-        rows = [
-            FeatureRow("q1", "A", (1.0,)),
-            FeatureRow("q1", "B", (2.0,)),
-        ]
-        return table_from_rows(schema, rows)
+class TestAssembleLabels:
+    def make_table(self, qrels):
+        queries, candidates, internal = small_setup()
+        return assemble(queries, candidates, internal, internal,
+                        FeatureSchema("mini", ("BM25",)), qrels)
 
     def test_basic_labeling(self):
-        table, unseen = attach_labels(self.make_table(), {"q1": {"A"}})
-        assert [r.label for r in rows_of(table)] == [1, 0]
-        assert unseen == 0
+        assert self.make_table({"q1": {"A"}}).labels.tolist() == [1, 0]
 
     def test_empty_qrels_all_zero(self):
-        table, unseen = attach_labels(self.make_table(), {})
-        assert [r.label for r in rows_of(table)] == [0, 0]
-        assert unseen == 0
+        assert self.make_table({}).labels.tolist() == [0, 0]
 
-    def test_unseen_candidate_counted(self):
-        # Set-difference oracle: {(q1, GHOST)} minus table pairs has size 1.
-        table, unseen = attach_labels(self.make_table(), {"q1": {"A", "GHOST"}})
-        assert unseen == 1
-        assert [r.label for r in rows_of(table)] == [1, 0]
+    def test_no_qrels_leaves_rows_unlabeled(self):
+        assert self.make_table(None).labels.tolist() == [-1, -1]
+
+    def test_unseen_candidate_labels_no_row(self):
+        assert self.make_table({"q1": {"A", "GHOST"}, "q9": {"B"}}).labels.tolist() == [1, 0]
 
 
 class TestFeatureTableTsv:
@@ -454,8 +468,7 @@ class TestFeatureTableTsv:
         sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8)])})
         delta = ExternalScoreFile("DELTA", {})
         table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
-                         TASK1_SCHEMA)
-        table, _ = attach_labels(table, {"q1": {"A"}})
+                         TASK1_SCHEMA, {"q1": {"A"}})
         path = tmp_path / "features.tsv"
         table.to_tsv(path)
         loaded = FeatureTable.from_tsv(path)
@@ -587,27 +600,39 @@ class TestColumnarMatchesRowReference:
                 assert np.array_equal(got[1], want[1])
                 assert got[2:] == want[2:]
 
-    def test_predict_entries_match(self):
+    def test_predict_matches_two_pass_reference_bit_for_bit(self):
+        # The reference scores each row, sorts each query's dict of scores
+        # and normalizes each list in a second pass.
         rng = random.Random(5)
+        tied = constant = 0
         for rows in self.cases():
             model = random_model(rng)
             got = ltr.predict(model, table_from_rows(SCHEMA_MIXED, rows))
-            want = row_predict(model, RowTable(SCHEMA_MIXED, rows))
+            want = reference_normalize(row_predict(model, RowTable(SCHEMA_MIXED, rows)))
             assert list(got) == list(want)
-            assert all(got[qid].entries == want[qid].entries for qid in want)
+            for qid, slist in want.items():
+                hexed = [(doc_id, score.hex()) for doc_id, score in slist.entries]
+                assert [(doc_id, score.hex()) for doc_id, score in got[qid].entries] == hexed
+                scores = [score for _, score in slist.entries]
+                constant += len(scores) > 1 and set(scores) == {1.0}
+                tied += 1 < len(set(scores)) < len(scores)
+        assert tied > 10 and constant > 10  # both tie cases are exercised
 
-    def test_labels_share_columns(self):
-        for seed, rows in enumerate(self.cases()):
-            table = table_from_rows(SCHEMA_MIXED, rows)
-            qrels = {f"q{q}": {f"c{random.Random(seed).randrange(15):02d}", "ghost"}
-                     for q in range(4)}
-            labeled, unseen = attach_labels(table, qrels)
-            assert labeled.X is table.X and labeled.query_ids is table.query_ids
+    def test_labels_match_qrels(self):
+        for seed in range(40):
+            queries, candidates, internal, _, _ = random_assembly(random.Random(seed))
+            schema = FeatureSchema("ranks", ("L1_rank", "L2_rank"))  # always finite
+            rng = random.Random(seed)
+            qrels = {qid: {rng.choice(sorted(candidates)), "ghost"} for qid in queries}
+            unlabeled = assemble(queries, candidates, internal, ["L1", "L2"], schema)
+            labeled = assemble(queries, candidates, internal, ["L1", "L2"], schema, qrels)
+            assert labeled.query_ids == unlabeled.query_ids
+            assert labeled.candidate_ids == unlabeled.candidate_ids
+            assert labeled.X.tobytes() == unlabeled.X.tobytes()
+            assert unlabeled.labels.tolist() == [-1] * len(unlabeled)
             assert labeled.labels.tolist() == [
-                1 if r.candidate_id in qrels.get(r.query_id, ()) else 0
-                for r in RowTable(SCHEMA_MIXED, rows).rows]
-            pairs = set(zip(table.query_ids, table.candidate_ids))
-            assert unseen == sum((q, d) not in pairs for q, docs in qrels.items() for d in docs)
+                1 if cid in qrels.get(qid, ()) else 0
+                for qid, cid in zip(labeled.query_ids, labeled.candidate_ids)]
 
 
 ASSEMBLY_FEATURES = ("query_length", "candidate_length", "article_length", "query_ref_num",

@@ -198,12 +198,12 @@ class TestPredict:
         ]
         return table_from_rows(SCHEMA3, rows)
 
-    def test_empty_ensemble_base_score_and_id_order(self):
+    def test_empty_ensemble_equal_scores_and_id_order(self):
         model = TreeEnsemble(trees=[], base_score=0.25, schema_name=SCHEMA3.name,
                              feature_names=SCHEMA3.feature_names)
         runs = predict(model, self.make_small_table())
         assert [d for d, _ in runs["q0"].entries] == ["a", "b"]
-        assert all(s == 0.25 for _, s in runs["q0"].entries)
+        assert all(s == 1.0 for _, s in runs["q0"].entries)
 
     def test_manual_stump_partitions_scores(self):
         stump = RegressionTree(
@@ -220,8 +220,8 @@ class TestPredict:
         table = table_from_rows(SCHEMA3, rows)
         runs = predict(model, table)
         by_doc = dict(runs["q"].entries)
-        for row in rows:
-            expected = -1.0 if row.values[0] <= 0.5 else 2.0
+        for row in rows:  # leaf values -1 and 2 normalized to the floor and to 1
+            expected = 1e-6 if row.values[0] <= 0.5 else 1.0
             assert by_doc[row.candidate_id] == expected
 
     def test_row_order_invariance(self):
