@@ -189,10 +189,12 @@ def _sha256(path):
 
 
 def _tree_sha256(path):
-    """One digest over the names and contents of a directory's ``*.txt`` files."""
+    """One digest over the names and contents of a directory's ``*.txt`` files.
+
+    A name is hashed as its bytes, which need not be UTF-8; ingest refuses such a name."""
     digest = hashlib.sha256()
     for item in sorted(path.glob("*.txt")):
-        digest.update(f"{item.name}\t{_sha256(item)}\n".encode("utf-8"))
+        digest.update(f"{item.name}\t{_sha256(item)}\n".encode("utf-8", "surrogateescape"))
     return digest.hexdigest()
 
 

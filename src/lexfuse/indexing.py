@@ -83,23 +83,34 @@ class InvertedIndex:
             raise DataError("not an index snapshot")
         if data.get("version") != INDEX_VERSION:
             raise DataError(f"unsupported index version: {data.get('version')!r}")
-        doc_ids, terms, doc_freq, flat = (data[key] for key in (
-            "doc_ids", "terms", "doc_freq", "postings"))
+        doc_ids, doc_len, terms, doc_freq, flat = (data[key] for key in (
+            "doc_ids", "doc_len", "terms", "doc_freq", "postings"))
         if doc_ids != sorted(set(map(str, doc_ids))):
             raise DataError("index snapshot: doc_ids must be distinct strings in increasing order")
-        if (len(data["doc_len"]) != len(doc_ids) or len(terms) != len(doc_freq)
+        if (len(doc_len) != len(doc_ids) or len(terms) != len(doc_freq)
                 or 2 * sum(doc_freq) != len(flat)):
             raise DataError("index snapshot: array lengths disagree")
-        if not set(map(type, flat + data["doc_len"])) <= {int}:
-            raise DataError("index snapshot: doc_len and postings must hold integers")
+        if not {*map(type, flat), *map(type, doc_len), *map(type, doc_freq)} <= {int}:
+            raise DataError("index snapshot: doc_len, doc_freq and postings must hold integers")
         rows = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        doc_len = np.array(doc_len, dtype=np.int64)
+        postings = Postings(terms, doc_freq, rows)
+        if np.any(doc_len < 0) or np.any(np.diff(postings.bounds) < 1) or np.any(rows[:, 1] < 1):
+            raise DataError("index snapshot: doc_len must be >= 0, doc_freq and tf >= 1")
+        if len(postings) != len(terms) or not set(map(type, terms)) <= {str}:
+            raise DataError("index snapshot: terms must be distinct strings")
         if len(rows) and not 0 <= rows[:, 0].min() <= rows[:, 0].max() < len(doc_ids):
             raise DataError("index snapshot: a posting names no document")
+        rising = np.diff(rows[:, 0]) > 0
+        rising[postings.bounds[1:-1] - 1] = True  # a term's first row may name any document
+        if not rising.all():
+            raise DataError("index snapshot: a term's postings must name each document once, "
+                            "in increasing order")
         config = TokenizerConfig(**data["config"])
         settings = (config.min_token_len, config.ngram_lo, config.ngram_hi)
         if type(config.lowercase) is not bool or any(type(v) is not int for v in settings):
             raise DataError("index snapshot: lowercase must be a bool, the other settings integers")
-        return cls(config, doc_ids, data["doc_len"], Postings(terms, doc_freq, rows))
+        return cls(config, doc_ids, doc_len, postings)
 
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False),

@@ -9,6 +9,7 @@ query scoring lives here too.
 """
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -312,11 +313,14 @@ def preprocess_article(raw):
 # -- corpus I/O -------------------------------------------------------------
 
 def load_raw_corpus(corpus_dir):
-    """Read ``<id>.txt`` files of a directory, sorted by id; no id may hold a tab or line break."""
+    """Read ``<id>.txt`` files of a directory, sorted by id; an id is UTF-8 with no tab or
+    line break (a file name byte that is not UTF-8 reads as a surrogate U+DC80..U+DCFF)."""
     docs = []
     for path in sorted(Path(corpus_dir).glob("*.txt")):
-        if any(c in path.stem for c in "\t\n\r"):
-            raise DataError(f"{path}: an id must not hold a tab, newline or carriage return")
+        if any(c in "\t\n\r" or "\udc80" <= c <= "\udcff" for c in path.stem):
+            shown = os.fsencode(path).decode("utf-8", "backslashreplace")  # b"\xff" as \xff
+            raise DataError(f"{shown}: an id must be UTF-8 and hold no tab, newline or "
+                            f"carriage return")
         with _text(path) as fh:
             docs.append(RawDocument(id=path.stem, text=fh.read()))
     return docs

@@ -501,17 +501,18 @@ class TestErrors:
         assert cli.main(["frobnicate", "--config", "x.json"]) == 1
 
     @pytest.mark.parametrize("task", ["case", "statute"])
-    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    @pytest.mark.parametrize("name", [b"c\tx.txt", b"c\nx.txt", b"c\rx.txt", b"c\xff2.txt"])
     def test_id_that_breaks_a_tsv_field_is_a_data_error_naming_the_file(
-            self, tmp_path, capsys, task, char):
+            self, tmp_path, capsys, task, name):
         articles, questions, _ = build_statute_fixture(tmp_path)
-        bad = (articles if task == "case" else questions) / f"c{char}x.txt"
+        bad = (articles if task == "case" else questions) / os.fsdecode(name)
         bad.write_text("May a person rely on contract formation here?")
         cfg = write_config(tmp_path / "cfg.json", task=task, corpus_dir=str(articles),
                            queries_dir=str(questions), work_dir=str(tmp_path / "w"))
         assert run("ingest", cfg) == 2
-        assert (f"data error: {bad}: an id must not hold a tab, newline or carriage return"
-                in capsys.readouterr().err)
+        shown = os.fsencode(bad).decode("utf-8", "backslashreplace")
+        assert (f"data error: {shown}: an id must be UTF-8 and hold no tab, newline or "
+                f"carriage return" in capsys.readouterr().err)
         assert not (tmp_path / "w" / "clean.jsonl").exists()
 
     def test_stage_out_of_order_is_data_error(self, tmp_path):

@@ -226,6 +226,14 @@ class TestSerialization:
         (lambda d: d["doc_ids"].__setitem__(1, "d1"), "doc_ids must be distinct strings"),
         (lambda d: d["doc_ids"].reverse(), "doc_ids must be distinct strings in increasing"),
         (lambda d: d["doc_ids"].__setitem__(0, 1), "doc_ids must be distinct strings"),
+        (lambda d: d.update(doc_freq=[-1, 4]), "doc_freq and tf >= 1"),
+        (lambda d: d["doc_freq"].__setitem__(0, 1.0), "doc_freq and postings must hold int"),
+        (lambda d: d["postings"].__setitem__(1, 0), "doc_freq and tf >= 1"),
+        (lambda d: d["doc_len"].__setitem__(0, -1), "doc_len must be >= 0"),
+        (lambda d: d.update(terms=["y", "y"]), "terms must be distinct strings"),
+        (lambda d: d["terms"].__setitem__(0, 5), "terms must be distinct strings"),
+        (lambda d: d["postings"].__setitem__(4, 0), "name each document once, in increasing"),
+        (lambda d: d.update(postings=[0, 1, 1, 1, 0, 1]), "name each document once"),
     ])
     def test_bad_snapshot_is_a_data_error_naming_the_file(self, tmp_path, change, problem):
         path = tmp_path / "index.json"
