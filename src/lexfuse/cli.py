@@ -229,6 +229,7 @@ class Stage:
         self.cfg = cfg
         self.command = command
         self.inputs = {}  # path -> sha256
+        self.verified = set()  # artifact paths whose bytes equal their manifest entry
         self.outputs = []
 
     @property
@@ -269,6 +270,8 @@ class Stage:
             command = artifacts[name]["command"]
             raise DataError(f"{path}: modified since {command} wrote it "
                             f"(per {self.work / 'manifest.json'}); rerun {command}")
+        if str(path) in current:
+            self.verified.add(path)
         return path
 
     def _config_path(self, key, name):
@@ -442,7 +445,11 @@ def cmd_features(stage):
     scores = {}  # score source name -> {query_id: ScoredList}
     for scorer in scorers.SCORER_NAMES:
         path = stage.artifact(f"scores_{scorer}.tsv")
-        lists = scorers.read_score_dump(path)
+        # A dump as score wrote it holds each query's rows in one block of
+        # descending scores, so only its top rows need parsing; a dump with
+        # no manifest entry is parsed, and checked, in full.
+        limited = depth > 0 and path in stage.verified
+        lists = scorers.read_score_dump(path, depth if limited else None)
         if depth > 0:
             lists = {qid: scorers.top_k(slist, depth) for qid, slist in lists.items()}
         unknown = next((doc_id for qid in queries if qid in lists

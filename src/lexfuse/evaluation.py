@@ -16,7 +16,7 @@ flagged in the report.
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 
@@ -237,16 +237,26 @@ def write_run_file(runs, path, tag="lexfuse"):
                 fh.write(f"{qid}\t{doc_id}\t{rank}\t{score:.6f}\t{tag}\n")
 
 
-def _read_scored_table(path, width, score_field):
+def _read_scored_table(path, width, score_field, limit=None):
     """Rows of a query/doc/score table as {query_id: {doc_id: score}}, in file order.
 
     Each non-empty line has ``width`` tab-separated fields: the query id,
     the document id, and the score at ``score_field``, a finite number.
+
+    With ``limit``, a query's rows are parsed until ``limit`` of them are
+    in, then while they tie the last one's score; the first row below that
+    score is checked but not kept, and the rest of the query's block is
+    skipped unparsed and unchecked. That keeps each query's top ``limit``
+    rows and their ties only in a table that holds each query in one block
+    of non-increasing scores, as ``scorers.write_score_dump`` writes it.
     """
     per_query = {}
-    qid = scores = None
+    qid = scores = floor = skip = None
+    cap = inf if limit is None else limit
     with _text(path) as fh:
         for lineno, line in enumerate(fh, 1):
+            if skip is not None and line.startswith(skip):
+                continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != width:
                 if parts == [""]:
@@ -255,6 +265,7 @@ def _read_scored_table(path, width, score_field):
             if parts[0] != qid:
                 qid = parts[0]
                 scores = per_query.setdefault(qid, {})
+                floor = skip = None
             doc_id, raw = parts[1], parts[score_field]
             try:
                 score = float(raw)
@@ -265,7 +276,12 @@ def _read_scored_table(path, width, score_field):
             if doc_id in scores:
                 raise DataError(
                     f"{path}:{lineno}: duplicate candidate {doc_id!r} for query {qid!r}")
-            scores[doc_id] = score
+            if len(scores) < cap:
+                scores[doc_id] = floor = score
+            elif score == floor:
+                scores[doc_id] = score
+            else:
+                skip = qid + "\t"
     return per_query
 
 

@@ -108,9 +108,10 @@ class FeatureTable:
     def to_tsv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("query_id\tcandidate_id\tlabel\t" + "\t".join(self.schema.feature_names) + "\n")
+            # One row at a time: X.tolist() would hold a Python float per cell at once.
             for qid, cid, label, row in zip(self.query_ids, self.candidate_ids,
-                                            self.labels.tolist(), self.X.tolist()):
-                values = "\t".join(f"{v:.6f}" for v in row)
+                                            self.labels.tolist(), self.X):
+                values = "\t".join(f"{v:.6f}" for v in row.tolist())
                 fh.write(f"{qid}\t{cid}\t{label}\t{values}\n")
 
     @classmethod

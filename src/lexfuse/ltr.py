@@ -137,6 +137,13 @@ class TreeEnsemble:
                     for i, (f, a, b) in enumerate(zip(t.feature, t.left, t.right))
             ) or not all(type(v) is float and math.isfinite(v) for v in t.threshold + t.value):
                 raise DataError(f"tree {k} is not a tree over the model's features")
+        # Bounds every partial sum of predict_matrix; twice it bounds the
+        # spread that predict's normalization divides by.
+        bound = abs(model.base_score)
+        for t in model.trees:
+            bound += max(map(abs, t.value))
+        if not math.isfinite(2 * bound):
+            raise DataError("base_score and leaf values can sum beyond the float range")
         return model
 
     def save(self, path):

@@ -123,7 +123,7 @@ def score_all(index, query_id, query_text, scorer="bm25", params=None):
 
 
 def top_k(scored, k):
-    """Prefix of length min(k, len); k must be non-negative."""
+    """Prefix of length min(k, len); k must be non-negative. A limited read keeps ties past k."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return ScoredList(query_id=scored.query_id, entries=list(scored.entries[:k]))
@@ -139,7 +139,12 @@ def write_score_dump(lists, path):
             fh.write(row * len(slist.entries) % tuple(chain.from_iterable(slist.entries)))
 
 
-def read_score_dump(path):
-    """Parse a score dump into {query_id: ScoredList}, re-sorted per query."""
+def read_score_dump(path, limit=None):
+    """Parse a score dump into {query_id: ScoredList}, re-sorted per query.
+
+    With ``limit``, each query keeps its first ``limit`` rows and their ties
+    (see ``_read_scored_table``); on a dump ``write_score_dump`` wrote, that
+    gives the same ``top_k(list, limit)`` as a full read.
+    """
     return {qid: ScoredList.from_scores(qid, scores)
-            for qid, scores in _read_scored_table(path, 3, 2).items()}
+            for qid, scores in _read_scored_table(path, 3, 2, limit).items()}

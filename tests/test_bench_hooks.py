@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lexfuse import features, ltr, postprocess
+from lexfuse import features, ltr, postprocess, scorers
 from lexfuse.evaluation import ScoredList
 from lexfuse.ingest import CleanDocument
 
@@ -72,6 +72,25 @@ def test_assemble_returns_the_table_whose_len_counts_its_rows():
     table = features.assemble({"q": docs["q"]}, docs, scores, ["BM25"],
                               features.FeatureSchema("one", ("BM25",)), {"q": {"A"}})
     assert isinstance(table, features.FeatureTable) and len(table) == len(table.X) == 2
+
+
+def test_the_dump_counters_find_top_k_and_write_score_dump(monkeypatch, tmp_path):
+    # scorers.dump_use_ratio is top_k's kept entries over the rows of the lists
+    # write_score_dump takes first; without either function it reads 0.
+    launcher = perfbench_module(monkeypatch, "launcher")
+    for name in ("top_k", "write_score_dump"):
+        fn = vars(scorers).get(name)
+        assert inspect.isfunction(fn) and fn.__module__ == scorers.__name__, name
+    assert next(iter(inspect.signature(scorers.write_score_dump).parameters)) == "lists"
+    tracer = launcher.Tracer("hooks")
+    lists = [ScoredList("q1", [("A", 1.0), ("B", 0.5)]), ScoredList("q2", [("A", 0.25)])]
+    args = (lists, tmp_path / "scores.tsv")
+    launcher._count_dump_rows(tracer, args, scorers.write_score_dump(*args))
+    args = (lists[0], 1)
+    top = scorers.top_k(*args)
+    assert isinstance(top, ScoredList)
+    launcher._count_top_k(tracer, args, top)
+    assert tracer.counters == {"scorers.dump_rows": 3, "scorers.top_k_rows": 1}
 
 
 def test_train_takes_the_table_first():

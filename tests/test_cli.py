@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -874,6 +875,9 @@ READERS = {
 }
 
 
+DUMPS = tuple(f"scores_{name}.tsv" for name in scorers.SCORER_NAMES)
+
+
 @pytest.fixture(scope="module")
 def tiny_chain(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny")
@@ -996,6 +1000,28 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert f"data error: {where}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("trees", [
+        [{"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+          "value": [1e308]}] * 2,
+        [{"feature": [0, -1, -1], "threshold": [9.5, 0.0, 0.0], "left": [1, -1, -1],
+          "right": [2, -1, -1], "value": [0.0, 1e308, -1e308]}],
+    ], ids=["sum", "spread"])
+    def test_model_whose_leaves_overflow_names_model_json(self, tiny_chain, capsys, trees):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        model = json.loads((work / "model.json").read_text())
+        model["trees"] = trees
+        (work / "model.json").write_text(json.dumps(model))
+        forget(work, "model.json")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would exit 3
+            assert run("rerank", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {work / 'model.json'}: " in err and "float range" in err
+        assert (work / "run_raw.tsv").read_bytes() == (
+            root / "pristine" / "run_raw.tsv").read_bytes()
+
     def test_internal_key_error_is_exit_3(self, tiny_chain, capsys, monkeypatch):
         root, cfg = tiny_chain
         fresh_work(root)
@@ -1104,6 +1130,63 @@ class TestFeaturesCommand:
         assert unseen > 2  # the two made-up pairs and relevant documents below depth 1
         assert (f"features: warning: {unseen} qrel pairs never appear in the table"
                 in capsys.readouterr().out)
+
+    @staticmethod
+    def _record_dump_reads(monkeypatch):
+        """The (file name, limit) of each ``scores_*.tsv`` read ``features`` makes, in order."""
+        calls = []
+        read = scorers.read_score_dump
+        monkeypatch.setattr(scorers, "read_score_dump", lambda path, limit=None:
+                            calls.append((Path(path).name, limit)) or read(path, limit))
+        return calls
+
+    @pytest.mark.parametrize("forgotten", [(), ("scores_qld.tsv",), DUMPS],
+                             ids=["verified", "one", "none-verified"])
+    def test_only_verified_dumps_are_read_to_the_depth(self, tiny_chain, monkeypatch,
+                                                        forgotten):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        for name in forgotten:
+            forget(work, name)
+        calls = self._record_dump_reads(monkeypatch)
+        assert run("features", cfg) == 0
+        assert calls == [(name, None if name in forgotten else 10) for name in DUMPS]
+        assert (work / "features.tsv").read_bytes() == (
+            root / "pristine" / "features.tsv").read_bytes()
+
+    @staticmethod
+    def _break_a_row_past_the_depth(work, name):
+        """Make the first query's last row of dump ``name`` non-finite; returns its line."""
+        lines = (work / name).read_text().splitlines(keepends=True)
+        qid = lines[0].split("\t")[0]
+        at = max(i for i, line in enumerate(lines) if line.startswith(qid + "\t"))
+        assert at >= 10  # below rerank_depth
+        lines[at] = "\t".join(lines[at].split("\t")[:2] + ["nan\n"])
+        (work / name).write_text("".join(lines))
+        return at + 1
+
+    def test_unverified_dump_is_checked_past_the_depth(self, tiny_chain, capsys):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        lineno = self._break_a_row_past_the_depth(work, "scores_qld.tsv")
+        forget(work, "scores_qld.tsv")
+        capsys.readouterr()
+        assert run("features", cfg) == 2
+        assert (f"data error: {work / 'scores_qld.tsv'}:{lineno}: non-finite score 'nan'"
+                in capsys.readouterr().err)
+
+    def test_dump_edited_after_score_is_refused_unread(self, tiny_chain, capsys, monkeypatch):
+        root, cfg = tiny_chain
+        work = fresh_work(root)
+        self._break_a_row_past_the_depth(work, "scores_qld.tsv")
+        calls = self._record_dump_reads(monkeypatch)
+        capsys.readouterr()
+        assert run("features", cfg) == 2
+        assert (f"data error: {work / 'scores_qld.tsv'}: modified since score wrote it"
+                in capsys.readouterr().err)
+        assert calls == [("scores_bm25.tsv", 10)]
+        assert (work / "features.tsv").read_bytes() == (
+            root / "pristine" / "features.tsv").read_bytes()
 
 
 class TestStageReads:

@@ -168,6 +168,16 @@ def rows_of(table):
                                                table.X.tolist(), table.labels.tolist())]
 
 
+def whole_matrix_to_tsv(table, path):
+    """The writer ``to_tsv`` replaced: the whole matrix converted by one ``X.tolist()``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("query_id\tcandidate_id\tlabel\t" + "\t".join(table.schema.feature_names) + "\n")
+        for qid, cid, label, row in zip(table.query_ids, table.candidate_ids,
+                                        table.labels.tolist(), table.X.tolist()):
+            values = "\t".join(f"{v:.6f}" for v in row)
+            fh.write(f"{qid}\t{cid}\t{label}\t{values}\n")
+
+
 
 # -- reference: the per-cell assembly that the column-by-column build replaced ----
 
@@ -483,6 +493,19 @@ class TestFeatureTableTsv:
         assemble(queries, candidates, internal, internal, schema).to_tsv(p1)
         assemble(queries, candidates, internal, internal, schema).to_tsv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_same_bytes_as_whole_matrix_writer(self, tmp_path):
+        rng = random.Random(53)
+        values = [-0.0, 0.0, 5e-7, -5e-7, 1.5e-6, 1e300, -1e300, 2.0000005, 1 / 3, 7.0]
+        for trial in range(30):
+            rows = [FeatureRow(f"q{rng.randrange(5)}", f"c{i:02d}",
+                               tuple(rng.choice(values + [rng.gauss(0, 100)]) for _ in range(3)),
+                               rng.choice((None, 0, 1)))
+                    for i in range(rng.randrange(0, 40))]
+            table = table_from_rows(SCHEMA_MIXED, rows)
+            table.to_tsv(tmp_path / "got.tsv")
+            whole_matrix_to_tsv(table, tmp_path / "want.tsv")
+            assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
     def test_bad_label_or_value_names_file_and_lineno(self, tmp_path):
         header = "query_id\tcandidate_id\tlabel\tf\n"

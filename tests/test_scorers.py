@@ -495,6 +495,75 @@ class TestScoreDump:
                 assert got[qid].query_id == qid
                 assert hex_entries(got[qid]) == hex_entries(want[qid])
 
+    def test_score_all_dumps_hold_each_query_in_one_block_of_descending_scores(self, tmp_path):
+        # features reads a verified dump only down to rerank_depth, which relies on this.
+        rng = random.Random(59)
+        near_ties = out_of_id_order = 0
+        for trial in range(20):
+            docs = [(doc_id, " ".join(["a"] * rng.randrange(0, 3)
+                                      + rng.choices("bcdef", k=rng.randrange(0, 20))))
+                    for doc_id in AWKWARD_IDS]
+            index = build_index(docs)
+            queries = {qid: " ".join(rng.choices("abcdefg", k=rng.randrange(1, 4)))
+                       for qid in ("q9", "q10", "Q1", "é")}
+            # k1 near 0 makes BM25 scores that differ only below the sixth decimal.
+            for scorer, params in (("bm25", Bm25Params(k1=1e-5)), ("bm25", Bm25Params()),
+                                   ("qld", QldParams())):
+                lists = [score_all(index, qid, text, scorer, params)
+                         for qid, text in queries.items()]
+                write_score_dump(lists, tmp_path / "dump.tsv")
+                rows = [line.split("\t") for line in
+                        (tmp_path / "dump.tsv").read_text(encoding="utf-8").splitlines()]
+                blocks = [q for i, (q, _, _) in enumerate(rows) if i == 0 or rows[i - 1][0] != q]
+                assert sorted(blocks) == sorted(queries)  # one block per query
+                full = {(slist.query_id, doc_id): score
+                        for slist in lists for doc_id, score in slist.entries}
+                for (q1, d1, s1), (q2, d2, s2) in zip(rows, rows[1:]):
+                    if q1 == q2:
+                        assert float(s1) >= float(s2)
+                        near_ties += s1 == s2 and full[q1, d1] != full[q2, d2]
+                        out_of_id_order += s1 == s2 and d1 > d2
+        assert near_ties and out_of_id_order
+
+    def test_limited_read_keeps_the_top_k_of_the_full_read(self, tmp_path):
+        rng = random.Random(61)
+        ids = AWKWARD_IDS + [f"c{i}" for i in range(20)]
+        for trial in range(60):
+            lists = []
+            for qid in rng.sample(["q1", "q2", "q10", "é", "%s"], rng.randrange(1, 6)):
+                # A few six-decimal levels, each spread over distinct full-precision scores.
+                levels = [round(rng.uniform(-3, 3), 2) for _ in range(rng.randrange(1, 5))]
+                scores = {doc_id: rng.choice(levels) + rng.choice((0.0, 1e-7, -2e-7, 4.9e-7))
+                          for doc_id in rng.sample(ids, rng.randrange(1, 30))}
+                lists.append(ScoredList.from_scores(qid, scores))  # as score_all ranks
+            path = tmp_path / "dump.tsv"
+            write_score_dump(lists, path)
+            full = read_score_dump(path)
+            for k in range(max(map(len, lists)) + 2):
+                got = read_score_dump(path, k)
+                assert list(got) == list(full)
+                for qid in full:
+                    assert hex_entries(top_k(got[qid], k)) == hex_entries(top_k(full[qid], k))
+
+    def test_limited_read_checks_every_row_it_parses(self, tmp_path):
+        path = tmp_path / "dump.tsv"
+        head = "q1\td1\t2.000000\nq1\td2\t1.000000\nq1\td3\t1.000000\n"
+        # Rows that tie the k-th score are parsed, and so is the first row below it.
+        for row, problem in (("q1\td4\tnan", "non-finite score 'nan'"),
+                             ("q1\td4\t1.0x", "bad score '1.0x'"),
+                             ("q1\td4", "expected 3 tab-separated fields"),
+                             ("q1\td1\t0.500000", "duplicate candidate 'd1' for query 'q1'")):
+            path.write_text(head + row + "\nq2\td1\t5.000000\n", encoding="utf-8")
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}:4: {problem}')}"):
+                read_score_dump(path, 2)
+        # The rest of the block is skipped unparsed.
+        path.write_text(head + "q1\td4\t0.500000\nq1\td5\tnan\nq1\td6\n\nq2\td1\t5.0\n",
+                        encoding="utf-8")
+        assert {qid: slist.entries for qid, slist in read_score_dump(path, 2).items()} == {
+            "q1": [("d1", 2.0), ("d2", 1.0), ("d3", 1.0)], "q2": [("d1", 5.0)]}
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:5: non-finite"):
+            read_score_dump(path)
+
     def test_round_trip_and_format(self, tmp_path):
         lists = [
             ScoredList("q2", [("d1", 1.25), ("d2", 0.5)]),
