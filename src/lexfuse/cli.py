@@ -408,6 +408,7 @@ def cmd_index(stage):
         index = indexing.build_index(pairs, _tokenizer_config(stage.cfg, ngram=ngram))
         out = stage.write(name, lambda tmp: index.save(tmp))
         print(f"index: {index.num_docs} docs, {len(index.postings)} terms -> {out}")
+        del index  # one index at a time bounds the stage's peak memory
 
 
 _INDEX_SCORERS = (("index_plain.json", ("bm25", "qld")),
@@ -423,14 +424,12 @@ def cmd_score(stage):
         index = indexing.InvertedIndex.load(stage.artifact(index_name))
         for scorer in names:
             params = qld_params if scorer == "qld" else bm25_params
-            lists = [
-                scorers.score_all(index, qid, queries[qid].text, scorer, params)
-                for qid in sorted(queries)
-            ]
+            lists = (scorers.score_all(index, qid, queries[qid].text, scorer, params)
+                     for qid in sorted(queries))  # each list is written as it is scored
             out = stage.write(f"scores_{scorer}.tsv",
                               lambda tmp: scorers.write_score_dump(lists, tmp))
-            print(f"score: {scorer} over {len(lists)} queries -> {out}")
-            del lists  # one scorer's lists at a time bound the stage's peak memory
+            print(f"score: {scorer} over {len(queries)} queries -> {out}")
+        del index  # one index at a time bounds the stage's peak memory
 
 
 def cmd_features(stage):

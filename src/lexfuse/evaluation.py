@@ -56,7 +56,7 @@ def _read_json_as(path, parse, what):
     value = _read_json(path)
     try:
         return parse(value)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {what}: {exc}") from None
 
 

@@ -132,9 +132,18 @@ def top_k(scored, k):
 # -- score dumps -------------------------------------------------------------
 
 def write_score_dump(lists, path):
-    """Write ``query_id<TAB>doc_id<TAB>score`` lines, six-decimal scores."""
+    """Write ``query_id<TAB>doc_id<TAB>score`` lines, six-decimal scores.
+
+    ``lists`` is any iterable of ScoredLists in increasing query id order;
+    each is written as it arrives, and one out of order is refused.
+    """
+    last = None
     with open(path, "w", encoding="utf-8") as fh:
-        for slist in sorted(lists, key=lambda s: s.query_id):
+        for slist in lists:
+            if last is not None and slist.query_id <= last:
+                raise ValueError(f"score dump lists out of query order: "
+                                 f"{slist.query_id!r} after {last!r}")
+            last = slist.query_id
             row = f"{slist.query_id}".replace("%", "%%") + "\t%s\t%.6f\n"
             fh.write(row * len(slist.entries) % tuple(chain.from_iterable(slist.entries)))
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lexfuse import features, ltr, postprocess, scorers
+from lexfuse import features, indexing, ltr, postprocess, scorers
 from lexfuse.evaluation import ScoredList
 from lexfuse.ingest import CleanDocument
 
@@ -63,6 +63,21 @@ def test_every_span_name_is_a_lexfuse_function_or_a_wrapped_method(monkeypatch):
             assert inspect.isclass(cls) and cls.__module__ == module.__name__, name
             assert (module.__name__, cls_name, attr) in wrapped_methods, name
             assert callable(getattr(cls, attr)), name
+
+
+def test_index_save_and_load_keep_their_shapes_and_a_loaded_index_is_counted(
+        monkeypatch, tmp_path):
+    # launcher wraps save as a plain method and load as a classmethod, and counts
+    # indexing.terms and indexing.postings with len() and .values() of postings.
+    launcher = perfbench_module(monkeypatch, "launcher")
+    assert inspect.isfunction(vars(indexing.InvertedIndex)["save"])
+    assert isinstance(vars(indexing.InvertedIndex)["load"], classmethod)
+    index = indexing.build_index([("d1", "a b b"), ("d2", "b c")])
+    index.save(tmp_path / "index_plain.json")
+    for counted in (index, indexing.InvertedIndex.load(tmp_path / "index_plain.json")):
+        tracer = launcher.Tracer("hooks")
+        launcher._count_index(tracer, (), counted)
+        assert tracer.counters == {"indexing.terms": 3, "indexing.postings": 4}
 
 
 def test_assemble_returns_the_table_whose_len_counts_its_rows():

@@ -13,6 +13,7 @@ import pytest
 
 from lexfuse import cli, ltr, scorers, synth
 from lexfuse.evaluation import load_qrels, micro_prf1, read_run_file
+from lexfuse.indexing import InvertedIndex
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -541,22 +542,29 @@ class TestErrors:
         assert run("index", cfg) == 0
         assert run("score", cfg) == 0
 
-    def test_version_1_index_is_data_error(self, tmp_path, capsys):
+    def test_json_index_versions_1_and_2_are_data_errors(self, tmp_path, capsys):
         cfg = tiny_chain_config(tmp_path)
         for command in ("synth", "ingest", "index"):
             assert run(command, cfg) == 0, command
         path = tmp_path / "work" / "index_plain.json"
-        data = json.loads(path.read_text())
-        pairs = iter(zip(data["postings"][::2], data["postings"][1::2]))
-        # The version-1 layout: a {term: [[ordinal, tf], ...]} dict.
-        data["postings"] = {term: [list(next(pairs)) for _ in range(df)]
-                            for term, df in zip(data.pop("terms"), data.pop("doc_freq"))}
-        data["version"] = 1
-        path.write_text(json.dumps(data))
+        index = InvertedIndex.load(path)
+        common = {"format": "lexfuse-index", "config": dataclasses.asdict(index.config),
+                  "doc_ids": list(index.doc_ids), "doc_len": index.doc_len.tolist()}
+        layouts = {
+            # The version-1 layout: a {term: [[ordinal, tf], ...]} dict.
+            1: {"postings": {term: rows.tolist() for term, rows in index.postings.items()}},
+            # The version-2 layout: flat JSON lists.
+            2: {"terms": list(index.postings),
+                "doc_freq": [len(rows) for rows in index.postings.values()],
+                "postings": index.postings.rows.ravel().tolist()},
+        }
         forget(tmp_path / "work", "index_plain.json")
-        capsys.readouterr()
-        assert run("score", cfg) == 2
-        assert "unsupported index version" in capsys.readouterr().err
+        for version, layout in layouts.items():
+            path.write_text(json.dumps({**common, **layout, "version": version}))
+            capsys.readouterr()
+            assert run("score", cfg) == 2
+            assert (f"{path}: malformed index snapshot: unsupported index version: {version}"
+                    in capsys.readouterr().err)
 
     def test_outputs_before_a_failure_are_recorded(self, tmp_path, monkeypatch):
         cfg = tiny_chain_config(tmp_path)
@@ -987,12 +995,13 @@ class TestCorruptArtifacts:
                                                          command, edit):
         root, cfg = tiny_chain
         work = fresh_work(root)
-        lines = (work / name).read_text().splitlines()
-        at = len(lines) // 2  # the middle record of clean.jsonl; the one line of a JSON file
+        lines = (work / name).read_bytes().split(b"\n")
+        # An index snapshot's JSON header; the middle record of clean.jsonl; a JSON file's line.
+        at = 0 if name.startswith("index_") else (len(lines) - 1) // 2
         record = json.loads(lines[at])
         edit(record)
-        lines[at] = json.dumps(record)
-        (work / name).write_text("\n".join(lines) + "\n")
+        lines[at] = json.dumps(record).encode()
+        (work / name).write_bytes(b"\n".join(lines))
         forget(work, name)
         capsys.readouterr()
         assert run(command, cfg) == 2

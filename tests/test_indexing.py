@@ -1,12 +1,14 @@
+import hashlib
 import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from lexfuse import cli
 from lexfuse.evaluation import DataError
-from lexfuse.indexing import InvertedIndex, build_index
+from lexfuse.indexing import InvertedIndex, Postings, build_index
 from lexfuse.ingest import TokenizerConfig, tokenize
 from lexfuse.scorers import SCORER_NAMES, score_all
 
@@ -23,6 +25,13 @@ def term_frequency(index, term, ordinal):
         return 0
     rows = index.postings[term]
     return int(rows[rows[:, 0] == ordinal, 1].sum())
+
+
+def contents(index):
+    """Everything an index holds, as plain values: equal for equal indexes."""
+    return {"config": index.config, "doc_ids": index.doc_ids, "doc_len": index.doc_len.tolist(),
+            "terms": list(index.postings),
+            "postings": [rows.tolist() for rows in index.postings.values()]}
 
 
 def sliding_ngrams(words, lo, hi):
@@ -142,17 +151,53 @@ class TestBuildIndex:
                     for doc_id in rng.sample(["d2", "d10", "a", "Z", "é", "日本", "-1"],
                                              rng.randrange(1, 8))]
             for config in (TokenizerConfig(), TokenizerConfig(ngram_lo=1, ngram_hi=3)):
-                want = build_index(docs, config).to_dict()
-                assert want["doc_ids"] == sorted(doc_id for doc_id, _ in docs)
+                want = contents(build_index(docs, config))
+                assert want["doc_ids"] == tuple(sorted(doc_id for doc_id, _ in docs))
                 for _ in range(3):
                     shuffled = rng.sample(docs, len(docs))
-                    assert build_index(shuffled, config).to_dict() == want
+                    assert contents(build_index(shuffled, config)) == want
 
     def test_ngram_range_1_1_equals_plain(self):
         docs = [("d1", "the cat sat"), ("d2", "the dog ran far")]
         plain = build_index(docs, TokenizerConfig())
         same = build_index(docs, TokenizerConfig(ngram_lo=1, ngram_hi=1))
-        assert plain.to_dict() == same.to_dict()
+        assert contents(plain) == contents(same)
+
+
+BLOCKS = ("terms", "doc_len", "doc_freq", "postings")
+
+
+def edit_snapshot(path, change):
+    """Rewrite snapshot ``path`` after ``change(header, blocks)``.
+
+    ``blocks`` holds the terms block as bytes and the others as int lists.
+    The header's block lengths are recomputed unless ``change`` sets them.
+    """
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    sizes = header.pop("block_bytes")
+    blocks = {}
+    for name in BLOCKS:
+        blocks[name], body = body[:sizes[name]], body[sizes[name]:]
+    for name in BLOCKS[1:]:
+        blocks[name] = np.frombuffer(blocks[name], "<i4").tolist()
+    change(header, blocks)
+    raw = [blocks["terms"], *(np.array(blocks[name], "<i4").tobytes() for name in BLOCKS[1:])]
+    header.setdefault("block_bytes", dict(zip(BLOCKS, map(len, raw))))
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(raw))
+
+
+def random_corpus(rng):
+    """Documents with non-ASCII ids and words, one of them empty, and three queries."""
+    vocab = ["straße", "日本", "café", "x9", "law_suit", "ünïcode", "a", "bb", "Ωmega"]
+    ids = rng.sample(["d2", "d10", "é", "日本", "-1", "Z", "ж", "q 1"], rng.randrange(1, 8))
+    docs = [(doc_id, " ".join(rng.choices(vocab, k=rng.randrange(1, 25)))) for doc_id in ids]
+    docs.append(("empty", ""))
+    queries = [" ".join(rng.choices(vocab + ["zz"], k=rng.randrange(1, 6))) for _ in range(3)]
+    return docs, queries
+
+
+CONFIGS = (TokenizerConfig(), TokenizerConfig(ngram_lo=1, ngram_hi=3))
 
 
 class TestSerialization:
@@ -164,11 +209,10 @@ class TestSerialization:
         path = tmp_path / "index.json"
         index.save(path)
         loaded = InvertedIndex.load(path)
-        assert loaded.to_dict() == index.to_dict()
+        assert contents(loaded) == contents(index)
         assert loaded.avgdl == index.avgdl
-        assert {t: r.tolist() for t, r in loaded.postings.items()} == {
-            t: r.tolist() for t, r in index.postings.items()}
         assert loaded.config == index.config
+        assert loaded.postings.rows.dtype == loaded.doc_len.dtype == np.int64
 
     def test_loaded_index_scores_bit_equal(self, tmp_path):
         rng = random.Random(29)
@@ -177,22 +221,25 @@ class TestSerialization:
                 for i in range(30)]
         queries = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 12)))
                    for _ in range(10)]
-        for config in (TokenizerConfig(), TokenizerConfig(ngram_lo=1, ngram_hi=3)):
-            index = build_index(docs, config)
-            path = tmp_path / "index.json"
-            index.save(path)
-            loaded = InvertedIndex.load(path)
-            for scorer in SCORER_NAMES:
-                for n, query in enumerate(queries):
-                    want = score_all(index, f"q{n}", query, scorer).entries
-                    got = score_all(loaded, f"q{n}", query, scorer).entries
-                    assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
+        corpora = [(docs, queries)] + [random_corpus(rng) for _ in range(25)]
+        path = tmp_path / "index.json"
+        for docs, queries in corpora:
+            for config in CONFIGS:
+                index = build_index(docs, config)
+                index.save(path)
+                loaded = InvertedIndex.load(path)
+                assert contents(loaded) == contents(index)
+                for scorer in SCORER_NAMES:
+                    for n, query in enumerate(queries):
+                        want = score_all(index, f"q{n}", query, scorer).entries
+                        got = score_all(loaded, f"q{n}", query, scorer).entries
+                        assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
 
-    def test_inconsistent_snapshot_rejected(self, tmp_path):
-        data = build_index([("d1", "x y"), ("d2", "y")]).to_dict()
-        data["doc_freq"][0] += 1
-        with pytest.raises(ValueError, match="disagree"):
-            InvertedIndex.from_dict(data)
+    def test_empty_index_round_trips(self, tmp_path):
+        path = tmp_path / "index.json"
+        build_index([]).save(path)
+        loaded = InvertedIndex.load(path)
+        assert contents(loaded) == contents(build_index([]))
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         docs = [("d1", "alpha beta beta"), ("d2", "gamma alpha")]
@@ -201,44 +248,89 @@ class TestSerialization:
         build_index(docs).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_version_header_present_and_checked(self, tmp_path):
-        index = build_index([("d1", "x")])
+    def test_snapshot_bytes_are_pinned(self, tmp_path):
+        # Any change to the snapshot's layout changes these bytes.
         path = tmp_path / "index.json"
-        index.save(path)
-        data = json.loads(path.read_text())
-        assert data["format"] == "lexfuse-index"
-        assert data["version"] == 2
-        data["format"] = "something-else"
-        with pytest.raises(ValueError, match="not an index snapshot"):
-            InvertedIndex.from_dict(data)
+        build_index([("d1", "a b b"), ("é", "c ü a"), ("e", "")],
+                    TokenizerConfig(ngram_lo=1, ngram_hi=2)).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b0da0d9ffea68e1af535b5494f55928c5c8dfe62acc54798296b8a562a3ea2d4")
+
+    def test_header_line_and_int32_blocks(self, tmp_path):
+        path = tmp_path / "index.json"
+        build_index([("d1", "x y"), ("d2", "y")]).save(path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        assert header == {"format": "lexfuse-index", "version": 3, "doc_ids": ["d1", "d2"],
+                          "config": {"lowercase": True, "min_token_len": 1, "ngram_lo": 1,
+                                     "ngram_hi": 1},
+                          "num_terms": 2,
+                          "block_bytes": {"terms": 3, "doc_len": 8, "doc_freq": 8,
+                                          "postings": 24}}
+        assert head.decode() == json.dumps(header, sort_keys=True)
+        assert body == b"x\ny" + np.array([2, 1, 1, 2, 0, 1, 0, 1, 1, 1], "<i4").tobytes()
+
+    @pytest.mark.parametrize("field", ["doc_len", "tf", "doc_freq"])
+    def test_save_refuses_a_count_past_int32(self, tmp_path, field):
+        big = 2**31
+        doc_len = [big if field == "doc_len" else 1]
+        doc_freq = [big if field == "doc_freq" else 1]
+        rows = np.array([[0, big if field == "tf" else 1]], dtype=np.int64)
+        index = InvertedIndex(TokenizerConfig(), ["d1"], doc_len,
+                              Postings({"a": 0}, doc_freq, rows))
+        path = tmp_path / "index.json"
+        with pytest.raises(DataError, match=r"index\.json: .* above 2\*\*31 - 1"):
+            index.save(path)
+        ok = InvertedIndex(TokenizerConfig(), ["d1"], [big - 1],
+                           Postings({"a": 0}, [1], np.array([[0, big - 1]])))
+        ok.save(path)
+        assert InvertedIndex.load(path).doc_len.tolist() == [big - 1]
 
     @pytest.mark.parametrize("change, problem", [
-        (lambda d: d["postings"].__setitem__(0, 7), "names no document"),
-        (lambda d: d["doc_len"].append(3), "disagree"),
-        (lambda d: d.pop("terms"), "'terms'"),
-        (lambda d: d["config"].update(ngram=2), "ngram"),
-        (lambda d: d["config"].update(ngram_hi="3"), "settings integers"),
-        (lambda d: d["config"].update(lowercase=1), "lowercase must be a bool"),
-        (lambda d: d["postings"].__setitem__(1, 10**400), "too large"),
-        (lambda d: d["postings"].__setitem__(1, 1.7), "postings must hold integers"),
-        (lambda d: d["postings"].__setitem__(1, True), "postings must hold integers"),
-        (lambda d: d["doc_len"].__setitem__(0, "5"), "postings must hold integers"),
-        (lambda d: d["doc_ids"].__setitem__(1, "d1"), "doc_ids must be distinct strings"),
-        (lambda d: d["doc_ids"].reverse(), "doc_ids must be distinct strings in increasing"),
-        (lambda d: d["doc_ids"].__setitem__(0, 1), "doc_ids must be distinct strings"),
-        (lambda d: d.update(doc_freq=[-1, 4]), "doc_freq and tf >= 1"),
-        (lambda d: d["doc_freq"].__setitem__(0, 1.0), "doc_freq and postings must hold int"),
-        (lambda d: d["postings"].__setitem__(1, 0), "doc_freq and tf >= 1"),
-        (lambda d: d["doc_len"].__setitem__(0, -1), "doc_len must be >= 0"),
-        (lambda d: d.update(terms=["y", "y"]), "terms must be distinct strings"),
-        (lambda d: d["terms"].__setitem__(0, 5), "terms must be distinct strings"),
-        (lambda d: d["postings"].__setitem__(4, 0), "name each document once, in increasing"),
-        (lambda d: d.update(postings=[0, 1, 1, 1, 0, 1]), "name each document once"),
+        (lambda h, b: h.update(format="something-else"), "not an index snapshot"),
+        (lambda h, b: h.update(version=4), "unsupported index version: 4"),
+        (lambda h, b: h.update(block_bytes=dict(terms=4, doc_len=8, doc_freq=8, postings=24)),
+         "block lengths disagree with the file size"),
+        (lambda h, b: h.update(block_bytes=dict(terms=3, doc_len=8, doc_freq=8, postings=20)),
+         "block lengths disagree with the file size"),
+        (lambda h, b: h.update(block_bytes=dict(terms="3", doc_len=8, doc_freq=8, postings=24)),
+         "block lengths disagree with the file size"),
+        (lambda h, b: h.update(block_bytes=dict(terms=4, doc_len=7, doc_freq=8, postings=24)),
+         "multiple of element size"),
+        (lambda h, b: h.update(block_bytes=dict(doc_len=8, doc_freq=8, postings=24)),
+         "'terms'"),
+        (lambda h, b: b.update(terms=b"\xff\ny"), "can't decode byte 0xff"),
+        (lambda h, b: b.update(terms=b"y\ny"), "terms must be distinct"),
+        (lambda h, b: b.update(terms=b"x\ny\nz"), "3 terms, the header says 2"),
+        (lambda h, b: h.update(num_terms="2"), "the header says '2'"),
+        (lambda h, b: b["postings"].__setitem__(0, 7), "names no document"),
+        (lambda h, b: b["postings"].__setitem__(0, -1), "names no document"),
+        (lambda h, b: b["doc_len"].append(3), "disagree"),
+        (lambda h, b: b["doc_freq"].__setitem__(0, 2), "disagree"),
+        (lambda h, b: h.pop("doc_ids"), "'doc_ids'"),
+        (lambda h, b: h["config"].update(ngram=2), "ngram"),
+        (lambda h, b: h["config"].update(ngram_hi="3"), "settings integers"),
+        (lambda h, b: h["config"].update(lowercase=1), "lowercase must be a bool"),
+        (lambda h, b: h["doc_ids"].__setitem__(1, "d1"), "doc_ids must be distinct strings"),
+        (lambda h, b: h["doc_ids"].reverse(), "doc_ids must be distinct strings in increasing"),
+        (lambda h, b: h["doc_ids"].__setitem__(0, 1), "doc_ids must be distinct strings"),
+        (lambda h, b: b.update(doc_freq=[-1, 4]), "doc_freq and tf >= 1"),
+        (lambda h, b: b["postings"].__setitem__(1, 0), "doc_freq and tf >= 1"),
+        (lambda h, b: b["doc_len"].__setitem__(0, -1), "doc_len must be >= 0"),
+        (lambda h, b: b["postings"].__setitem__(4, 0), "name each document once, in increasing"),
+        (lambda h, b: b.update(postings=[0, 1, 1, 1, 0, 1]), "name each document once"),
     ])
     def test_bad_snapshot_is_a_data_error_naming_the_file(self, tmp_path, change, problem):
         path = tmp_path / "index.json"
-        data = build_index([("d1", "x y"), ("d2", "y")]).to_dict()
-        change(data)
-        path.write_text(json.dumps(data))
+        build_index([("d1", "x y"), ("d2", "y")]).save(path)
+        edit_snapshot(path, change)
         with pytest.raises(DataError, match=rf"index\.json: malformed index snapshot: .*{problem}"):
             InvertedIndex.load(path)
+
+    def test_unedited_snapshot_passes_the_edit_helper(self, tmp_path):
+        path = tmp_path / "index.json"
+        build_index([("d1", "x y"), ("d2", "y")]).save(path)
+        before = path.read_bytes()
+        edit_snapshot(path, lambda h, b: None)
+        assert path.read_bytes() == before
+

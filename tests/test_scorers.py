@@ -449,7 +449,7 @@ class TestScoreDump:
                   np.float64(0.1234565), np.float64(-7.25)]
         for _ in range(40):
             lists = []
-            for qid in rng.sample(query_ids, rng.randrange(0, len(query_ids))):
+            for qid in sorted(rng.sample(query_ids, rng.randrange(0, len(query_ids)))):
                 docs = rng.sample(AWKWARD_IDS, rng.randrange(0, len(AWKWARD_IDS)))
                 lists.append(ScoredList(qid, [
                     (doc_id, rng.choice(values + [rng.uniform(-100, 100)])) for doc_id in docs]))
@@ -510,7 +510,7 @@ class TestScoreDump:
             for scorer, params in (("bm25", Bm25Params(k1=1e-5)), ("bm25", Bm25Params()),
                                    ("qld", QldParams())):
                 lists = [score_all(index, qid, text, scorer, params)
-                         for qid, text in queries.items()]
+                         for qid, text in sorted(queries.items())]
                 write_score_dump(lists, tmp_path / "dump.tsv")
                 rows = [line.split("\t") for line in
                         (tmp_path / "dump.tsv").read_text(encoding="utf-8").splitlines()]
@@ -530,7 +530,7 @@ class TestScoreDump:
         ids = AWKWARD_IDS + [f"c{i}" for i in range(20)]
         for trial in range(60):
             lists = []
-            for qid in rng.sample(["q1", "q2", "q10", "é", "%s"], rng.randrange(1, 6)):
+            for qid in sorted(rng.sample(["q1", "q2", "q10", "é", "%s"], rng.randrange(1, 6))):
                 # A few six-decimal levels, each spread over distinct full-precision scores.
                 levels = [round(rng.uniform(-3, 3), 2) for _ in range(rng.randrange(1, 5))]
                 scores = {doc_id: rng.choice(levels) + rng.choice((0.0, 1e-7, -2e-7, 4.9e-7))
@@ -566,15 +566,21 @@ class TestScoreDump:
 
     def test_round_trip_and_format(self, tmp_path):
         lists = [
-            ScoredList("q2", [("d1", 1.25), ("d2", 0.5)]),
             ScoredList("q1", [("d9", 3.0)]),
+            ScoredList("q2", [("d1", 1.25), ("d2", 0.5)]),
         ]
         path = tmp_path / "scores.tsv"
-        write_score_dump(lists, path)
+        write_score_dump(iter(lists), path)  # any iterable, taken one list at a time
         text = path.read_text()
         assert text.splitlines()[0] == "q1\td9\t3.000000"
         loaded = read_score_dump(path)
         assert loaded["q2"].entries == [("d1", 1.25), ("d2", 0.5)]
+
+    @pytest.mark.parametrize("query_ids", [["q2", "q1"], ["q1", "q1"], ["q1", "q10", "q2", "q1"]])
+    def test_out_of_order_list_raises(self, tmp_path, query_ids):
+        lists = [ScoredList(qid, [("d1", 1.0)]) for qid in query_ids]
+        with pytest.raises(ValueError, match="score dump lists out of query order: 'q1' after"):
+            write_score_dump(lists, tmp_path / "scores.tsv")
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
