@@ -47,17 +47,8 @@ def _read_json(path, error=DataError):
         text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise error(f"{path}: not valid JSON: {exc}") from None
-
-
-def _read_json_as(path, parse, what):
-    """``parse(value)`` of the JSON in ``path``; a bad value is a DataError naming the file."""
-    value = _read_json(path)
-    try:
-        return parse(value)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed {what}: {exc}") from None
 
 
 @dataclass

@@ -66,11 +66,13 @@ def get_schema(name):
 
 
 class FeatureTable:
-    """Feature columns of (query, candidate) pairs sorted by (query_id, candidate_id).
+    """Feature columns of distinct (query, candidate) pairs in increasing (query_id,
+    candidate_id) order.
 
     ``query_ids`` and ``candidate_ids`` are lists of str; ``X`` is the
     (rows, len(schema)) float64 matrix and ``labels`` the int64 label of
-    each row, -1 where a row is unlabeled.
+    each row, -1 where a row is unlabeled. ``blocks`` maps each query id,
+    in table order, to the (start, end) range of its rows.
     """
 
     def __init__(self, schema, query_ids, candidate_ids, X, labels=None):
@@ -80,27 +82,31 @@ class FeatureTable:
                              f"{len(schema)} features for {len(query_ids)} rows")
         if labels is None:
             labels = np.full(len(query_ids), -1)
-        labels = np.asarray(labels, dtype=np.int64)
+        self.blocks, start = {}, 0
         pairs = zip(query_ids, islice(query_ids, 1, None),
                     candidate_ids, islice(candidate_ids, 1, None))
-        if not all(q < q2 or (q == q2 and c <= c2) for q, q2, c, c2 in pairs):
-            order = sorted(range(len(query_ids)),
-                           key=lambda i: (query_ids[i], candidate_ids[i]))
-            query_ids = [query_ids[i] for i in order]
-            candidate_ids = [candidate_ids[i] for i in order]
-            X, labels = X[order], labels[order]
+        for i, (q, q2, c, c2) in enumerate(pairs, 1):
+            if q < q2:
+                self.blocks[q], start = (start, i), i
+            elif q > q2 or c >= c2:
+                raise ValueError(f"row {i} ({q2}, {c2}) does not follow row {i - 1} ({q}, {c}): "
+                                 f"rows must be distinct and in (query_id, candidate_id) order")
+        if query_ids:
+            self.blocks[query_ids[-1]] = (start, len(query_ids))
         self.schema = schema
         self.query_ids = query_ids
         self.candidate_ids = candidate_ids
         self.X = X
-        self.labels = labels
+        self.labels = np.asarray(labels, dtype=np.int64)
 
     def __len__(self):
         return len(self.query_ids)
 
     def select(self, query_ids):
         """The table of the rows of the queries in the set ``query_ids``, in table order."""
-        keep = [qid in query_ids for qid in self.query_ids]
+        keep = np.zeros(len(self), dtype=bool)
+        for qid, (start, end) in self.blocks.items():
+            keep[start:end] = qid in query_ids
         return FeatureTable(self.schema, list(compress(self.query_ids, keep)),
                             list(compress(self.candidate_ids, keep)), self.X[keep],
                             self.labels[keep])
@@ -130,7 +136,6 @@ class FeatureTable:
             except ValueError as exc:
                 raise DataError(f"{path}:1: {exc}") from None
             query_ids, candidate_ids, labels, values, linenos = [], [], [], [], []
-            seen = {}  # query_id -> candidate ids read so far
             for lineno, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
                 if not line:
@@ -148,12 +153,12 @@ class FeatureTable:
                     ) from None
                 if label not in (-1, 0, 1):
                     raise DataError(f"{path}:{lineno}: label must be -1, 0 or 1")
+                last = (query_ids[-1], candidate_ids[-1]) if query_ids else None
+                if last and (qid, cid) <= last:
+                    raise DataError(f"{path}:{lineno}: " + (
+                        f"duplicate candidate {cid!r} for query {qid!r}" if (qid, cid) == last
+                        else "out of (query_id, candidate_id) order"))
                 labels.append(label)
-                cids = seen.setdefault(qid, set())
-                if cid in cids:
-                    raise DataError(
-                        f"{path}:{lineno}: duplicate candidate {cid!r} for query {qid!r}")
-                cids.add(cid)
                 query_ids.append(qid)
                 candidate_ids.append(cid)
                 linenos.append(lineno)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import DataError, ScoredList, _read_json_as
+from .evaluation import DataError, ScoredList, _read_json
 
 MODEL_FORMAT = "lexfuse-ltr"
 MODEL_VERSION = 1
@@ -153,7 +153,11 @@ class TreeEnsemble:
 
     @classmethod
     def load(cls, path):
-        return _read_json_as(path, cls.from_dict, "model")
+        data = _read_json(path)
+        try:
+            return cls.from_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed model: {exc}") from None
 
 
 # -- tree fitting -------------------------------------------------------------
@@ -315,26 +319,18 @@ def _lambda_gradients(scores, batches, k):
 
 # -- training -------------------------------------------------------------------
 
-def _table_arrays(table):
-    """(X, labels, groups, query ids) of a labeled table; groups are row ranges."""
-    X, y, qids = table.X, table.labels, table.query_ids
+def _check_rows(table):
+    """Refuse a row of ``table`` without a 0/1 label or with a non-finite feature."""
+    y, qids, cids = table.labels, table.query_ids, table.candidate_ids
     bad = np.flatnonzero((y != 0) & (y != 1))
     if bad.size:
         i = int(bad[0])
         problem = "has no label" if y[i] < 0 else "label must be 0/1"
-        raise DataError(f"row ({qids[i]}, {table.candidate_ids[i]}) {problem}")
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        raise DataError(f"row ({qids[i]}, {cids[i]}) {problem}")
+    bad = np.flatnonzero(~np.isfinite(table.X).all(axis=1))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"non-finite feature in row ({qids[i]}, {table.candidate_ids[i]})")
-    groups = _groups(qids)
-    return X, y, groups, [qids[start] for start, _ in groups]
-
-
-def _groups(query_ids):
-    """The (start, end) row range of each query of a table, in table order."""
-    starts = [i for i in range(len(query_ids)) if i == 0 or query_ids[i] != query_ids[i - 1]]
-    return list(zip(starts, starts[1:] + [len(query_ids)]))
+        raise DataError(f"non-finite feature in row ({qids[i]}, {cids[i]})")
 
 
 def _validation_queries(qids, config):
@@ -356,11 +352,12 @@ def train(table, config=TrainConfig()):
     best validation NDCG; training stops early after ``patience``
     iterations without improvement.
     """
-    _, y, groups, qids = _table_arrays(table)
+    _check_rows(table)
+    y = table.labels
     if int(y.sum()) == 0:
         raise DataError("no positive labels anywhere in the table")
     mixed = sum(
-        1 for start, end in groups
+        1 for start, end in table.blocks.values()
         if y[start:end].sum() > 0 and (y[start:end] == 0).sum() > 0
     )
     if mixed < 2:
@@ -369,11 +366,11 @@ def train(table, config=TrainConfig()):
             f"got {mixed}"
         )
 
-    valid = _validation_queries(qids, config)
-    X_tr, y_tr, groups_tr, _ = _table_arrays(table.select(set(qids) - valid))
-    X_va, y_va, groups_va, _ = _table_arrays(table.select(valid))
-    batches_tr = _batches(y_tr, groups_tr)
-    batches_va = _batches(y_va, groups_va)
+    valid = _validation_queries(table.blocks, config)
+    part_tr, part_va = table.select(table.blocks.keys() - valid), table.select(valid)
+    X_tr, y_tr, X_va, y_va = part_tr.X, part_tr.labels, part_va.X, part_va.labels
+    batches_tr = _batches(y_tr, list(part_tr.blocks.values()))
+    batches_va = _batches(y_va, list(part_va.blocks.values()))
     XT = np.ascontiguousarray(X_tr.T)
     presorted = np.argsort(XT, axis=1, kind="mergesort")
 
@@ -429,14 +426,14 @@ def predict(model, table):
                         f"schema {model.schema_name!r}")
     scores = model.predict_matrix(table.X)
     runs = {}
-    for start, end in _groups(table.query_ids):
+    for qid, (start, end) in table.blocks.items():
         # Rows run in candidate-id order, so the stable sort keeps tied ids ascending.
         order = np.argsort(-scores[start:end], kind="stable")
         ranked = scores[start:end][order]
         span = ranked[0] - ranked[-1]
         normalized = np.ones(len(ranked)) if span <= 0 else (
             _SCORE_FLOOR + (1.0 - _SCORE_FLOOR) * (ranked - ranked[-1]) / span)
-        qid, cids = table.query_ids[start], table.candidate_ids[start:end]
+        cids = table.candidate_ids[start:end]
         runs[qid] = ScoredList(qid, list(zip([cids[i] for i in order], normalized.tolist())))
     return runs
 

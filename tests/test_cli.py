@@ -494,10 +494,15 @@ class TestErrors:
     def test_missing_config_file_is_data_error(self, tmp_path):
         assert run("ingest", str(tmp_path / "absent.json")) == 2
 
-    def test_bad_json_config_is_usage_error(self, tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, past 4,300 digits.
+    @pytest.mark.parametrize("text", ["{not json", '{"seed": ' + "9" * 5000 + "}"],
+                             ids=["not-json", "integer-too-long"])
+    def test_bad_json_config_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
-        path.write_text("{not json")
+        path.write_text(text)
+        capsys.readouterr()
         assert run("ingest", str(path)) == 1
+        assert f"usage error: {path}: not valid JSON: " in capsys.readouterr().err
 
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["frobnicate", "--config", "x.json"]) == 1
@@ -587,8 +592,8 @@ class TestErrors:
         assert run("train", cfg) == 1
         assert f"usage error: config key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ['{"q1": 5}', '{"q1": ["A",'],
-                             ids=["not-a-list", "truncated"])
+    @pytest.mark.parametrize("text", ['{"q1": 5}', '{"q1": ["A",', '{"q1": [' + "9" * 5000 + "]}"],
+                             ids=["not-a-list", "truncated", "integer-too-long"])
     def test_malformed_qrels_is_data_error_naming_the_file(self, tmp_path, capsys, text):
         run_path = tmp_path / "run.tsv"
         run_path.write_text("q1\tA\t1\t1.000000\tx\n")

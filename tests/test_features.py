@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,7 +92,8 @@ class RowTable:
 
 
 def row_table_arrays(table):
-    """``ltr._table_arrays`` as a loop over the rows of a RowTable."""
+    """(X, labels, query row ranges, query ids) of a labeled RowTable, one row at a
+    time; a row without a 0/1 label or with a non-finite value is a DataError."""
     n = len(table.rows)
     X = np.empty((n, len(table.schema)), dtype=np.float64)
     y = np.empty(n, dtype=np.int64)
@@ -154,7 +156,9 @@ def reference_normalize(runs):
 
 
 def table_from_rows(schema, rows):
-    """The columnar FeatureTable of reference rows; a None label becomes -1."""
+    """The columnar FeatureTable of reference rows, sorted by (query_id, candidate_id);
+    a None label becomes -1."""
+    rows = sorted(rows, key=lambda r: (r.query_id, r.candidate_id))
     X = (np.array([r.values for r in rows], dtype=np.float64).reshape(len(rows), -1)
          if rows else np.empty((0, len(schema))))
     return FeatureTable(schema, [r.query_id for r in rows], [r.candidate_id for r in rows],
@@ -509,20 +513,37 @@ class TestFeatureTableTsv:
 
     def test_bad_label_or_value_names_file_and_lineno(self, tmp_path):
         header = "query_id\tcandidate_id\tlabel\tf\n"
-        # A blank line and rows out of order: the line is the file's, not the row's.
-        for name, row in (("label.tsv", "q1\tA\tyes\t1.0\n"),
-                          ("value.tsv", "q1\tA\t1\tmany\n"),
-                          ("nan.tsv", "q1\tA\t1\tnan\n"), ("inf.tsv", "q1\tA\t1\t-Infinity\n"),
-                          ("overflow.tsv", "q1\tA\t1\t1e999\n")):
+        # A blank line: the line is the file's, not the row's. A later row is
+        # non-finite too, so the first bad line is the one named.
+        for name, row, problem in (
+                ("label.tsv", "q1\tA\tyes\t1.0\n", "bad label or feature value"),
+                ("value.tsv", "q1\tA\t1\tmany\n", "bad label or feature value"),
+                ("nan.tsv", "q1\tA\t1\tnan\n", "non-finite feature value"),
+                ("inf.tsv", "q1\tA\t1\t-Infinity\n", "non-finite feature value"),
+                ("overflow.tsv", "q1\tA\t1\t1e999\n", "non-finite feature value")):
             path = tmp_path / name
-            path.write_text(header + "q2\tB\t0\t2.0\n\n" + row + "q0\tC\t0\tinf\n")
-            with pytest.raises(DataError, match=rf"{name.replace('.', '[.]')}:4: "):
+            path.write_text(header + "q0\tB\t0\t2.0\n\n" + row + "q2\tC\t0\tinf\n")
+            with pytest.raises(DataError, match=rf"{name.replace('.', '[.]')}:4: {problem}$"):
                 FeatureTable.from_tsv(path)
 
     def test_schema_length_enforced(self):
         schema = FeatureSchema("mini", ("a", "b"))
         with pytest.raises(ValueError, match="shape"):
             table_from_rows(schema, [FeatureRow("q", "c", (1.0,))])
+
+    def test_rows_out_of_order_or_repeated_are_refused(self):
+        schema = FeatureSchema("mini", ("f",))
+        for qids, cids in ((["q2", "q1"], ["A", "A"]), (["q1", "q1"], ["B", "A"]),
+                           (["q1", "q1"], ["A", "A"]), (["q1", "q2", "q1"], ["A", "A", "B"])):
+            with pytest.raises(ValueError, match=r"distinct and in \(query_id, candidate_id\) order"):
+                FeatureTable(schema, qids, cids, np.zeros((len(qids), 1)))
+
+    def test_blocks_are_the_row_ranges_of_each_query(self):
+        schema = FeatureSchema("mini", ("f",))
+        table = FeatureTable(schema, ["q0", "q0", "q1", "q2", "q2"], ["A", "B", "A", "A", "C"],
+                             np.zeros((5, 1)))
+        assert list(table.blocks.items()) == [("q0", (0, 2)), ("q1", (2, 3)), ("q2", (3, 5))]
+        assert FeatureTable(schema, [], [], np.zeros((0, 1))).blocks == {}
 
     def test_bad_header_names_file_and_line_1(self, tmp_path):
         for name, features in (("repeated.tsv", "\tf\tf"), ("none.tsv", "")):
@@ -531,13 +552,18 @@ class TestFeatureTableTsv:
             with pytest.raises(DataError, match=rf"{name.replace('.', '[.]')}:1: "):
                 FeatureTable.from_tsv(path)
 
-    def test_duplicate_pair_names_file_and_line(self, tmp_path):
-        path = tmp_path / "dup.tsv"
-        path.write_text("query_id\tcandidate_id\tlabel\tf\n"
-                        "q1\tA\t1\t1.0\nq2\tA\t0\t2.0\nq1\tB\t0\t3.0\nq1\tA\t0\t4.0\n")
-        with pytest.raises(DataError,
-                           match=r"dup[.]tsv:5: duplicate candidate 'A' for query 'q1'"):
-            FeatureTable.from_tsv(path)
+    def test_repeated_or_unordered_pair_names_file_and_line(self, tmp_path):
+        unordered = "out of \\(query_id, candidate_id\\) order"
+        for name, rows, problem in (
+                ("dup.tsv", "q1\tA\t1\t1.0\nq1\tB\t0\t2.0\n\nq1\tB\t0\t3.0\n",
+                 "duplicate candidate 'B' for query 'q1'"),
+                ("query.tsv", "q1\tA\t1\t1.0\nq2\tA\t0\t2.0\n\nq1\tB\t0\t3.0\n", unordered),
+                ("candidate.tsv", "q1\tA\t1\t1.0\nq1\tC\t0\t2.0\n\nq1\tB\t0\t3.0\n",
+                 unordered)):
+            path = tmp_path / name
+            path.write_text("query_id\tcandidate_id\tlabel\tf\n" + rows)
+            with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:5: {problem}$"):
+                FeatureTable.from_tsv(path)
 
 
 SCHEMA_MIXED = FeatureSchema("mixed", ("tied", "wide", "fine"))
@@ -608,20 +634,26 @@ class TestColumnarMatchesRowReference:
             loaded.to_tsv(got)
             assert got.read_bytes() == want.read_bytes()
 
-    def test_train_arrays_match(self):
+    def test_blocks_and_training_checks_match(self):
+        refused = accepted = 0
         for labels in ((0, 1), (None, 0, 1, 1, 1, 1), (0, 1, 1, 2)):
             for rows in self.cases(labels=labels):
                 if rows and random.Random(len(rows)).random() < 0.3:
                     rows[len(rows) // 2].values = (math.nan, 1.0, math.inf)
-                got = outcome(ltr._table_arrays, table_from_rows(SCHEMA_MIXED, rows))
+                table = table_from_rows(SCHEMA_MIXED, rows)
                 want = outcome(row_table_arrays, RowTable(SCHEMA_MIXED, rows))
+                got = outcome(ltr._check_rows, table)
                 if isinstance(want, str):
                     assert got == want
+                    refused += 1
                     continue
-                assert np.array_equal(got[0], want[0])
-                assert got[0].shape == want[0].shape
-                assert np.array_equal(got[1], want[1])
-                assert got[2:] == want[2:]
+                assert got is None
+                X, y, groups, qids = want
+                assert table.X.shape == X.shape and np.array_equal(table.X, X)
+                assert np.array_equal(table.labels, y)
+                assert list(table.blocks.items()) == list(zip(qids, groups))
+                accepted += 1
+        assert refused > 20 and accepted > 20  # both outcomes are exercised
 
     def test_predict_matches_two_pass_reference_bit_for_bit(self):
         # The reference scores each row, sorts each query's dict of scores

@@ -7,7 +7,7 @@ import pytest
 
 from lexfuse import ltr
 from lexfuse.evaluation import DataError
-from lexfuse.features import FeatureSchema
+from lexfuse.features import FeatureSchema, FeatureTable
 from lexfuse.ltr import (
     RegressionTree,
     TrainConfig,
@@ -224,16 +224,18 @@ class TestPredict:
             expected = 1e-6 if row.values[0] <= 0.5 else 1.0
             assert by_doc[row.candidate_id] == expected
 
-    def test_row_order_invariance(self):
+    def test_rows_out_of_order_are_refused(self):
         rng = random.Random(9)
         table = make_table(5, 8, 2, rng)
         model = train(table, quick_config(num_trees=10, min_samples_leaf=2))
-        runs_one = predict(model, table)
         shuffled_rows = rows_of(table)
         rng.shuffle(shuffled_rows)
-        runs_two = predict(model, table_from_rows(SCHEMA3, shuffled_rows))
-        for qid in runs_one:
-            assert runs_one[qid].entries == runs_two[qid].entries
+        with pytest.raises(ValueError, match=r"in \(query_id, candidate_id\) order"):
+            FeatureTable(SCHEMA3, [r.query_id for r in shuffled_rows],
+                         [r.candidate_id for r in shuffled_rows],
+                         [r.values for r in shuffled_rows], [r.label for r in shuffled_rows])
+        # Sorted again, the same rows score as before.
+        assert predict(model, table_from_rows(SCHEMA3, shuffled_rows)) == predict(model, table)
 
     def test_schema_mismatch_rejected(self):
         model = TreeEnsemble(trees=[], base_score=0.0, schema_name="other",
@@ -289,6 +291,12 @@ class TestSerializationAndDeterminism:
         path.write_text(json.dumps(data))
         with pytest.raises(ltr.DataError, match=r"model\.json: malformed model: base_score must "
                                                 r"be a finite float"):
+            TreeEnsemble.load(path)
+
+    def test_integer_too_long_to_convert_is_a_data_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": "lexfuse-ltr", "version": ' + "9" * 5000 + "}")
+        with pytest.raises(ltr.DataError, match=r"model\.json: not valid JSON: "):
             TreeEnsemble.load(path)
 
     def test_seed_determinism(self, tmp_path):
