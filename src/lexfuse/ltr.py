@@ -275,6 +275,14 @@ def _ranked(scores, rows):
     return np.take_along_axis(rows, np.argsort(-scores[rows], axis=1, kind="stable"), axis=1)
 
 
+def _rank_log2(n):
+    """``math.log2(rank + 1)`` for ranks 1..n: the NDCG rank discounts' denominators.
+
+    ``np.log2`` can differ from it in the last bit, by the CPU's SIMD level.
+    """
+    return np.array([math.log2(rank + 1) for rank in range(1, n + 1)])
+
+
 def _mean_ndcg(scores, labels, batches, k):
     """Mean NDCG@k over the batched queries; 0.0 if there are none.
 
@@ -286,9 +294,9 @@ def _mean_ndcg(scores, labels, batches, k):
     values = []
     for _, rows, relevant, _ in batches:
         ranked = labels[_ranked(scores, rows)][:, :k]
-        positions = np.arange(1, ranked.shape[1] + 1)
-        dcg = np.sum(ranked / np.log2(positions + 1), axis=1)
-        idcg = float(np.sum(1.0 / np.log2(np.arange(1, min(k, relevant.shape[1]) + 1) + 1)))
+        logs = _rank_log2(ranked.shape[1])
+        dcg = np.sum(ranked / logs, axis=1)
+        idcg = float(np.sum(1.0 / logs[:min(k, relevant.shape[1])]))
         values.append(dcg / idcg)
     order = np.argsort(np.concatenate([q for q, _, _, _ in batches]))
     return float(np.mean(np.concatenate(values)[order]))
@@ -299,12 +307,14 @@ def _lambda_gradients(scores, batches, k):
     rank = np.full(len(scores), k + 1, dtype=np.int64)
     for _, rows, _, _ in batches:
         rank[_ranked(scores, rows)] = np.arange(1, rows.shape[1] + 1)
-    discount = np.where(rank <= k, 1.0 / np.log2(rank + 1.0), 0.0)
+    # 1 / log2(rank + 1) up to rank n, then 0: a rank past n is past k (k + 1 if unranked).
+    n = min(k, max((rows.shape[1] for _, rows, _, _ in batches), default=0))
+    discounts = np.append(1.0 / _rank_log2(n), 0.0)
+    discount = discounts[np.minimum(rank, n + 1) - 1]
     lam = np.zeros(len(scores), dtype=np.float64)
     hess = np.zeros(len(scores), dtype=np.float64)
     for _, _, pos, neg in batches:
-        n_ideal = min(k, pos.shape[1])
-        idcg = float(np.sum(1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)))
+        idcg = float(np.sum(discounts[:min(k, pos.shape[1])]))
         diff = np.clip(scores[pos][:, :, None] - scores[neg][:, None, :], -60.0, 60.0)
         rho = 1.0 / (1.0 + np.exp(diff))
         delta = np.abs(discount[pos][:, :, None] - discount[neg][:, None, :]) / idcg

@@ -64,18 +64,18 @@ def _setting(index, scorer, p):
     return p.k1 * (1.0 - p.b + p.b * ratio), {}
 
 
-def _bm25_term(index, p, norms, term, q_count):
-    """(documents, contributions, idf) of one query term, as ``_qld_term`` shapes it."""
-    docs, tf = index.postings[term].T
+def _bm25_term(index, p, norms, rows, q_count):
+    """(documents, contributions, idf) of one query term's postings, as ``_qld_term`` shapes it."""
+    docs, tf = rows.T
     df = len(docs)
     idf = math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
     return docs, q_count * idf * tf * (p.k1 + 1.0) / (tf + norms[docs]), idf
 
 
-def _qld_term(index, p, doc_len_logs, term, q_count):
-    """(documents, contributions, ln(mu * p(term|C))) of one query term."""
-    s = p.mu * index.collection_prob(term)
-    docs, tf = index.postings[term].T
+def _qld_term(index, p, doc_len_logs, rows, q_count):
+    """(documents, contributions, ln(mu * p(term|C))) of one query term's postings."""
+    docs, tf = rows.T
+    s = p.mu * (int(tf.sum()) / index.total_coll_tokens)  # mu * p(term|C)
     return docs, q_count * (_logs(tf, s) - math.log(s)), math.log(s)
 
 
@@ -101,14 +101,14 @@ def score_all(index, query_id, query_text, scorer="bm25", params=None):
     per_doc, memo = _memo(index, (scorer, params), _setting, index, scorer, params)
     live = []
     for term, q_count in sorted(Counter(tokenize(query_text, index.config)).items()):
-        if term not in index.postings:
-            continue
-        if q_count != 1:
-            part = term_part(index, params, per_doc, term, q_count)
-        else:
-            part = memo.get(term)
-            if part is None:
-                part = memo[term] = term_part(index, params, per_doc, term, 1)
+        part = memo.get(term) if q_count == 1 else None
+        if part is None:
+            rows = index.postings.get(term)
+            if rows is None:
+                continue
+            part = term_part(index, params, per_doc, rows, q_count)
+            if q_count == 1:
+                memo[term] = part
         live.append((q_count, part))
     if scorer == "qld":
         base = sum(q_count * log_s for q_count, (_, _, log_s) in live)

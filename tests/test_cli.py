@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lexfuse import cli, ltr, scorers, synth
@@ -570,6 +571,29 @@ class TestErrors:
             assert run("score", cfg) == 2
             assert (f"{path}: malformed index snapshot: unsupported index version: {version}"
                     in capsys.readouterr().err)
+
+    def test_version_3_snapshot_is_a_data_error_asking_for_a_rerun(self, tmp_path, capsys):
+        cfg = tiny_chain_config(tmp_path)
+        for command in ("synth", "ingest", "index"):
+            assert run(command, cfg) == 0, command
+        path = tmp_path / "work" / "index_ngram.json"
+        index = InvertedIndex.load(path)
+        # The version-3 layout: the terms as \n-joined strings, then int32 blocks.
+        blocks = ["\n".join(index.postings).encode(),
+                  *(np.asarray(values, "<i4").tobytes() for values in (
+                      index.doc_len, np.diff(index.postings.bounds), index.postings.rows))]
+        header = {"format": "lexfuse-index", "version": 3, "doc_ids": list(index.doc_ids),
+                  "config": dataclasses.asdict(index.config), "num_terms": len(index.postings),
+                  "block_bytes": dict(zip(("terms", "doc_len", "doc_freq", "postings"),
+                                          map(len, blocks)))}
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(blocks))
+        forget(tmp_path / "work", "index_ngram.json")
+        capsys.readouterr()
+        assert run("score", cfg) == 2
+        err = capsys.readouterr().err
+        assert (f"data error: {path}: malformed index snapshot: unsupported index version: 3 "
+                "(this lexfuse reads version 4); rerun lexfuse index") in err
+        assert "Traceback" not in err
 
     def test_outputs_before_a_failure_are_recorded(self, tmp_path, monkeypatch):
         cfg = tiny_chain_config(tmp_path)

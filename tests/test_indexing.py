@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from lexfuse import cli
 from lexfuse.evaluation import DataError
 from lexfuse.indexing import InvertedIndex, Postings, build_index
-from lexfuse.ingest import TokenizerConfig, tokenize
+from lexfuse.ingest import _WORD_RE, TokenizerConfig, tokenize
 from lexfuse.scorers import SCORER_NAMES, score_all
 
 
@@ -25,6 +26,12 @@ def term_frequency(index, term, ordinal):
         return 0
     rows = index.postings[term]
     return int(rows[rows[:, 0] == ordinal, 1].sum())
+
+
+def collection_prob(index, term):
+    """p(term | collection) read off the postings; 0 for unseen terms."""
+    rows = index.postings.get(term)
+    return 0.0 if rows is None else int(rows[:, 1].sum()) / index.total_coll_tokens
 
 
 def contents(index):
@@ -69,6 +76,22 @@ class TestTokenize:
     def test_splits_on_punctuation_and_underscore(self):
         assert tokenize("semi-final_result: done.") == ["semi", "final", "result", "done"]
 
+    def test_words_hold_no_underscore_so_ngrams_are_joined_words(self):
+        # The index stores an n-gram as its word ids and splits a query term on "_".
+        rng = random.Random(23)
+        alphabet = "ab_Z9 \té日Ωж-ß'İ0\u0301_"
+        for _ in range(300):
+            text = "".join(rng.choice(alphabet) if rng.random() < 0.9
+                           else chr(rng.randrange(0x20, 0x3000)) for _ in range(rng.randrange(60)))
+            assert not any("_" in word for word in _WORD_RE.findall(text))
+            assert not any("_" in word for word in _WORD_RE.findall(text.lower()))
+            for lowercase in (True, False):
+                for min_len in (1, 2, 3):
+                    words = tokenize(text, TokenizerConfig(lowercase, min_len))
+                    for lo, hi in ((1, 1), (1, 2), (2, 3), (1, 4), (3, 3)):
+                        config = TokenizerConfig(lowercase, min_len, lo, hi)
+                        assert tokenize(text, config) == sliding_ngrams(words, lo, hi)
+
     def test_config_validation(self):
         # Tokenizer settings are checked where the config loads.
         with pytest.raises(ValueError, match="config key 'ngram_lo'"):
@@ -110,7 +133,7 @@ class TestBuildIndex:
             index = build_index(docs)
             for term, postings in index.postings.items():
                 assert (sum(tf for _, tf in postings) / index.total_coll_tokens
-                        == index.collection_prob(term))
+                        == collection_prob(index, term))
                 assert postings.shape == (len(postings), 2)
                 assert [d for d, _ in postings] == sorted(d for d, _ in postings)
             assert sum(index.doc_len) == index.total_coll_tokens
@@ -137,11 +160,11 @@ class TestBuildIndex:
                     rows = index.postings[term]
                     assert len(rows) == sum(1 for c in counts if term in c)
                     assert int(rows[:, 1].sum()) == coll[term]
-                    assert index.collection_prob(term) == coll[term] / total
+                    assert collection_prob(index, term) == coll[term] / total
                     for ordinal, c in enumerate(counts):
                         assert term_frequency(index, term, ordinal) == c[term]
                 assert term_frequency(index, "unseen", 0) == 0
-                assert index.collection_prob("unseen") == 0.0
+                assert collection_prob(index, "unseen") == 0.0
 
     def test_any_input_order_gives_the_same_index(self):
         rng = random.Random(31)
@@ -164,14 +187,15 @@ class TestBuildIndex:
         assert contents(plain) == contents(same)
 
 
-BLOCKS = ("terms", "doc_len", "doc_freq", "postings")
+BLOCKS = ("words", "terms", "doc_len", "doc_freq", "postings")
 
 
 def edit_snapshot(path, change):
     """Rewrite snapshot ``path`` after ``change(header, blocks)``.
 
-    ``blocks`` holds the terms block as bytes and the others as int lists.
-    The header's block lengths are recomputed unless ``change`` sets them.
+    ``blocks`` holds the words block as bytes and the others as flat int
+    lists. The header's block lengths are recomputed unless ``change`` sets
+    them.
     """
     head, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(head)
@@ -182,14 +206,14 @@ def edit_snapshot(path, change):
     for name in BLOCKS[1:]:
         blocks[name] = np.frombuffer(blocks[name], "<i4").tolist()
     change(header, blocks)
-    raw = [blocks["terms"], *(np.array(blocks[name], "<i4").tobytes() for name in BLOCKS[1:])]
+    raw = [blocks["words"], *(np.array(blocks[name], "<i4").tobytes() for name in BLOCKS[1:])]
     header.setdefault("block_bytes", dict(zip(BLOCKS, map(len, raw))))
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(raw))
 
 
 def random_corpus(rng):
     """Documents with non-ASCII ids and words, one of them empty, and three queries."""
-    vocab = ["straße", "日本", "café", "x9", "law_suit", "ünïcode", "a", "bb", "Ωmega"]
+    vocab = ["straße", "日本", "café", "x9", "law_suit", "ünïcode", "a", "bb", "Ωmega", "LAW"]
     ids = rng.sample(["d2", "d10", "é", "日本", "-1", "Z", "ж", "q 1"], rng.randrange(1, 8))
     docs = [(doc_id, " ".join(rng.choices(vocab, k=rng.randrange(1, 25)))) for doc_id in ids]
     docs.append(("empty", ""))
@@ -198,6 +222,76 @@ def random_corpus(rng):
 
 
 CONFIGS = (TokenizerConfig(), TokenizerConfig(ngram_lo=1, ngram_hi=3))
+
+
+def string_build_index(docs, config=TokenizerConfig()):
+    """``build_index`` over term strings, as it was before the word-id layout: the oracle.
+
+    Terms are numbered in order of first occurrence, and the postings are a
+    plain dict of term -> ``(df, 2)`` int64 rows.
+    """
+    doc_ids, doc_len, distinct = [], [], []  # distinct: terms per document
+    slot, term_of, tfs = {}, array("q"), array("q")  # term -> number; each posting's number, tf
+    for doc_id, text in sorted(docs, key=lambda pair: pair[0]):
+        if doc_ids and doc_id == doc_ids[-1]:
+            raise DataError(f"duplicate document id: {doc_id!r}")
+        doc_ids.append(doc_id)
+        terms = tokenize(text, config)
+        doc_len.append(len(terms))
+        counts = Counter(terms)
+        distinct.append(len(counts))
+        term_of.extend(slot.setdefault(term, len(slot)) for term in counts)
+        tfs.extend(counts.values())
+    ordinals = np.repeat(np.arange(len(doc_ids), dtype=np.int64), distinct)
+    order = np.argsort(term_of, kind="stable")  # each term's rows stay in document order
+    rows = np.empty((len(order), 2), dtype=np.int64)
+    rows[:, 0] = ordinals[order]
+    rows[:, 1] = np.frombuffer(tfs, dtype=np.int64)[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(term_of, minlength=len(slot)))))
+    postings = {term: rows[bounds[i]:bounds[i + 1]] for term, i in slot.items()}
+    return InvertedIndex(config, doc_ids, doc_len, postings)
+
+
+class TestWordIdLayout:
+    CONFIGS = (TokenizerConfig(), TokenizerConfig(ngram_lo=1, ngram_hi=3),
+               TokenizerConfig(ngram_lo=2, ngram_hi=3, min_token_len=2),
+               TokenizerConfig(lowercase=False, ngram_lo=1, ngram_hi=2),
+               TokenizerConfig(lowercase=False, min_token_len=3, ngram_lo=3, ngram_hi=4))
+
+    def test_equals_the_string_index_and_scores_bit_equal(self, tmp_path):
+        rng = random.Random(41)
+        path = tmp_path / "index.json"
+        probe = TokenizerConfig(lowercase=False, ngram_lo=1, ngram_hi=5)
+        for _ in range(30):
+            docs, queries = random_corpus(rng)
+            queries.append(" ".join(text for _, text in docs[:2]))
+            for config in self.CONFIGS:
+                oracle = string_build_index(docs, config)
+                built = build_index(docs, config)
+                built.save(path)
+                for index in (built, InvertedIndex.load(path)):
+                    assert index.doc_ids == oracle.doc_ids
+                    assert index.doc_len.tolist() == oracle.doc_len.tolist()
+                    assert ({term: rows.tolist() for term, rows in index.postings.items()}
+                            == {term: rows.tolist() for term, rows in oracle.postings.items()})
+                    assert len(index.postings) == len(oracle.postings)
+                    for query in queries:
+                        for term in tokenize(query, probe):  # too short and too long n-grams
+                            assert (term in index.postings) == (term in oracle.postings), term
+                    for scorer in SCORER_NAMES:
+                        for n, query in enumerate(queries):
+                            want = score_all(oracle, f"q{n}", query, scorer).entries
+                            got = score_all(index, f"q{n}", query, scorer).entries
+                            assert ([(d, s.hex()) for d, s in got]
+                                    == [(d, s.hex()) for d, s in want])
+
+    def test_malformed_term_strings_are_not_in_the_index(self):
+        index = build_index([("d1", "bb x9 bb"), ("d2", "x9")], TokenizerConfig(ngram_hi=3))
+        assert {"bb", "x9", "bb_x9", "x9_bb", "bb_x9_bb"} <= set(index.postings)
+        for term in ("bb__x9", "_bb", "bb_", "", "_", "__", "bb_x9_bb_x9", "x9_x9", "zz"):
+            assert term not in index.postings and index.postings.get(term) is None, term
+            with pytest.raises(KeyError):
+                index.postings[term]
 
 
 class TestSerialization:
@@ -254,21 +348,20 @@ class TestSerialization:
         build_index([("d1", "a b b"), ("é", "c ü a"), ("e", "")],
                     TokenizerConfig(ngram_lo=1, ngram_hi=2)).save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "b0da0d9ffea68e1af535b5494f55928c5c8dfe62acc54798296b8a562a3ea2d4")
+            "790376b6432e52296825a81a2fc098395368b7cd9ef0514a7a79fb996dc4d91b")
 
     def test_header_line_and_int32_blocks(self, tmp_path):
         path = tmp_path / "index.json"
         build_index([("d1", "x y"), ("d2", "y")]).save(path)
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        assert header == {"format": "lexfuse-index", "version": 3, "doc_ids": ["d1", "d2"],
+        assert header == {"format": "lexfuse-index", "version": 4, "doc_ids": ["d1", "d2"],
                           "config": {"lowercase": True, "min_token_len": 1, "ngram_lo": 1,
                                      "ngram_hi": 1},
-                          "num_terms": 2,
-                          "block_bytes": {"terms": 3, "doc_len": 8, "doc_freq": 8,
+                          "block_bytes": {"words": 3, "terms": 8, "doc_len": 8, "doc_freq": 8,
                                           "postings": 24}}
         assert head.decode() == json.dumps(header, sort_keys=True)
-        assert body == b"x\ny" + np.array([2, 1, 1, 2, 0, 1, 0, 1, 1, 1], "<i4").tobytes()
+        assert body == b"x\ny" + np.array([1, 2, 2, 1, 1, 2, 0, 1, 0, 1, 1, 1], "<i4").tobytes()
 
     @pytest.mark.parametrize("field", ["doc_len", "tf", "doc_freq"])
     def test_save_refuses_a_count_past_int32(self, tmp_path, field):
@@ -277,32 +370,44 @@ class TestSerialization:
         doc_freq = [big if field == "doc_freq" else 1]
         rows = np.array([[0, big if field == "tf" else 1]], dtype=np.int64)
         index = InvertedIndex(TokenizerConfig(), ["d1"], doc_len,
-                              Postings({"a": 0}, doc_freq, rows))
+                              Postings(["a"], [[1]], doc_freq, rows))
         path = tmp_path / "index.json"
         with pytest.raises(DataError, match=r"index\.json: .* above 2\*\*31 - 1"):
             index.save(path)
         ok = InvertedIndex(TokenizerConfig(), ["d1"], [big - 1],
-                           Postings({"a": 0}, [1], np.array([[0, big - 1]])))
+                           Postings(["a"], [[1]], [1], np.array([[0, big - 1]])))
         ok.save(path)
         assert InvertedIndex.load(path).doc_len.tolist() == [big - 1]
 
     @pytest.mark.parametrize("change, problem", [
         (lambda h, b: h.update(format="something-else"), "not an index snapshot"),
-        (lambda h, b: h.update(version=4), "unsupported index version: 4"),
-        (lambda h, b: h.update(block_bytes=dict(terms=4, doc_len=8, doc_freq=8, postings=24)),
+        (lambda h, b: h.update(version=3), "unsupported index version: 3"),
+        (lambda h, b: h.update(block_bytes=dict(words=4, terms=8, doc_len=8, doc_freq=8,
+                                                postings=24)),
          "block lengths disagree with the file size"),
-        (lambda h, b: h.update(block_bytes=dict(terms=3, doc_len=8, doc_freq=8, postings=20)),
+        (lambda h, b: h.update(block_bytes=dict(words=3, terms=8, doc_len=8, doc_freq=8,
+                                                postings=20)),
          "block lengths disagree with the file size"),
-        (lambda h, b: h.update(block_bytes=dict(terms="3", doc_len=8, doc_freq=8, postings=24)),
+        (lambda h, b: h.update(block_bytes=dict(words="3", terms=8, doc_len=8, doc_freq=8,
+                                                postings=24)),
          "block lengths disagree with the file size"),
-        (lambda h, b: h.update(block_bytes=dict(terms=4, doc_len=7, doc_freq=8, postings=24)),
+        (lambda h, b: h.update(block_bytes=dict(words=3, terms=8, doc_len=7, doc_freq=9,
+                                                postings=24)),
          "multiple of element size"),
-        (lambda h, b: h.update(block_bytes=dict(doc_len=8, doc_freq=8, postings=24)),
+        (lambda h, b: h.update(block_bytes=dict(words=3, doc_len=8, doc_freq=8, postings=24)),
          "'terms'"),
-        (lambda h, b: b.update(terms=b"\xff\ny"), "can't decode byte 0xff"),
-        (lambda h, b: b.update(terms=b"y\ny"), "terms must be distinct"),
-        (lambda h, b: b.update(terms=b"x\ny\nz"), "3 terms, the header says 2"),
-        (lambda h, b: h.update(num_terms="2"), "the header says '2'"),
+        (lambda h, b: b.update(words=b"\xff\ny"), "can't decode byte 0xff"),
+        (lambda h, b: b.update(words=b"y\ny"), "words must be distinct"),
+        (lambda h, b: b.update(words=b"x\n\ny"), "words must be distinct, non-empty"),
+        (lambda h, b: b.update(words=b"x\ny_z"), "hold no '_'"),
+        (lambda h, b: b["terms"].__setitem__(1, 3), "a word id outside the vocabulary"),
+        (lambda h, b: b["terms"].__setitem__(0, -1), "a word id outside the vocabulary"),
+        (lambda h, b: b["terms"].__setitem__(0, 0), r"length is outside \[1, 1\] words"),
+        (lambda h, b: b.update(terms=[2, 2]), "terms must be distinct"),
+        (lambda h, b: b.update(terms=[2, 1]), "terms must be distinct and in increasing order"),
+        (lambda h, b: b["terms"].append(2), "disagree"),
+        (lambda h, b: h["config"].update(ngram_hi=3), "not a whole number of 3-id rows"),
+        (lambda h, b: h["config"].update(ngram_lo=0), "1 <= ngram_lo <= ngram_hi"),
         (lambda h, b: b["postings"].__setitem__(0, 7), "names no document"),
         (lambda h, b: b["postings"].__setitem__(0, -1), "names no document"),
         (lambda h, b: b["doc_len"].append(3), "disagree"),
@@ -323,6 +428,29 @@ class TestSerialization:
     def test_bad_snapshot_is_a_data_error_naming_the_file(self, tmp_path, change, problem):
         path = tmp_path / "index.json"
         build_index([("d1", "x y"), ("d2", "y")]).save(path)
+        edit_snapshot(path, change)
+        with pytest.raises(DataError, match=rf"index\.json: malformed index snapshot: .*{problem}"):
+            InvertedIndex.load(path)
+
+    @pytest.mark.parametrize("terms, ngram_lo, problem", [
+        # The snapshot's rows are x, x_y and y: [1, 0, 1, 2, 2, 0].
+        ([0, 1, 1, 2, 2, 0], 1, "a term has a word id after a zero"),
+        ([1, 0, 1, 3, 2, 0], 1, "a word id outside the vocabulary"),
+        ([1, 0, 1, 0, 2, 0], 1, "terms must be distinct and in increasing order"),
+        ([1, 2, 1, 0, 2, 0], 1, "terms must be distinct and in increasing order"),
+        ([2, 0, 1, 2, 1, 0], 1, "terms must be distinct and in increasing order"),
+        ([1, 0, 1, 2, 2, 0], 2, r"length is outside \[2, 2\] words"),
+    ])
+    def test_bad_term_rows_are_a_data_error_naming_the_file(self, tmp_path, terms, ngram_lo,
+                                                            problem):
+        path = tmp_path / "index.json"
+        build_index([("d1", "x y"), ("d2", "y")], TokenizerConfig(ngram_hi=2)).save(path)
+
+        def change(header, blocks):
+            assert blocks["terms"] == [1, 0, 1, 2, 2, 0]
+            blocks["terms"] = terms
+            header["config"]["ngram_lo"] = ngram_lo
+
         edit_snapshot(path, change)
         with pytest.raises(DataError, match=rf"index\.json: malformed index snapshot: .*{problem}"):
             InvertedIndex.load(path)

@@ -419,6 +419,13 @@ def ref_query_ndcg(scores, labels, k):
     return dcg / idcg
 
 
+def test_rank_discounts_come_from_math_log2():
+    # np.log2 rounds some of these differently at some SIMD levels (from 1621 on with AVX512).
+    assert ([value.hex() for value in ltr._rank_log2(5000).tolist()]
+            == [math.log2(rank + 1).hex() for rank in range(1, 5001)])
+    assert ltr._rank_log2(0).shape == (0,)
+
+
 def ref_mean_ndcg(scores, labels, groups, k):
     values = []
     for start, end in groups:

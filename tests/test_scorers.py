@@ -17,7 +17,7 @@ from lexfuse.scorers import (
     top_k,
     write_score_dump,
 )
-from test_indexing import UnknownDocumentError, term_frequency
+from test_indexing import UnknownDocumentError, collection_prob, term_frequency
 
 
 # -- single-document scorers over the index: one document ordinal at a time,
@@ -52,7 +52,7 @@ def qld_score(index, query_terms, doc, params=QldParams()):
     denom = index.doc_len[doc] + mu
     score = 0.0
     for term in query_terms:
-        p_coll = index.collection_prob(term)
+        p_coll = collection_prob(index, term)
         if p_coll == 0.0:
             continue
         tf = term_frequency(index, term, doc)
@@ -133,8 +133,8 @@ def loop_scores(index, query_text, scorer, params):
     n = index.num_docs
     if scorer == "qld":
         mu = params.mu
-        live = [(t, c, index.collection_prob(t)) for t, c in counts
-                if index.collection_prob(t) > 0.0]
+        live = [(t, c, collection_prob(index, t)) for t, c in counts
+                if collection_prob(index, t) > 0.0]
         base = sum(c * math.log(mu * pc) for _, c, pc in live)
         scores = [base - sum(c for _, c, _ in live) * math.log(doc_len[d] + mu)
                   for d in range(n)]
