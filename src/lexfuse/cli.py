@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal.
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import numbers
 import os
@@ -315,12 +314,8 @@ class Stage:
                 "sha256": _sha256(path),
                 "inputs": dict(sorted(self.inputs.items())),
             }
-        _atomic_write(
-            self.work / "manifest.json",
-            lambda tmp: tmp.write_text(
-                json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8"
-            ),
-        )
+        _atomic_write(self.work / "manifest.json",
+                      lambda tmp: evaluation._write_json(tmp, manifest))
 
 
 def _record(cls, cfg, prefix, **fixed):
@@ -395,8 +390,7 @@ def cmd_ingest(stage):
     out = stage.write("clean.jsonl", lambda tmp: ingest.write_clean_jsonl(docs, tmp))
     stats_payload = dataclasses.asdict(stats)
     stats_payload["kept_verbatim_ids"].sort()
-    stage.write("ingest_stats.json", lambda tmp: tmp.write_text(
-        json.dumps(stats_payload, sort_keys=True, indent=1), encoding="utf-8"))
+    stage.write("ingest_stats.json", lambda tmp: evaluation._write_json(tmp, stats_payload))
     print(f"ingest: {stats.documents} documents -> {out}")
 
 
@@ -551,8 +545,8 @@ def cmd_tune(stage):
             best = dict(best, p=postprocess.tune_threshold_by_proportion(runs, grid["p"], target))
     out = stage.write("tuning_report.tsv",
                       lambda tmp: postprocess.write_tuning_report(table, tmp))
-    stage.write("tuned_params.json", lambda tmp: tmp.write_text(
-        json.dumps(best, sort_keys=True), encoding="utf-8"))
+    stage.write("tuned_params.json",
+                lambda tmp: evaluation._write_json(tmp, best, indent=None))
     print(f"tune: {len(table)} grid points, best {best} -> {out}")
 
 

@@ -51,6 +51,11 @@ def _read_json(path, error=DataError):
         raise error(f"{path}: not valid JSON: {exc}") from None
 
 
+def _write_json(path, value, indent=1):
+    """Write ``value`` to ``path`` as UTF-8 JSON with sorted keys; ``indent=None`` is compact."""
+    Path(path).write_text(json.dumps(value, sort_keys=True, indent=indent), encoding="utf-8")
+
+
 @dataclass
 class ScoredList:
     """Per-query ranking: (doc_id, score) sorted by score desc, id asc."""
@@ -216,8 +221,7 @@ def load_qrels(path):
 
 
 def write_qrels(qrels, path):
-    data = {qid: sorted(docs) for qid, docs in sorted(qrels.items())}
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=1), encoding="utf-8")
+    _write_json(path, {qid: sorted(docs) for qid, docs in sorted(qrels.items())})
 
 
 def write_run_file(runs, path, tag="lexfuse"):
@@ -286,6 +290,4 @@ def write_report(report, path, extra=None):
     data = report.to_dict()
     if extra:
         data.update(extra)
-    Path(path).write_text(
-        json.dumps(data, sort_keys=True, indent=1), encoding="utf-8"
-    )
+    _write_json(path, data)

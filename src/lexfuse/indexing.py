@@ -19,7 +19,6 @@ import json
 import os
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -33,13 +32,13 @@ _BLOCKS = ("words", "terms", "doc_len", "doc_freq", "postings")  # in file order
 _INT32 = np.dtype("<i4")
 
 
-class Postings(Mapping):
-    """term -> ``(df, 2)`` int64 ``(ordinal, tf)`` rows sorted by ordinal: a view of ``rows``.
+class Postings:
+    """Each term's ``(df, 2)`` int64 ``(ordinal, tf)`` rows, sorted by ordinal: views of ``rows``.
 
     ``terms`` holds each term's word-id row (see the module docstring), in
-    the order of iteration, of the ``doc_freq`` counts and of the row
-    blocks. A lookup splits the term on "_", maps its words to ids and
-    searches the rows one column at a time.
+    the order of the ``doc_freq`` counts and of the row blocks. It answers
+    the lookups the pipeline makes: ``get`` a term's rows, ``len`` the
+    number of terms and ``values`` every term's rows in row order.
     """
 
     def __init__(self, words, terms, doc_freq, rows):
@@ -51,47 +50,37 @@ class Postings(Mapping):
         self._bounds = memoryview(self.bounds)  # Python ints, quicker to slice with
         self._ids = dict(zip(words, range(1, len(words) + 1)))
         self._columns = [memoryview(self.terms[:, k]) for k in range(self.terms.shape[1])]
-        # The rows that begin with word id w are starts[w] .. starts[w + 1] - 1.
+        # The rows that begin with word id w are starts[w] .. starts[w + 1] - 1. This jump
+        # table nearly halves the lookup time against a bisect of the first column.
         self._starts = memoryview(self.terms[:, 0].searchsorted(np.arange(len(words) + 2)))
 
-    def _slot(self, term):
-        """The number of ``term``'s row, or -1 if it has none."""
+    def get(self, term):
+        """``term``'s rows, or None if it has none.
+
+        The term is split on "_", its words mapped to ids and the rows searched one
+        column at a time.
+        """
         ids, columns = list(map(self._ids.get, term.split("_"))), self._columns
         n = len(ids)
         if None in ids or n > len(columns):
-            return -1
+            return None
         lo, hi = self._starts[ids[0]], self._starts[ids[0] + 1]
         for k in range(1, n):
             column, word_id = columns[k], ids[k]
             lo = bisect_left(column, word_id, lo, hi)
             if lo == hi or column[lo] != word_id:
-                return -1
+                return None
             hi = bisect_right(column, word_id, lo, hi)
         # Rows lo..hi-1 begin with ``ids``; the first has the lowest next id, 0 if it is the term.
-        return lo if lo < hi and (n == len(columns) or columns[n][lo] == 0) else -1
-
-    def get(self, term, default=None):
-        i = self._slot(term)
-        return default if i < 0 else self.rows[self._bounds[i]:self._bounds[i + 1]]
-
-    def __getitem__(self, term):
-        rows = self.get(term)
-        if rows is None:
-            raise KeyError(term)
-        return rows
-
-    def __contains__(self, term):
-        return self._slot(term) >= 0
-
-    def __iter__(self):
-        words = ["", *self.words]
-        return ("_".join(words[i] for i in row if i) for row in self.terms.tolist())
+        if lo == hi or (n < len(columns) and columns[n][lo] != 0):
+            return None
+        return self.rows[self._bounds[lo]:self._bounds[lo + 1]]
 
     def __len__(self):
         return len(self.terms)
 
     def values(self):
-        """Each term's rows in iteration order, without a lookup per term."""
+        """Each term's rows in row order, without a lookup per term."""
         bounds = self.bounds.tolist()
         return (self.rows[start:end] for start, end in zip(bounds, bounds[1:]))
 

@@ -87,10 +87,18 @@ class TokenizerConfig:
 def tokenize(text, config=TokenizerConfig()):
     """Split ``text`` on non-alphanumeric boundaries and expand n-grams.
 
+    The text is put in Unicode NFC first, so a letter written with a
+    combining accent is one letter and does not split its word. Lowercasing
+    comes after and can still decompose: ``"İ".lower()`` is "i" plus U+0307,
+    which splits the word there.
+
     Tokens shorter than ``min_token_len`` are dropped before expansion.
     Every contiguous n-gram for n in [ngram_lo, ngram_hi] is emitted,
     joined with "_".
     """
+    if not text.isascii():  # ASCII text is in NFC: stages on an ASCII corpus never map unicodedata
+        from unicodedata import normalize
+        text = normalize("NFC", text)
     source = text.lower() if config.lowercase else text
     words = _WORD_RE.findall(source)
     if config.min_token_len > 1:

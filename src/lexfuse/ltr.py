@@ -13,15 +13,13 @@ fully deterministic under a fixed seed. Prediction ranks each query's
 rows and min-max normalizes their scores into [1e-6, 1] in one pass.
 """
 
-import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from .evaluation import DataError, ScoredList, _read_json
+from .evaluation import DataError, ScoredList, _read_json, _write_json
 
 MODEL_FORMAT = "lexfuse-ltr"
 MODEL_VERSION = 1
@@ -147,9 +145,7 @@ class TreeEnsemble:
         return model
 
     def save(self, path):
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True), encoding="utf-8"
-        )
+        _write_json(path, self.to_dict(), indent=None)
 
     @classmethod
     def load(cls, path):

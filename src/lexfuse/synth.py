@@ -9,12 +9,12 @@ emits pseudo dense-model score dumps (a noisy oracle over the planted
 overlap) usable as external learning-to-rank features.
 """
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .evaluation import SettingError, write_qrels
+from .evaluation import SettingError, _write_json, write_qrels
+from .ingest import PLACEHOLDERS
 
 _CONSONANTS = "bcdfglmnprstv"
 _VOWELS = "aeiou"
@@ -106,8 +106,7 @@ def _document_text(rng, vocab, trial_year, planted, with_summary, with_french):
         n_words = rng.randrange(30, 60)
         extra = []
         if rng.random() < 0.35:
-            extra = [rng.choice(("FRAGMENT_SUPPRESSED", "REFERENCE_SUPPRESSED",
-                                 "CITATION_SUPPRESSED"))]
+            extra = [rng.choice(PLACEHOLDERS)]
         paragraphs.append(_paragraph(rng, vocab, n_words, list(chunks[i]) + extra))
     body = "\n\n".join(paragraphs)
     parts = [preamble, f"[1] {body}"]
@@ -212,9 +211,7 @@ def generate(spec, out_dir):
     for doc_id in sorted(texts):
         (corpus_dir / f"{doc_id}.txt").write_text(texts[doc_id], encoding="utf-8")
 
-    (out / "queries.json").write_text(
-        json.dumps(query_ids, indent=1), encoding="utf-8"
-    )
+    _write_json(out / "queries.json", query_ids)
     write_qrels(qrels, out / "qrels.json")
 
     shuffled = list(query_ids)
@@ -226,9 +223,7 @@ def generate(spec, out_dir):
         "tune": sorted(shuffled[n_train:n_train + n_tune]),
         "test": sorted(shuffled[n_train + n_tune:]),
     }
-    (out / "splits.json").write_text(
-        json.dumps(splits, sort_keys=True, indent=1), encoding="utf-8"
-    )
+    _write_json(out / "splits.json", splits)
 
     # Pseudo dense scores: noisy oracle over the planted overlap.
     for name in ("SAILER", "DELTA"):

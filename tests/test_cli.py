@@ -36,6 +36,12 @@ def forget(work, name):
     path.write_text(json.dumps(manifest))
 
 
+def term_strings(postings):
+    """Each term of ``postings`` as its "_"-joined words, in row order."""
+    words = ["", *postings.words]
+    return ["_".join(words[i] for i in row if i) for row in postings.terms.tolist()]
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """One small case-retrieval chain, shared across tests."""
@@ -149,6 +155,34 @@ class TestPipelineArtifacts:
         for name in ("scores_bm25.tsv", "features.tsv", "model.json",
                      "run_raw.tsv", "run_final.tsv"):
             assert (work / name).read_bytes() == before[name], name
+
+    # sha256 of every work_dir file of ``small_pipeline``. ``manifest.json`` holds absolute
+    # paths, and ``model.json`` depends on the CPU's SIMD level through ``np.exp``.
+    PINNED = {
+        "clean.jsonl": "b409adc0f0309b67e4f2498fe78fba0a1350f6e9260aacbe97cce6569fa9ea9a",
+        "eval_report.json": "443ce81342a6aff88fce4678424337481987ba69b98b6b55ac9de27324eb3ddd",
+        "features.tsv": "d3de91b3a558c0b9707290e76ec6d5fe16130fe121f2a68805466fb426e97799",
+        "index_ngram.json": "2f097be2a6f55c5e31141332ad4f113644f3c1e2e2fff46ae177eedcc11a33af",
+        "index_plain.json": "319eab8cf99c769af10b6acb2c4701ad6454d63fb08ac500d4e53439f27a2cea",
+        "ingest_stats.json": "748ca854009fdf3f89ff4edcec1c3b9bf7d8af196c86b568f9016650d0878d95",
+        "run_final.tsv": "1481728576be3eea6dc79bf3b2b40615399b11bb5e3e54b34658c08892dd2296",
+        "run_raw.tsv": "c6c02293dabdc8da0417170e4045d15263fa821e043d1be4c80825f9daccba2f",
+        "scores_bm25.tsv": "c00244fa1e55dc4ddbccc6b957f208c8965afbe16ea21732a20e4f75d20d96e0",
+        "scores_bm25_ngram.tsv": "832cf616e9bc0d77de12300da6efbaec5f683322fdc67071ea7bb50cffe79779",
+        "scores_qld.tsv": "3a062b3a4966c9d02fa6325f289f3dd0d25a37ffa4c692bb0399fb19d11ca5ae",
+        "train_log.tsv": "16321affba850acef6fcb7387290dc49fbd195286cc8a00946e91902ba2ac5dd",
+        "tuned_params.json": "20b383716dc2b2972bcb9272feec9cb9fb629bc3674e7b4b9167d021d443bce6",
+        "tuning_report.tsv": "c966779c7d8af2879f474801ffd7783c01f25e448a5ea67c622d12eaa93bf7f1",
+    }
+
+    def test_artifact_bytes_are_pinned(self, small_pipeline):
+        _, _, work, _ = small_pipeline
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in work.iterdir()
+               if p.is_file() and p.name not in ("manifest.json", "model.json")}
+        moved = [f"{name}: pinned {self.PINNED.get(name)}, got {got.get(name)}"
+                 for name in sorted(set(got) | set(self.PINNED))
+                 if got.get(name) != self.PINNED.get(name)]
+        assert not moved, "artifact bytes moved:\n" + "\n".join(moved)
 
 
 class TestCrossProcessDeterminism:
@@ -556,11 +590,13 @@ class TestErrors:
         index = InvertedIndex.load(path)
         common = {"format": "lexfuse-index", "config": dataclasses.asdict(index.config),
                   "doc_ids": list(index.doc_ids), "doc_len": index.doc_len.tolist()}
+        terms = term_strings(index.postings)
         layouts = {
             # The version-1 layout: a {term: [[ordinal, tf], ...]} dict.
-            1: {"postings": {term: rows.tolist() for term, rows in index.postings.items()}},
+            1: {"postings": {term: rows.tolist()
+                             for term, rows in zip(terms, index.postings.values())}},
             # The version-2 layout: flat JSON lists.
-            2: {"terms": list(index.postings),
+            2: {"terms": terms,
                 "doc_freq": [len(rows) for rows in index.postings.values()],
                 "postings": index.postings.rows.ravel().tolist()},
         }
@@ -579,7 +615,7 @@ class TestErrors:
         path = tmp_path / "work" / "index_ngram.json"
         index = InvertedIndex.load(path)
         # The version-3 layout: the terms as \n-joined strings, then int32 blocks.
-        blocks = ["\n".join(index.postings).encode(),
+        blocks = ["\n".join(term_strings(index.postings)).encode(),
                   *(np.asarray(values, "<i4").tobytes() for values in (
                       index.doc_len, np.diff(index.postings.bounds), index.postings.rows))]
         header = {"format": "lexfuse-index", "version": 3, "doc_ids": list(index.doc_ids),

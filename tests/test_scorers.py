@@ -38,7 +38,7 @@ def bm25_score(index, query_terms, doc, params=Bm25Params()):
         tf = term_frequency(index, term, doc)
         if tf == 0:
             continue
-        df = len(index.postings[term])
+        df = len(index.postings.get(term))
         idf = math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
         score += idf * tf * (params.k1 + 1.0) / (tf + norm)
     return score
@@ -139,18 +139,19 @@ def loop_scores(index, query_text, scorer, params):
         scores = [base - sum(c for _, c, _ in live) * math.log(doc_len[d] + mu)
                   for d in range(n)]
         for term, c, pc in live:
-            for doc, tf in index.postings[term].tolist():
+            for doc, tf in index.postings.get(term).tolist():
                 scores[doc] += c * (math.log(tf + mu * pc) - math.log(mu * pc))
         return scores
     avgdl = index.avgdl
     norms = [params.k1 * (1.0 - params.b + params.b * (dl / avgdl)) for dl in doc_len]
     scores = [0.0] * n
     for term, c in counts:
-        if term not in index.postings:
+        rows = index.postings.get(term)
+        if rows is None:
             continue
-        df = len(index.postings[term])
+        df = len(rows)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for doc, tf in index.postings[term].tolist():
+        for doc, tf in rows.tolist():
             scores[doc] += c * idf * tf * (params.k1 + 1.0) / (tf + norms[doc])
     return scores
 
