@@ -9,8 +9,10 @@ score 0.0 and rank list_length + 1. ``assemble`` labels each row from the
 qrels as it builds the table, so a table is complete when it is made.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, count, islice
+from operator import ge
 from pathlib import Path
 
 import numpy as np
@@ -65,14 +67,40 @@ def get_schema(name):
                            f"{', '.join(_BUILTIN_SCHEMAS)}, got {name!r}") from None
 
 
+def _first_bad_row(query_ids, candidate_ids, X, labels):
+    """(i, problem) of the first row ``i`` that breaks a table rule, or None.
+
+    The rules: rows are distinct pairs in increasing (query_id, candidate_id)
+    order, each label is -1, 0 or 1, and each value is finite. A row that
+    breaks more than one is named for its label first, then its order.
+    """
+    pairs = zip(query_ids, candidate_ids)
+    following = zip(islice(query_ids, 1, None), islice(candidate_ids, 1, None))
+    unordered = next(compress(count(1), map(ge, pairs, following)), len(query_ids))
+    bad_label = (labels != -1) & (labels != 0) & (labels != 1)
+    bad = np.flatnonzero(bad_label | ~np.isfinite(X).all(axis=1))
+    i = min(unordered, int(bad[0])) if bad.size else unordered
+    if i == len(query_ids):
+        return None
+    if bad_label[i]:
+        return i, "label must be -1, 0 or 1"
+    if i < unordered:
+        return i, "non-finite feature value"
+    qid, cid = query_ids[i], candidate_ids[i]
+    if (qid, cid) == (query_ids[i - 1], candidate_ids[i - 1]):
+        return i, f"duplicate candidate {cid!r} for query {qid!r}"
+    return i, "out of (query_id, candidate_id) order"
+
+
 class FeatureTable:
     """Feature columns of distinct (query, candidate) pairs in increasing (query_id,
     candidate_id) order.
 
     ``query_ids`` and ``candidate_ids`` are lists of str; ``X`` is the
-    (rows, len(schema)) float64 matrix and ``labels`` the int64 label of
-    each row, -1 where a row is unlabeled. ``blocks`` maps each query id,
-    in table order, to the (start, end) range of its rows.
+    (rows, len(schema)) float64 matrix of finite values and ``labels`` the
+    int64 label of each row, 0 or 1, or -1 where a row is unlabeled. A row
+    that breaks these rules is a ValueError naming its pair. ``blocks`` maps
+    each query id, in table order, to the (start, end) range of its rows.
     """
 
     def __init__(self, schema, query_ids, candidate_ids, X, labels=None):
@@ -80,24 +108,20 @@ class FeatureTable:
         if X.shape != (len(query_ids), len(schema)):
             raise ValueError(f"feature matrix has shape {X.shape}, schema has "
                              f"{len(schema)} features for {len(query_ids)} rows")
-        if labels is None:
-            labels = np.full(len(query_ids), -1)
+        labels = np.full(len(query_ids), -1) if labels is None else np.asarray(labels)
+        bad = _first_bad_row(query_ids, candidate_ids, X, labels)
+        if bad:
+            i, problem = bad
+            raise ValueError(f"row {i} ({query_ids[i]}, {candidate_ids[i]}): {problem}")
         self.blocks, start = {}, 0
-        pairs = zip(query_ids, islice(query_ids, 1, None),
-                    candidate_ids, islice(candidate_ids, 1, None))
-        for i, (q, q2, c, c2) in enumerate(pairs, 1):
-            if q < q2:
-                self.blocks[q], start = (start, i), i
-            elif q > q2 or c >= c2:
-                raise ValueError(f"row {i} ({q2}, {c2}) does not follow row {i - 1} ({q}, {c}): "
-                                 f"rows must be distinct and in (query_id, candidate_id) order")
-        if query_ids:
-            self.blocks[query_ids[-1]] = (start, len(query_ids))
+        for qid in dict.fromkeys(query_ids):
+            end = bisect_right(query_ids, qid, start)
+            self.blocks[qid], start = (start, end), end
         self.schema = schema
         self.query_ids = query_ids
         self.candidate_ids = candidate_ids
         self.X = X
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self):
         return len(self.query_ids)
@@ -143,30 +167,22 @@ class FeatureTable:
                 parts = line.split("\t")
                 if len(parts) != 3 + len(names):
                     raise DataError(f"{path}:{lineno}: expected {3 + len(names)} fields")
-                qid, cid = parts[0], parts[1]
                 try:
-                    label = int(parts[2])
+                    labels.append(int(parts[2]))
                     values.extend(map(float, parts[3:]))
                 except ValueError:
                     raise DataError(
                         f"{path}:{lineno}: bad label or feature value"
                     ) from None
-                if label not in (-1, 0, 1):
-                    raise DataError(f"{path}:{lineno}: label must be -1, 0 or 1")
-                last = (query_ids[-1], candidate_ids[-1]) if query_ids else None
-                if last and (qid, cid) <= last:
-                    raise DataError(f"{path}:{lineno}: " + (
-                        f"duplicate candidate {cid!r} for query {qid!r}" if (qid, cid) == last
-                        else "out of (query_id, candidate_id) order"))
-                labels.append(label)
-                query_ids.append(qid)
-                candidate_ids.append(cid)
+                query_ids.append(parts[0])
+                candidate_ids.append(parts[1])
                 linenos.append(lineno)
         X = np.array(values, dtype=np.float64).reshape(len(query_ids), len(names))
-        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-        if bad.size:
-            raise DataError(f"{path}:{linenos[bad[0]]}: non-finite feature value")
-        return cls(schema, query_ids, candidate_ids, X, labels)
+        try:
+            return cls(schema, query_ids, candidate_ids, X, labels)
+        except ValueError:
+            i, problem = _first_bad_row(query_ids, candidate_ids, X, np.asarray(labels))
+            raise DataError(f"{path}:{linenos[i]}: {problem}") from None
 
 
 @dataclass
@@ -216,10 +232,8 @@ def assemble(queries, candidates, scores, pool, schema, qrels=None):
     name of each score source to its {query_id: ScoredList}. The rows of a
     query are the union of its lists in the ``pool`` sources, so pairs
     outside every pool list produce no row. Every schema feature must have
-    a source (``check_sources``). A non-finite value is a DataError
-    naming its feature and the first such pair in row order. With
-    ``qrels`` ({query_id: set of relevant ids}) each row is labeled 1 or 0;
-    without, -1.
+    a source (``check_sources``). With ``qrels`` ({query_id: set of relevant
+    ids}) each row is labeled 1 or 0; without, -1.
     """
     rows = []  # (query_id, sorted candidate ids) of each query with a row
     for qid in sorted(queries):
@@ -239,11 +253,6 @@ def assemble(queries, candidates, scores, pool, schema, qrels=None):
         else:
             base = name[:-5] if name.endswith("_rank") else name
             X[:, j] = _score_column(scores[base], rows, base != name)
-    bad = np.flatnonzero(~np.isfinite(X))
-    if bad.size:
-        i, j = divmod(int(bad[0]), len(schema))
-        raise DataError(f"non-finite feature {schema.feature_names[j]!r} for pair "
-                        f"({query_ids[i]}, {candidate_ids[i]})")
     labels = None if qrels is None else [
         cid in qrels.get(qid, ()) for qid, cid in zip(query_ids, candidate_ids)]
     return FeatureTable(schema, query_ids, candidate_ids, X, labels)

@@ -325,20 +325,6 @@ def _lambda_gradients(scores, batches, k):
 
 # -- training -------------------------------------------------------------------
 
-def _check_rows(table):
-    """Refuse a row of ``table`` without a 0/1 label or with a non-finite feature."""
-    y, qids, cids = table.labels, table.query_ids, table.candidate_ids
-    bad = np.flatnonzero((y != 0) & (y != 1))
-    if bad.size:
-        i = int(bad[0])
-        problem = "has no label" if y[i] < 0 else "label must be 0/1"
-        raise DataError(f"row ({qids[i]}, {cids[i]}) {problem}")
-    bad = np.flatnonzero(~np.isfinite(table.X).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(f"non-finite feature in row ({qids[i]}, {cids[i]})")
-
-
 def _validation_queries(qids, config):
     """The seeded ``validation_fraction`` of ``qids`` that early stopping scores, as a set."""
     shuffled = sorted(qids)
@@ -358,8 +344,11 @@ def train(table, config=TrainConfig()):
     best validation NDCG; training stops early after ``patience``
     iterations without improvement.
     """
-    _check_rows(table)
     y = table.labels
+    unlabeled = np.flatnonzero(y < 0)
+    if unlabeled.size:
+        i = int(unlabeled[0])
+        raise DataError(f"row ({table.query_ids[i]}, {table.candidate_ids[i]}) has no label")
     if int(y.sum()) == 0:
         raise DataError("no positive labels anywhere in the table")
     mixed = sum(

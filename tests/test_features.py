@@ -93,23 +93,25 @@ class RowTable:
 
 def row_table_arrays(table):
     """(X, labels, query row ranges, query ids) of a labeled RowTable, one row at a
-    time; a row without a 0/1 label or with a non-finite value is a DataError."""
+    time. The first row with a label other than None, 0 or 1 or with a non-finite
+    value is a ValueError, as the table refuses it; then the first row without a
+    label is a DataError, as training refuses it."""
     n = len(table.rows)
     X = np.empty((n, len(table.schema)), dtype=np.float64)
     y = np.empty(n, dtype=np.int64)
     for i, row in enumerate(table.rows):
+        if row.label not in (None, 0, 1):
+            problem = "label must be -1, 0 or 1"
+        elif not all(math.isfinite(v) for v in row.values):
+            problem = "non-finite feature value"
+        else:
+            continue
+        raise ValueError(f"row {i} ({row.query_id}, {row.candidate_id}): {problem}")
+    for i, row in enumerate(table.rows):
         if row.label is None:
             raise DataError(f"row ({row.query_id}, {row.candidate_id}) has no label")
-        if row.label not in (0, 1):
-            raise DataError(
-                f"row ({row.query_id}, {row.candidate_id}) label must be 0/1")
         X[i] = row.values
         y[i] = row.label
-    bad = np.nonzero(~np.isfinite(X))[0]
-    if bad.size:
-        row = table.rows[int(bad[0])]
-        raise DataError(
-            f"non-finite feature in row ({row.query_id}, {row.candidate_id})")
     groups = []
     qids = []
     start = 0
@@ -239,13 +241,7 @@ def reference_assemble(queries, candidates, internal_scores, externals, schema):
                 cdoc = candidates[cid]
             except KeyError:
                 raise DataError(f"candidate {cid!r} has no cleaned document") from None
-            row = [resolve(n, views, cid, qdoc, cdoc) for n in schema.feature_names]
-            for name, value in zip(schema.feature_names, row):
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"non-finite feature {name!r} for pair ({qid}, {cid})"
-                    )
-            values.extend(row)
+            values.extend(resolve(n, views, cid, qdoc, cdoc) for n in schema.feature_names)
             query_ids.append(qid)
             candidate_ids.append(cid)
     X = np.array(values, dtype=np.float64).reshape(len(query_ids), len(schema))
@@ -533,9 +529,13 @@ class TestFeatureTableTsv:
 
     def test_rows_out_of_order_or_repeated_are_refused(self):
         schema = FeatureSchema("mini", ("f",))
-        for qids, cids in ((["q2", "q1"], ["A", "A"]), (["q1", "q1"], ["B", "A"]),
-                           (["q1", "q1"], ["A", "A"]), (["q1", "q2", "q1"], ["A", "A", "B"])):
-            with pytest.raises(ValueError, match=r"distinct and in \(query_id, candidate_id\) order"):
+        unordered = "out of (query_id, candidate_id) order"
+        for qids, cids, message in (
+                (["q2", "q1"], ["A", "A"], f"row 1 (q1, A): {unordered}"),
+                (["q1", "q1"], ["B", "A"], f"row 1 (q1, A): {unordered}"),
+                (["q1", "q1"], ["A", "A"], "row 1 (q1, A): duplicate candidate 'A' for query 'q1'"),
+                (["q1", "q2", "q1"], ["A", "A", "B"], f"row 2 (q1, B): {unordered}")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 FeatureTable(schema, qids, cids, np.zeros((len(qids), 1)))
 
     def test_blocks_are_the_row_ranges_of_each_query(self):
@@ -599,11 +599,11 @@ def random_model(rng):
 
 
 def outcome(fn, *args):
-    """``fn(*args)``, or the message of the DataError it raises."""
+    """``fn(*args)``, or the class and message of the DataError or ValueError it raises."""
     try:
         return fn(*args)
-    except DataError as exc:
-        return f"DataError: {exc}"
+    except (DataError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestColumnarMatchesRowReference:
@@ -640,14 +640,14 @@ class TestColumnarMatchesRowReference:
             for rows in self.cases(labels=labels):
                 if rows and random.Random(len(rows)).random() < 0.3:
                     rows[len(rows) // 2].values = (math.nan, 1.0, math.inf)
-                table = table_from_rows(SCHEMA_MIXED, rows)
                 want = outcome(row_table_arrays, RowTable(SCHEMA_MIXED, rows))
-                got = outcome(ltr._check_rows, table)
+                table = outcome(table_from_rows, SCHEMA_MIXED, rows)
+                if isinstance(table, FeatureTable) and (table.labels < 0).any():
+                    table = outcome(ltr.train, table)  # refused before any training
                 if isinstance(want, str):
-                    assert got == want
+                    assert table == want
                     refused += 1
                     continue
-                assert got is None
                 X, y, groups, qids = want
                 assert table.X.shape == X.shape and np.array_equal(table.X, X)
                 assert np.array_equal(table.labels, y)
@@ -729,12 +729,74 @@ def random_assembly(rng):
 
 
 def assembled(fn, *args):
-    """(ids, X shape, X bytes) of the table ``fn(*args)`` builds, or its DataError."""
-    try:
-        table = fn(*args)
-    except DataError as exc:
-        return f"DataError: {exc}"
+    """(ids, X shape, X bytes) of the table ``fn(*args)`` builds, or its error."""
+    table = outcome(fn, *args)
+    if isinstance(table, str):
+        return table
     return table.query_ids, table.candidate_ids, table.X.shape, table.X.tobytes()
+
+
+def inject_defect(rng, rows, kind):
+    """Break one table rule in the sorted, valid ``rows``; return the index of the
+    row that breaks it and the problem the table names."""
+    i = rng.randrange(1 if kind in ("repeat", "unordered") else 0, len(rows))
+    row = rows[i]
+    if kind == "repeat":
+        before = rows[i - 1]
+        rows.insert(i, FeatureRow(before.query_id, before.candidate_id, row.values, row.label))
+        return i, f"duplicate candidate {before.candidate_id!r} for query {before.query_id!r}"
+    if kind == "unordered":
+        rows[i - 1], rows[i] = row, rows[i - 1]
+        return i, "out of (query_id, candidate_id) order"
+    if kind == "label":
+        row.label = rng.choice((2, -2))
+        return i, "label must be -1, 0 or 1"
+    values = list(row.values)
+    values[rng.randrange(len(values))] = rng.choice((math.nan, math.inf, -math.inf))
+    row.values = tuple(values)
+    return i, "non-finite feature value"
+
+
+class TestOneRowRule:
+    """The constructor and ``from_tsv`` refuse the same row for the same problem."""
+
+    def test_constructor_and_reader_name_the_injected_row(self, tmp_path):
+        rng = random.Random(28)
+        seen = dict.fromkeys((None, "repeat", "unordered", "label", "value"), 0)
+        path = tmp_path / "features.tsv"
+        for _ in range(300):
+            rows = sorted(random_rows(rng, labels=(None, 0, 1)),
+                          key=lambda r: (r.query_id, r.candidate_id))
+            kind = rng.choice(list(seen)) if len(rows) > 1 else None
+            bad = inject_defect(rng, rows, kind) if kind else None
+            seen[kind] += 1
+            qids = [r.query_id for r in rows]
+            cids = [r.candidate_id for r in rows]
+            X = np.array([r.values for r in rows], dtype=np.float64).reshape(len(rows), 3)
+            labels = [-1 if r.label is None else r.label for r in rows]
+            lines = ["query_id\tcandidate_id\tlabel\t" + "\t".join(SCHEMA_MIXED.feature_names)]
+            linenos = []  # the file line of each row; blank lines fall in between
+            for qid, cid, label, values in zip(qids, cids, labels, X.tolist()):
+                while rng.random() < 0.2:
+                    lines.append("")
+                lines.append("\t".join([qid, cid, str(label), *map(repr, values)]))
+                linenos.append(len(lines))
+            path.write_text("\n".join(lines) + "\n")
+            if bad is None:
+                loaded = FeatureTable.from_tsv(path)
+                assert (loaded.query_ids, loaded.candidate_ids) == (qids, cids)
+                assert loaded.X.tolist() == X.tolist()
+                assert loaded.labels.tolist() == labels
+                FeatureTable(SCHEMA_MIXED, qids, cids, X, labels)
+                continue
+            i, problem = bad
+            message = f"row {i} ({qids[i]}, {cids[i]}): {problem}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                FeatureTable(SCHEMA_MIXED, qids, cids, X, labels)
+            message = f"{path}:{linenos[i]}: {problem}"
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                FeatureTable.from_tsv(path)
+        assert min(seen.values()) > 30, seen  # every defect and the valid tables occur
 
 
 class TestAssembleMatchesPerCellReference:
@@ -751,13 +813,14 @@ class TestAssembleMatchesPerCellReference:
             errors += isinstance(want, str)
         assert 20 < errors < 280  # both outcomes are exercised
 
-    def test_error_names_the_feature(self):
+    def test_error_names_the_first_pair(self):
         queries, candidates, internal = small_setup()
-        # Row A's last cell and row B's first: the first bad cell in row order is A's.
+        # Row A's last cell and row B's first: the first bad row is A's. The table
+        # refuses it, as it refuses any non-finite value given in memory.
         internal["BM25"]["q1"] = ScoredList("q1", [("A", 2.0), ("B", math.inf)])
         internal["QLD"]["q1"] = ScoredList("q1", [("B", -1.0), ("A", math.nan)])
         schema = FeatureSchema("mini", ("BM25", "QLD_rank", "QLD"))
-        with pytest.raises(DataError, match=r"^non-finite feature 'QLD' for pair \(q1, A\)$"):
+        with pytest.raises(ValueError, match=r"^row 0 \(q1, A\): non-finite feature value$"):
             assemble(queries, candidates, internal, internal, schema)
 
 
