@@ -312,7 +312,9 @@ def _lambda_gradients(scores, batches, k):
     for _, _, pos, neg in batches:
         idcg = float(np.sum(discounts[:min(k, pos.shape[1])]))
         diff = np.clip(scores[pos][:, :, None] - scores[neg][:, None, :], -60.0, 60.0)
-        rho = 1.0 / (1.0 + np.exp(diff))
+        # math.exp, not np.exp: numpy's exp rounds differently at each SIMD level.
+        exp = np.fromiter(map(math.exp, diff.ravel().tolist()), np.float64, diff.size)
+        rho = 1.0 / (1.0 + exp.reshape(diff.shape))
         delta = np.abs(discount[pos][:, :, None] - discount[neg][:, None, :]) / idcg
         weighted = rho * delta
         lam[pos] += weighted.sum(axis=2)

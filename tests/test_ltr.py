@@ -462,7 +462,7 @@ def ref_lambda_gradients(scores, labels, groups, k):
         n_ideal = min(k, pos.size)
         idcg = float(np.sum(1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)))
         diff = np.clip(s[pos][:, None] - s[neg][None, :], -60.0, 60.0)
-        rho = 1.0 / (1.0 + np.exp(diff))
+        rho = 1.0 / (1.0 + np.vectorize(math.exp, otypes=[float])(diff))
         delta = np.abs(discount[pos][:, None] - discount[neg][None, :]) / idcg
         weighted = rho * delta
         lam[start + pos] += weighted.sum(axis=1)
