@@ -42,6 +42,16 @@ def term_strings(postings):
     return ["_".join(words[i] for i in row if i) for row in postings.terms.tolist()]
 
 
+def assert_pinned(work, pinned):
+    """Compare the sha256 of every ``work`` file but ``manifest.json`` (absolute paths)
+    with ``pinned``, naming every file that moved with both digests."""
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in work.iterdir()
+           if p.is_file() and p.name != "manifest.json"}
+    moved = [f"{name}: pinned {pinned.get(name)}, got {got.get(name)}"
+             for name in sorted(set(got) | set(pinned)) if got.get(name) != pinned.get(name)]
+    assert not moved, "artifact bytes moved:\n" + "\n".join(moved)
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """One small case-retrieval chain, shared across tests."""
@@ -156,8 +166,7 @@ class TestPipelineArtifacts:
                      "run_raw.tsv", "run_final.tsv"):
             assert (work / name).read_bytes() == before[name], name
 
-    # sha256 of every work_dir file of ``small_pipeline``. ``manifest.json`` holds absolute
-    # paths, and ``model.json`` depends on the CPU's SIMD level through ``np.exp``.
+    # sha256 of every work_dir file of ``small_pipeline`` but ``manifest.json``.
     PINNED = {
         "clean.jsonl": "b409adc0f0309b67e4f2498fe78fba0a1350f6e9260aacbe97cce6569fa9ea9a",
         "eval_report.json": "443ce81342a6aff88fce4678424337481987ba69b98b6b55ac9de27324eb3ddd",
@@ -165,6 +174,7 @@ class TestPipelineArtifacts:
         "index_ngram.json": "2f097be2a6f55c5e31141332ad4f113644f3c1e2e2fff46ae177eedcc11a33af",
         "index_plain.json": "319eab8cf99c769af10b6acb2c4701ad6454d63fb08ac500d4e53439f27a2cea",
         "ingest_stats.json": "748ca854009fdf3f89ff4edcec1c3b9bf7d8af196c86b568f9016650d0878d95",
+        "model.json": "bba4baa54919ea75494f4d483172ffa282b5f20f2c0c66f909873adec9bd9bfb",
         "run_final.tsv": "1481728576be3eea6dc79bf3b2b40615399b11bb5e3e54b34658c08892dd2296",
         "run_raw.tsv": "c6c02293dabdc8da0417170e4045d15263fa821e043d1be4c80825f9daccba2f",
         "scores_bm25.tsv": "c00244fa1e55dc4ddbccc6b957f208c8965afbe16ea21732a20e4f75d20d96e0",
@@ -177,12 +187,7 @@ class TestPipelineArtifacts:
 
     def test_artifact_bytes_are_pinned(self, small_pipeline):
         _, _, work, _ = small_pipeline
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in work.iterdir()
-               if p.is_file() and p.name not in ("manifest.json", "model.json")}
-        moved = [f"{name}: pinned {self.PINNED.get(name)}, got {got.get(name)}"
-                 for name in sorted(set(got) | set(self.PINNED))
-                 if got.get(name) != self.PINNED.get(name)]
-        assert not moved, "artifact bytes moved:\n" + "\n".join(moved)
+        assert_pinned(work, self.PINNED)
 
 
 class TestCrossProcessDeterminism:
@@ -353,6 +358,26 @@ def build_statute_fixture(tmp_path, topics=STATUTE_TOPICS):
 
 
 class TestStatuteTask:
+    # sha256 of every work_dir file of ``test_full_statute_chain`` but ``manifest.json``.
+    PINNED = {
+        "clean.jsonl": "5feeea0fc0976037bc8c45dbc46f5aa56a137c48f896fa9a72de780d89173eea",
+        "eval_report.json": "f356e815ec8b0a587175b4825ee685ae8c3be17a5cfec92dd6f9f15445e6c95e",
+        "features.tsv": "1c230e8c4afa1681a5bfdf2f3a3cc8d628eba6eb303a8b85c7cad50c1d22df5d",
+        "index_ngram.json": "bc6f681e3148ada50dcedb9c75e20a50af87cc9c51cccb11a3bfcc161e8efce6",
+        "index_plain.json": "ee86a12dde263a28298d8672fa0ad2e69cbe1c3b79a4681371b037978d6e66f9",
+        "ingest_stats.json": "8e6ea5e6984f3fb607166a28a24df31babc9ccfbf37e261f2628e73dc0a4ce6d",
+        "model.json": "627d36f21b1b86c11d7457ab4b708eb967dec472e0a018aa890599e5a23f0bf3",
+        "queries.jsonl": "062ac32263bbedcdc8bf5c913167f3c9fd9dc9707f43a81982835af254cae3c6",
+        "run_final.tsv": "6ce0284630a863376959dc756a7836ac91f37d7407b900e08901bf23e651274e",
+        "run_raw.tsv": "cbb1d6c255dcf6d3e6e542df6bb86c4215e1232426ad01ddef5fca48be04bf38",
+        "scores_bm25.tsv": "e43f08ffbbc33e1f46fa2268af39224a01ac76336fd1564250e206b66a35332b",
+        "scores_bm25_ngram.tsv": "b584a6fd39d84d6e5d4b31989d30faa9be045064e9f8cfd3d6aa663012bea8b8",
+        "scores_qld.tsv": "f9b57e69e125cf10eaec79b6b1c0bd498dda4d57eb11982ad439defa5104781f",
+        "train_log.tsv": "912346d9c2b18dd4e2bfa7d7ec7831a54307d54de3415402550740aff4238931",
+        "tuned_params.json": "df7c42c3ab5492f7b3ea2fe0e3b7d72137e771e62cc669577d43061bb60e65d3",
+        "tuning_report.tsv": "24b62f03477937d32c2fdcb6f809945eeef5edfb1eda47569fb94ce8ae0f1973",
+    }
+
     def test_full_statute_chain(self, tmp_path):
         articles, questions, qrels = build_statute_fixture(tmp_path)
         topics = STATUTE_TOPICS
@@ -405,6 +430,7 @@ class TestStatuteTask:
         assert report["f_measure"] > 0.5
         manifest = json.loads((work / "manifest.json").read_text())
         assert str(questions) in manifest["artifacts"]["queries.jsonl"]["inputs"]
+        assert_pinned(work, self.PINNED)
 
     def test_top200_is_the_default_rerank_depth(self):
         assert cli.DEFAULTS["rerank_depth"] == 200
