@@ -347,9 +347,8 @@ def train(table, config=TrainConfig()):
     iterations without improvement.
     """
     y = table.labels
-    unlabeled = np.flatnonzero(y < 0)
-    if unlabeled.size:
-        i = int(unlabeled[0])
+    if (y < 0).any():
+        i = int(np.argmax(y < 0))  # the first unlabeled row
         raise DataError(f"row ({table.query_ids[i]}, {table.candidate_ids[i]}) has no label")
     if int(y.sum()) == 0:
         raise DataError("no positive labels anywhere in the table")
