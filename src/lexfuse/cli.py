@@ -434,8 +434,9 @@ def cmd_features(stage):
     candidates = ingest.read_clean_jsonl(stage.artifact("clean.jsonl"))
     queries = _query_docs(stage, candidates)
 
+    numbering = features.Numbering(queries, candidates)
     depth = cfg["rerank_depth"]
-    scores = {}  # score source name -> {query_id: ScoredList}
+    scores = {}  # score source name -> its ScoreArrays; each file's lists go once read
     for scorer in scorers.SCORER_NAMES:
         path = stage.artifact(f"scores_{scorer}.tsv")
         # A dump as score wrote it holds each query's rows in one block of
@@ -449,10 +450,11 @@ def cmd_features(stage):
                         for doc_id, _ in lists[qid].entries if doc_id not in candidates), None)
         if unknown is not None:
             raise DataError(f"{path}: candidate {unknown!r} is not in clean.jsonl")
-        scores[_SCORER_FEATURE[scorer]] = lists
+        scores[_SCORER_FEATURE[scorer]] = numbering.arrays(lists)
+        del lists
     for name in sorted(cfg["external_scores"]):
         path = stage.file("external_scores", name)
-        scores[name] = features.ExternalScoreFile.load(name, path).lists
+        scores[name] = numbering.arrays(features.ExternalScoreFile.load(name, path).lists)
 
     qrels = evaluation.load_qrels(stage.file("qrels_file")) if cfg.get("qrels_file") else None
     table = features.assemble(queries, candidates, scores, _SCORER_FEATURE.values(), schema,

@@ -5,10 +5,13 @@ Two built-in schemas mirror the feature sets used for case retrieval
 ranks, two dense scores with ranks) and statute retrieval (9 features:
 lengths, two lexical scores, five reranker scores). External neural
 scores are consumed from score-dump TSV files; a missing pair maps to
-score 0.0 and rank list_length + 1. ``assemble`` labels each row from the
-qrels as it builds the table, so a table is complete when it is made.
+score 0.0 and rank list_length + 1. Each score source is held as flat
+arrays over the candidates' ordinals (``Numbering``), and ``assemble``
+labels each row from the qrels as it builds the table, so a table is
+complete when it is made.
 """
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, islice
@@ -109,6 +112,9 @@ class FeatureTable:
             raise ValueError(f"feature matrix has shape {X.shape}, schema has "
                              f"{len(schema)} features for {len(query_ids)} rows")
         labels = np.full(len(query_ids), -1) if labels is None else np.asarray(labels)
+        for what, given in (("candidate ids", candidate_ids), ("labels", labels)):
+            if len(given) != len(query_ids):
+                raise ValueError(f"{len(given)} {what} for {len(query_ids)} rows")
         bad = _first_bad_row(query_ids, candidate_ids, X, labels)
         if bad:
             i, problem = bad
@@ -159,7 +165,10 @@ class FeatureTable:
                 ) or FeatureSchema("custom", names)
             except ValueError as exc:
                 raise DataError(f"{path}:1: {exc}") from None
-            query_ids, candidate_ids, labels, values, linenos = [], [], [], [], []
+            # Values go straight into C doubles, each query id is one str per
+            # block of rows and each candidate id one str per table.
+            query_ids, candidate_ids, shared, qid = [], [], {}, None
+            labels, values, linenos = array("b"), array("d"), array("q")
             for lineno, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
                 if not line:
@@ -168,16 +177,19 @@ class FeatureTable:
                 if len(parts) != 3 + len(names):
                     raise DataError(f"{path}:{lineno}: expected {3 + len(names)} fields")
                 try:
-                    labels.append(int(parts[2]))
+                    label = int(parts[2])
                     values.extend(map(float, parts[3:]))
                 except ValueError:
                     raise DataError(
                         f"{path}:{lineno}: bad label or feature value"
                     ) from None
-                query_ids.append(parts[0])
-                candidate_ids.append(parts[1])
+                labels.append(label if -1 <= label <= 1 else 2)  # refused, as any other label
+                if parts[0] != qid:
+                    qid = parts[0]
+                query_ids.append(qid)
+                candidate_ids.append(shared.setdefault(parts[1], parts[1]))
                 linenos.append(lineno)
-        X = np.array(values, dtype=np.float64).reshape(len(query_ids), len(names))
+        X = np.frombuffer(values, dtype=np.float64).reshape(len(query_ids), len(names))
         try:
             return cls(schema, query_ids, candidate_ids, X, labels)
         except ValueError:
@@ -208,20 +220,55 @@ def check_sources(schema, sources):
                            f"config key 'external_scores'")
 
 
-def _score_column(lists, rows, rank):
-    """One score (or, if ``rank``, 1-based rank) per row of ``rows``, a list of
-    (query_id, candidate ids) in table order. A candidate missing from its query's
-    list (or a query with no list) scores 0.0 and ranks the list's length + 1."""
-    column = []
-    for qid, cids in rows:
-        entries = lists[qid].entries if qid in lists else ()
-        if rank:
-            lookup = {doc_id: i for i, (doc_id, _) in enumerate(entries, 1)}
-            missing = len(entries) + 1
-        else:
-            lookup, missing = dict(entries), 0.0
-        column.extend([lookup.get(cid, missing) for cid in cids])
-    return column
+class Numbering:
+    """The queries and the candidates, each numbered in id order.
+
+    ``arrays`` turns a score source, {query_id: ScoredList}, into flat
+    ``ScoreArrays`` over these numbers, so that its lists can be dropped as
+    soon as it is read. A list of a query that has no number is left out.
+    An entry whose candidate has no ordinal is left out too, after it has
+    counted in its list's ranks and length.
+    """
+
+    def __init__(self, queries, candidates):
+        self.query_ids = sorted(queries)
+        self.candidate_ids = sorted(candidates)
+        self._query_numbers = dict(zip(self.query_ids, count()))
+        self._ordinals = dict(zip(self.candidate_ids, count()))
+
+    def arrays(self, lists):
+        keys, scores, ranks = array("q"), array("d"), array("i")
+        length = np.zeros(len(self.query_ids), dtype=np.int64)
+        for qid, slist in lists.items():
+            q = self._query_numbers.get(qid)
+            if q is None:
+                continue
+            length[q] = len(slist.entries)
+            base = q * len(self.candidate_ids)
+            for rank, (cid, score) in enumerate(slist.entries, 1):
+                ordinal = self._ordinals.get(cid)
+                if ordinal is not None:
+                    keys.append(base + ordinal)
+                    scores.append(score)
+                    ranks.append(rank)
+        keys = np.frombuffer(keys, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        return ScoreArrays(self, keys[order], np.frombuffer(scores, dtype=np.float64)[order],
+                           np.asarray(ranks)[order], length)
+
+
+@dataclass(eq=False)
+class ScoreArrays:
+    """One score source over a ``Numbering``: the pair ``keys`` (query number *
+    candidates + ordinal) in increasing order, each pair's score and 1-based
+    rank in its query's list, and each query number's list ``length`` (0 for
+    a query with no list)."""
+
+    numbering: Numbering
+    keys: np.ndarray
+    scores: np.ndarray
+    ranks: np.ndarray
+    length: np.ndarray
 
 
 def assemble(queries, candidates, scores, pool, schema, qrels=None):
@@ -229,30 +276,49 @@ def assemble(queries, candidates, scores, pool, schema, qrels=None):
 
     ``queries`` and ``candidates`` map ids to cleaned documents (anything
     with ``token_length`` and ``placeholder_count``); ``scores`` maps the
-    name of each score source to its {query_id: ScoredList}. The rows of a
-    query are the union of its lists in the ``pool`` sources, so pairs
-    outside every pool list produce no row. Every schema feature must have
-    a source (``check_sources``). With ``qrels`` ({query_id: set of relevant
-    ids}) each row is labeled 1 or 0; without, -1.
+    name of each score source to its {query_id: ScoredList}, or to the
+    ``ScoreArrays`` of that over ``Numbering(queries, candidates)``. The
+    rows of a query are the union of its listed candidates in the ``pool``
+    sources, so pairs outside every pool list produce no row. Every schema
+    feature must have a source (``check_sources``). With ``qrels``
+    ({query_id: set of relevant ids}) each row is labeled 1 or 0; without, -1.
     """
-    rows = []  # (query_id, sorted candidate ids) of each query with a row
-    for qid in sorted(queries):
-        pooled = set().union(*(scores[name][qid].doc_ids() for name in pool
-                               if qid in scores[name]))
-        if pooled:
-            rows.append((qid, sorted(pooled)))
-    query_ids = [qid for qid, cids in rows for _ in cids]
-    candidate_ids = [cid for _, cids in rows for cid in cids]
-    documents = {"query": (queries, query_ids), "candidate": (candidates, candidate_ids)}
-    X = np.empty((len(query_ids), len(schema)), dtype=np.float64)
+    numbering = Numbering(queries, candidates)
+    sources = {}
+    for name, source in scores.items():
+        if not isinstance(source, ScoreArrays):
+            source = numbering.arrays(source)
+        elif (source.numbering.query_ids, source.numbering.candidate_ids) != (
+                numbering.query_ids, numbering.candidate_ids):
+            raise ValueError(f"score source {name!r} is numbered over other queries "
+                             f"or candidates")
+        sources[name] = source
+    keys = np.unique(np.concatenate([np.empty(0, np.int64),
+                                     *(sources[name].keys for name in pool)]))
+    query_numbers, ordinals = np.divmod(keys, max(len(numbering.candidate_ids), 1))
+    query_ids = [numbering.query_ids[i] for i in query_numbers.tolist()]
+    candidate_ids = [numbering.candidate_ids[i] for i in ordinals.tolist()]
+    documents = {"query": (queries, numbering.query_ids, query_numbers),
+                 "candidate": (candidates, numbering.candidate_ids, ordinals)}
+    X = np.empty((len(keys), len(schema)), dtype=np.float64)
     for j, name in enumerate(schema.feature_names):
         if name in DOCUMENT_FEATURES:
             side, attr = DOCUMENT_FEATURES[name]
-            docs, ids = documents[side]
-            X[:, j] = [getattr(docs[doc_id], attr) for doc_id in ids]
+            docs, ids, numbers = documents[side]
+            X[:, j] = np.array([getattr(docs[i], attr) for i in ids], dtype=np.float64)[numbers]
+            continue
+        base = name[:-5] if name.endswith("_rank") else name
+        source = sources[base]
+        # The last of a repeated pair's entries counts, as it does in a dict.
+        at = np.searchsorted(source.keys, keys, side="right") - 1
+        found = at >= 0
+        found[found] = source.keys[at[found]] == keys[found]
+        if base == name:
+            X[:, j] = 0.0
+            X[found, j] = source.scores[at[found]]
         else:
-            base = name[:-5] if name.endswith("_rank") else name
-            X[:, j] = _score_column(scores[base], rows, base != name)
+            X[:, j] = source.length[query_numbers] + 1
+            X[found, j] = source.ranks[at[found]]
     labels = None if qrels is None else [
         cid in qrels.get(qid, ()) for qid, cid in zip(query_ids, candidate_ids)]
     return FeatureTable(schema, query_ids, candidate_ids, X, labels)

@@ -6,13 +6,14 @@ run; these checks fail first, at tier-1 speed. perfbench is only read here.
 
 import importlib
 import inspect
+import json
 import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from lexfuse import features, indexing, ltr, postprocess, scorers
+from lexfuse import cli, features, indexing, ltr, postprocess, scorers
 from lexfuse.evaluation import ScoredList
 from lexfuse.ingest import CleanDocument
 
@@ -106,6 +107,35 @@ def test_the_dump_counters_find_top_k_and_write_score_dump(monkeypatch, tmp_path
     assert isinstance(top, ScoredList)
     launcher._count_top_k(tracer, args, top)
     assert tracer.counters == {"scorers.dump_rows": 3, "scorers.top_k_rows": 1}
+
+
+def test_features_reads_each_source_through_the_wrapped_names(monkeypatch, tmp_path):
+    # features.external_load.s times ExternalScoreFile.load once per external file,
+    # and scorers.dump_use_ratio counts what top_k keeps of every lexical list.
+    synth_dir = tmp_path / "synth"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synth_dir": str(synth_dir), "synth_num_queries": 4, "synth_num_candidates": 40,
+        "corpus_dir": str(synth_dir / "corpus"),
+        "queries_file": str(synth_dir / "queries.json"),
+        "qrels_file": str(synth_dir / "qrels.json"),
+        "external_scores": {name: str(synth_dir / f"external_{name}.tsv")
+                            for name in ("SAILER", "DELTA")},
+        "work_dir": str(tmp_path / "work"), "rerank_depth": 10}))
+    for command in ("synth", "ingest", "index", "score"):
+        assert cli.main([command, "--config", str(config)]) == 0, command
+    loads, kept = [], []
+    load, top_k = vars(features.ExternalScoreFile)["load"].__func__, scorers.top_k
+    monkeypatch.setattr(features.ExternalScoreFile, "load", classmethod(
+        lambda cls, name, path: loads.append(name) or load(cls, name, path)))
+    monkeypatch.setattr(scorers, "top_k", lambda scored, k: kept.append(scored) or top_k(scored, k))
+    assert cli.main(["features", "--config", str(config)]) == 0
+    assert sorted(loads) == ["DELTA", "SAILER"]
+    lists = 0
+    for name in scorers.SCORER_NAMES:
+        dump = (tmp_path / "work" / f"scores_{name}.tsv").read_text().splitlines()
+        lists += len({line.split("\t")[0] for line in dump})
+    assert lists == 3 * 4 and len(kept) == lists
 
 
 def test_train_takes_the_table_first():

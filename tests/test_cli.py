@@ -237,6 +237,60 @@ class TestCrossProcessDeterminism:
                    (outputs["b"] / name).read_bytes(), name
 
 
+def simd_levels():
+    """The ``NPY_DISABLE_CPU_FEATURES`` value of each numpy SIMD level this machine
+    has, from numpy's baseline up: each turns off the dispatch targets above it."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return [" ".join(found[i:]) for i in range(len(found) + 1)]
+
+
+class TestSimdLevels:
+    def test_tiny_chains_write_the_same_bytes_at_every_level(self, tmp_path):
+        # One child process per level runs the tiny case chain and the statute chain;
+        # only the child's environment names the numpy targets it turns off.
+        (tmp_path / "case").mkdir()
+        (tmp_path / "statute").mkdir()
+        case = tiny_chain_config(tmp_path / "case", grid_p=[0.0, 0.5], grid_h=[4], grid_l=[0],
+                                 grid_t=[1], grid_s=[0])
+        assert run("synth", case) == 0
+        chains = {"case": json.loads(Path(case).read_text()),
+                  "statute": json.loads(Path(statute_chain_config(tmp_path / "statute")[0])
+                                        .read_text())}
+        # Long enough training that np.exp in place of ltr's math.exp moves model.json
+        # and the run files between the baseline and the AVX512 levels.
+        chains["case"].update(rerank_depth=30, ltr_num_trees=40, ltr_patience=40,
+                              ltr_max_leaves=5, ltr_min_samples_leaf=5)
+        commands = ["ingest", "index", "score", "features", "train", "rerank", "tune",
+                    "postprocess", "eval"]
+        script = ("import sys; from lexfuse import cli; sys.exit(any(cli.main([c, '--config', "
+                  f"f]) for f in sys.argv[1:] for c in {commands!r}))")
+        written = {}
+        for level in simd_levels():
+            configs = []
+            for chain, config in chains.items():
+                config = dict(config, work_dir=str(tmp_path / f"work{len(written)}" / chain))
+                configs.append(write_config(tmp_path / f"{chain}{len(written)}.json", **config))
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=level, PYTHONPATH=os.pathsep.join(
+                p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", script, *configs], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (level, proc.stderr)
+            written[level] = {(chain, p.name): p.read_bytes()
+                              for chain in chains for p in (tmp_path / f"work{len(written)}" /
+                                                            chain).iterdir()
+                              if p.name != "manifest.json"}
+        default = written.pop("")
+        assert len(default) == 31
+        for level, files in written.items():
+            moved = sorted(name for name in default.keys() | files.keys()
+                           if default.get(name) != files.get(name))
+            assert not moved, f"with {level} turned off: {moved}"
+
+
 class TestSynthCommand:
     def test_synth_outputs_deterministic(self, tmp_path):
         out = {}
@@ -357,6 +411,51 @@ def build_statute_fixture(tmp_path, topics=STATUTE_TOPICS):
     return articles, questions, qrels
 
 
+def statute_chain_config(tmp_path):
+    """The config of a small statute chain over ``build_statute_fixture`` in
+    ``tmp_path``, and its questions directory."""
+    articles, questions, qrels = build_statute_fixture(tmp_path)
+    topics = STATUTE_TOPICS
+    (tmp_path / "qrels.json").write_text(json.dumps(qrels))
+    (tmp_path / "queries.json").write_text(
+        json.dumps(sorted(qrels)))
+    # Reranker scores arrive as external dumps: strong on the relevant
+    # article, weak on one neighbour.
+    externals = {}
+    for name in ("BERT", "RoBERTa", "LEGALBERT", "monoT5_large", "monoT5_3B"):
+        path = tmp_path / f"{name}.tsv"
+        lines = []
+        for i in range(len(topics)):
+            lines.append(f"r{i:02d}\ta{i}\t0.900000")
+            lines.append(f"r{i:02d}\ta{(i + 1) % len(topics)}\t0.200000")
+        path.write_text("\n".join(lines) + "\n")
+        externals[name] = str(path)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        task="statute",
+        corpus_dir=str(articles),
+        queries_dir=str(questions),
+        queries_file=str(tmp_path / "queries.json"),
+        qrels_file=str(tmp_path / "qrels.json"),
+        work_dir=str(tmp_path / "work"),
+        seed=2,
+        bm25_k1=0.99,
+        bm25_b=0.75,
+        rerank_depth=200,
+        schema="task3_v1",
+        external_scores=externals,
+        ltr_num_trees=20,
+        ltr_max_leaves=3,
+        ltr_min_samples_leaf=1,
+        ltr_ndcg_truncation=1,
+        ltr_validation_fraction=0.34,
+        filter_order="threshold",
+        grid_p=[0.0, 0.2, 0.4, 0.6, 0.8],
+        metric="macro_f2",
+    )
+    return cfg, questions
+
+
 class TestStatuteTask:
     # sha256 of every work_dir file of ``test_full_statute_chain`` but ``manifest.json``.
     PINNED = {
@@ -379,46 +478,8 @@ class TestStatuteTask:
     }
 
     def test_full_statute_chain(self, tmp_path):
-        articles, questions, qrels = build_statute_fixture(tmp_path)
-        topics = STATUTE_TOPICS
-        (tmp_path / "qrels.json").write_text(json.dumps(qrels))
-        (tmp_path / "queries.json").write_text(
-            json.dumps(sorted(qrels)))
-        # Reranker scores arrive as external dumps: strong on the relevant
-        # article, weak on one neighbour.
-        externals = {}
-        for name in ("BERT", "RoBERTa", "LEGALBERT", "monoT5_large", "monoT5_3B"):
-            path = tmp_path / f"{name}.tsv"
-            lines = []
-            for i in range(len(topics)):
-                lines.append(f"r{i:02d}\ta{i}\t0.900000")
-                lines.append(f"r{i:02d}\ta{(i + 1) % len(topics)}\t0.200000")
-            path.write_text("\n".join(lines) + "\n")
-            externals[name] = str(path)
+        cfg, questions = statute_chain_config(tmp_path)
         work = tmp_path / "work"
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            task="statute",
-            corpus_dir=str(articles),
-            queries_dir=str(questions),
-            queries_file=str(tmp_path / "queries.json"),
-            qrels_file=str(tmp_path / "qrels.json"),
-            work_dir=str(work),
-            seed=2,
-            bm25_k1=0.99,
-            bm25_b=0.75,
-            rerank_depth=200,
-            schema="task3_v1",
-            external_scores=externals,
-            ltr_num_trees=20,
-            ltr_max_leaves=3,
-            ltr_min_samples_leaf=1,
-            ltr_ndcg_truncation=1,
-            ltr_validation_fraction=0.34,
-            filter_order="threshold",
-            grid_p=[0.0, 0.2, 0.4, 0.6, 0.8],
-            metric="macro_f2",
-        )
         for command in ("ingest", "index", "score", "features", "train",
                         "rerank", "tune", "postprocess", "eval"):
             assert run(command, cfg) == 0, command

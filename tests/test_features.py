@@ -16,6 +16,7 @@ from lexfuse.features import (
     ExternalScoreFile,
     FeatureSchema,
     FeatureTable,
+    Numbering,
     assemble,
     check_sources,
     get_schema,
@@ -527,6 +528,29 @@ class TestFeatureTableTsv:
         with pytest.raises(ValueError, match="shape"):
             table_from_rows(schema, [FeatureRow("q", "c", (1.0,))])
 
+    def test_candidate_ids_and_labels_must_have_one_per_row(self):
+        schema = FeatureSchema("m", ("f",))
+        for labels in ([], [0, 1]):
+            with pytest.raises(ValueError, match=f"^{len(labels)} labels for 1 rows$"):
+                FeatureTable(schema, ["q"], ["c"], [[1.0]], labels=labels)
+        with pytest.raises(ValueError, match="^2 candidate ids for 1 rows$"):
+            FeatureTable(schema, ["q"], ["c", "d"], [[1.0]])
+
+    def test_labels_past_a_byte_and_shared_ids(self, tmp_path):
+        # from_tsv keeps labels in one byte each: a wider one is still refused as
+        # a label, and each query's block of rows shares one id string.
+        path = tmp_path / "features.tsv"
+        for label in ("300", "-129", "1" + "0" * 30):
+            path.write_text(f"query_id\tcandidate_id\tlabel\tf\nq1\tA\t{label}\t1.0\n")
+            with pytest.raises(DataError, match=rf"features\.tsv:2: label must be -1, 0 or 1$"):
+                FeatureTable.from_tsv(path)
+        path.write_text("query_id\tcandidate_id\tlabel\tf\n"
+                        "q1\tA\t1\t1.0\nq1\tB\t0\t2.0\nq2\tA\t-1\t3.0\n")
+        table = FeatureTable.from_tsv(path)
+        assert table.query_ids[0] is table.query_ids[1]
+        assert table.candidate_ids[0] is table.candidate_ids[2]
+        assert table.labels.tolist() == [1, 0, -1] and table.X.tolist() == [[1.0], [2.0], [3.0]]
+
     def test_rows_out_of_order_or_repeated_are_refused(self):
         schema = FeatureSchema("mini", ("f",))
         unordered = "out of (query_id, candidate_id) order"
@@ -822,6 +846,65 @@ class TestAssembleMatchesPerCellReference:
         schema = FeatureSchema("mini", ("BM25", "QLD_rank", "QLD"))
         with pytest.raises(ValueError, match=r"^row 0 \(q1, A\): non-finite feature value$"):
             assemble(queries, candidates, internal, internal, schema)
+
+
+EDGE_SCHEMA = FeatureSchema("edges", ("query_length", "candidate_length", "L1", "L1_rank",
+                                       "L2", "L2_rank", "E1", "E1_rank"))
+
+
+def random_edge_assembly(rng):
+    """Random ``reference_assemble`` inputs whose lists reach past the table: every
+    source has lists of queries that are not configured, and the external file E1
+    lists ids that are not candidates, ranked among the candidates."""
+    qids = [f"q{i}" for i in range(rng.randrange(1, 7))]
+    cids = [f"c{i:02d}" for i in range(rng.randrange(1, 10))]
+    strangers = rng.sample(["a0", "c05x", "d1", "zz"], rng.randrange(1, 5))
+    queries = {qid: doc(qid, length=rng.randrange(9), refs=rng.randrange(3))
+               for qid in rng.sample(qids, rng.randrange(0, len(qids) + 1))}
+    candidates = {cid: doc(cid, length=rng.randrange(9)) for cid in cids}
+
+    def lists(ids):
+        out = {}
+        for qid in qids:
+            if rng.random() < 0.2:
+                continue  # no list for this query
+            docs = rng.sample(ids, rng.randrange(0, len(ids) + 1))
+            out[qid] = ScoredList.from_scores(
+                qid, {d: rng.choice([0.0, 0.5, -1.25, rng.gauss(0, 1)]) for d in docs})
+        return out
+
+    internal = {"L1": lists(cids), "L2": lists(cids)}
+    return queries, candidates, internal, ExternalScoreFile("E1", lists(cids + strangers))
+
+
+class TestAssembleEdgesMatchPerCellReference:
+    def test_unknown_ids_and_unconfigured_queries(self):
+        outranked = unconfigured = 0
+        for seed in range(200):
+            queries, candidates, internal, external = random_edge_assembly(random.Random(seed))
+            want = assembled(reference_assemble, queries, candidates, internal, [external],
+                             EDGE_SCHEMA)
+            numbering = Numbering(queries, candidates)
+            for sources in (fused(internal, external),
+                            {name: numbering.arrays(lists)
+                             for name, lists in fused(internal, external).items()}):
+                got = assembled(assemble, queries, candidates, sources, ["L1", "L2"],
+                                EDGE_SCHEMA)
+                assert got == want, seed
+            for qid, slist in external.lists.items():
+                ids = slist.doc_ids()
+                unconfigured += qid not in queries
+                # A stranger listed above a candidate moves that candidate's rank.
+                outranked += (qid in queries and bool(ids) and ids[-1] in candidates
+                              and any(doc_id not in candidates for doc_id in ids))
+        assert outranked > 50 and unconfigured > 50  # both edges are exercised
+
+    def test_arrays_of_another_numbering_are_refused(self):
+        queries, candidates, internal = small_setup()
+        other = Numbering({**queries, "q2": doc("q2")}, candidates)
+        sources = {**internal, "BM25": other.arrays(internal["BM25"])}
+        with pytest.raises(ValueError, match="^score source 'BM25' is numbered over other"):
+            assemble(queries, candidates, sources, internal, TASK1_SCHEMA)
 
 
 class TestSelect:
