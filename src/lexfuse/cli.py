@@ -457,8 +457,7 @@ def cmd_features(stage):
         scores[name] = numbering.arrays(features.ExternalScoreFile.load(name, path).lists)
 
     qrels = evaluation.load_qrels(stage.file("qrels_file")) if cfg.get("qrels_file") else None
-    table = features.assemble(queries, candidates, scores, _SCORER_FEATURE.values(), schema,
-                              qrels)
+    table = features.assemble(numbering, scores, _SCORER_FEATURE.values(), schema, qrels)
     # Rows are distinct pairs, so each qrel pair labels at most one row.
     unseen = sum(map(len, qrels.values())) - int((table.labels == 1).sum()) if qrels else 0
     if unseen:

@@ -221,7 +221,8 @@ def check_sources(schema, sources):
 
 
 class Numbering:
-    """The queries and the candidates, each numbered in id order.
+    """The ``queries`` and the ``candidates`` ({id: cleaned document}) of one
+    table, each numbered in id order; ``assemble`` takes it with its sources.
 
     ``arrays`` turns a score source, {query_id: ScoredList}, into flat
     ``ScoreArrays`` over these numbers, so that its lists can be dropped as
@@ -231,6 +232,8 @@ class Numbering:
     """
 
     def __init__(self, queries, candidates):
+        self.queries = queries
+        self.candidates = candidates
         self.query_ids = sorted(queries)
         self.candidate_ids = sorted(candidates)
         self._query_numbers = dict(zip(self.query_ids, count()))
@@ -253,7 +256,7 @@ class Numbering:
                     ranks.append(rank)
         keys = np.frombuffer(keys, dtype=np.int64)
         order = np.argsort(keys, kind="stable")
-        return ScoreArrays(self, keys[order], np.frombuffer(scores, dtype=np.float64)[order],
+        return ScoreArrays(keys[order], np.frombuffer(scores, dtype=np.float64)[order],
                            np.asarray(ranks)[order], length)
 
 
@@ -264,42 +267,30 @@ class ScoreArrays:
     rank in its query's list, and each query number's list ``length`` (0 for
     a query with no list)."""
 
-    numbering: Numbering
     keys: np.ndarray
     scores: np.ndarray
     ranks: np.ndarray
     length: np.ndarray
 
 
-def assemble(queries, candidates, scores, pool, schema, qrels=None):
+def assemble(numbering, scores, pool, schema, qrels=None):
     """Build the FeatureTable of every (query, candidate) pair, one column at a time.
 
-    ``queries`` and ``candidates`` map ids to cleaned documents (anything
-    with ``token_length`` and ``placeholder_count``); ``scores`` maps the
-    name of each score source to its {query_id: ScoredList}, or to the
-    ``ScoreArrays`` of that over ``Numbering(queries, candidates)``. The
-    rows of a query are the union of its listed candidates in the ``pool``
-    sources, so pairs outside every pool list produce no row. Every schema
-    feature must have a source (``check_sources``). With ``qrels``
+    ``numbering`` holds the queries and the candidates (anything with
+    ``token_length`` and ``placeholder_count``); ``scores`` maps the name of
+    each score source to its ``ScoreArrays``, made by ``numbering.arrays``.
+    The rows of a query are the union of its listed candidates in the
+    ``pool`` sources, so pairs outside every pool list produce no row. Every
+    schema feature must have a source (``check_sources``). With ``qrels``
     ({query_id: set of relevant ids}) each row is labeled 1 or 0; without, -1.
     """
-    numbering = Numbering(queries, candidates)
-    sources = {}
-    for name, source in scores.items():
-        if not isinstance(source, ScoreArrays):
-            source = numbering.arrays(source)
-        elif (source.numbering.query_ids, source.numbering.candidate_ids) != (
-                numbering.query_ids, numbering.candidate_ids):
-            raise ValueError(f"score source {name!r} is numbered over other queries "
-                             f"or candidates")
-        sources[name] = source
     keys = np.unique(np.concatenate([np.empty(0, np.int64),
-                                     *(sources[name].keys for name in pool)]))
+                                     *(scores[name].keys for name in pool)]))
     query_numbers, ordinals = np.divmod(keys, max(len(numbering.candidate_ids), 1))
     query_ids = [numbering.query_ids[i] for i in query_numbers.tolist()]
     candidate_ids = [numbering.candidate_ids[i] for i in ordinals.tolist()]
-    documents = {"query": (queries, numbering.query_ids, query_numbers),
-                 "candidate": (candidates, numbering.candidate_ids, ordinals)}
+    documents = {"query": (numbering.queries, numbering.query_ids, query_numbers),
+                 "candidate": (numbering.candidates, numbering.candidate_ids, ordinals)}
     X = np.empty((len(keys), len(schema)), dtype=np.float64)
     for j, name in enumerate(schema.feature_names):
         if name in DOCUMENT_FEATURES:
@@ -308,7 +299,7 @@ def assemble(queries, candidates, scores, pool, schema, qrels=None):
             X[:, j] = np.array([getattr(docs[i], attr) for i in ids], dtype=np.float64)[numbers]
             continue
         base = name[:-5] if name.endswith("_rank") else name
-        source = sources[base]
+        source = scores[base]
         # The last of a repeated pair's entries counts, as it does in a dict.
         at = np.searchsorted(source.keys, keys, side="right") - 1
         found = at >= 0

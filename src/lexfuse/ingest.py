@@ -55,7 +55,9 @@ _MONTHS = {
         "october november december".split()
     )
 }
-_MONTH_ALT = "|".join(_MONTHS)
+# ASCII-only inside IGNORECASE: Unicode folding would match "İ", "ı" and "ſ" to
+# "i" and "s", and lower() does not map them back to a _MONTHS key.
+_MONTH_ALT = "(?a:" + "|".join(_MONTHS) + ")"
 _DATE_PATTERNS = (
     # Month D, YYYY
     (re.compile(rf"\b({_MONTH_ALT})\s+(\d{{1,2}}),\s*(\d{{4}})\b", re.IGNORECASE),
@@ -379,7 +381,11 @@ def read_clean_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
-                rec["trial_date"] = date.fromisoformat(rec["trial_date"]) if rec["trial_date"] else None
+                trial = rec["trial_date"]
+                if trial is not None:  # Python 3.11 also reads "20100105" and "2010-W01-1"
+                    rec["trial_date"] = date.fromisoformat(trial)
+                    if rec["trial_date"].isoformat() != trial:
+                        raise ValueError(f"trial_date must be YYYY-MM-DD or null, got {trial!r}")
                 doc = CleanDocument(**rec)
                 if not (isinstance(doc.id, str) and not any(c in doc.id for c in "\t\n\r")
                         and isinstance(doc.body, str) and isinstance(doc.summary, (str, type(None)))

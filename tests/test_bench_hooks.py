@@ -84,8 +84,9 @@ def test_index_save_and_load_keep_their_shapes_and_a_loaded_index_is_counted(
 def test_assemble_returns_the_table_whose_len_counts_its_rows():
     # launcher counts features.rows as len() of what features.assemble returns.
     docs = {doc_id: CleanDocument(id=doc_id, body="x") for doc_id in ("q", "A", "B")}
-    scores = {"BM25": {"q": ScoredList("q", [("A", 1.0), ("B", 0.5)])}}
-    table = features.assemble({"q": docs["q"]}, docs, scores, ["BM25"],
+    numbering = features.Numbering({"q": docs["q"]}, docs)
+    scores = {"BM25": numbering.arrays({"q": ScoredList("q", [("A", 1.0), ("B", 0.5)])})}
+    table = features.assemble(numbering, scores, ["BM25"],
                               features.FeatureSchema("one", ("BM25",)), {"q": {"A"}})
     assert isinstance(table, features.FeatureTable) and len(table) == len(table.X) == 2
 

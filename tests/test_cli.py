@@ -362,6 +362,20 @@ class TestSynthCommand:
             "d6b7e5e47bab4414db188f84fd3f5a8fd5de96fa8b56251692c4b87dbd008c07"
 
 
+class TestIngestCommand:
+    def test_month_spelled_with_a_folding_letter_is_no_date(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "c1.txt").write_text("Heard APR\u0130L 5, 2020. [1] The claim.",
+                                       encoding="utf-8")
+        (corpus / "c2.txt").write_text("Heard April 5, 2020. [1] The claim.", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", corpus_dir=str(corpus),
+                           work_dir=str(tmp_path / "w"))
+        assert run("ingest", cfg) == 0
+        lines = (tmp_path / "w" / "clean.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["trial_date"] for line in lines] == [None, "2020-04-05"]
+
+
 class TestEvalCommand:
     def test_reproduces_worked_micro_example(self, tmp_path):
         # q1 retrieved {A,B} vs relevant {A,C}; q2 retrieved {D} vs {D}:

@@ -250,8 +250,17 @@ def reference_assemble(queries, candidates, internal_scores, externals, schema):
 
 
 def fused(internal, *externals):
-    """The score sources ``assemble`` takes: the lexical lists and the external files."""
+    """The score sources, {name: {query_id: ScoredList}}: the lexical lists and the
+    external files."""
     return {**internal, **{ext.name: ext.lists for ext in externals}}
+
+
+def assemble_lists(queries, candidates, lists, pool, schema, qrels=None):
+    """``assemble`` of the score sources ``lists``, {name: {query_id: ScoredList}},
+    each turned into arrays by the one ``Numbering`` of ``queries`` and ``candidates``."""
+    numbering = Numbering(queries, candidates)
+    return assemble(numbering, {name: numbering.arrays(source) for name, source in lists.items()},
+                    pool, schema, qrels)
 
 
 def doc(doc_id, length=10, refs=0):
@@ -288,8 +297,8 @@ def ranks_of(entries, pool=()):
     ``entries``; ``pool`` ids, listed by QLD only, add rows the BM25 list lacks."""
     slist = ScoredList("q", entries)
     scores = {"BM25": {"q": slist}, "QLD": {"q": ScoredList("q", [(c, 0.0) for c in pool])}}
-    table = assemble({"q": doc("q")}, {c: doc(c) for c in [*slist.doc_ids(), *pool]},
-                     scores, ["BM25", "QLD"], RANKED)
+    table = assemble_lists({"q": doc("q")}, {c: doc(c) for c in [*slist.doc_ids(), *pool]},
+                           scores, ["BM25", "QLD"], RANKED)
     return dict(zip(table.candidate_ids, table.X[:, 1].tolist()))
 
 
@@ -333,8 +342,8 @@ class TestAssemble:
         queries, candidates, internal = small_setup()
         sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8), ("B", 0.6)])})
         delta = ExternalScoreFile("DELTA", {"q1": ScoredList("q1", [("A", 0.7)])})
-        table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
-                         TASK1_SCHEMA)
+        table = assemble_lists(queries, candidates, fused(internal, sailer, delta), internal,
+                               TASK1_SCHEMA)
         assert len(table) == 2
         row_a = rows_of(table)[0]
         assert (row_a.query_id, row_a.candidate_id) == ("q1", "A")
@@ -356,8 +365,8 @@ class TestAssemble:
         queries, candidates, internal = small_setup()
         delta = ExternalScoreFile("DELTA", {"q1": ScoredList("q1", [("A", 0.7)])})
         sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8)])})
-        table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
-                         TASK1_SCHEMA)
+        table = assemble_lists(queries, candidates, fused(internal, sailer, delta), internal,
+                               TASK1_SCHEMA)
         row_b = rows_of(table)[1]
         named = dict(zip(TASK1_SCHEMA.feature_names, row_b.values))
         # B is absent from both external files: score 0.0, rank len+1 = 2.
@@ -376,8 +385,8 @@ class TestAssemble:
         }
         sailer = ExternalScoreFile("SAILER", {})
         delta = ExternalScoreFile("DELTA", {})
-        table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
-                         TASK1_SCHEMA)
+        table = assemble_lists(queries, candidates, fused(internal, sailer, delta), internal,
+                               TASK1_SCHEMA)
         assert [r.query_id for r in rows_of(table)] == ["q1"]
 
     def test_pool_is_union_of_scorer_lists(self):
@@ -389,7 +398,7 @@ class TestAssemble:
             "BM25_ngram": {"q1": ScoredList("q1", [])},
         }
         schema = FeatureSchema("mini", ("BM25", "QLD", "BM25_ngram"))
-        table = assemble(queries, candidates, internal, internal, schema)
+        table = assemble_lists(queries, candidates, internal, internal, schema)
         assert [r.candidate_id for r in rows_of(table)] == ["A", "B"]
         named = dict(zip(schema.feature_names, rows_of(table)[1].values))
         assert named["BM25"] == 0.0  # B missing from the BM25 list
@@ -409,10 +418,10 @@ class TestAssemble:
             for name, lists in internal.items()
         }
         schema = FeatureSchema("mini", ("BM25", "QLD", "BM25_ngram"))
-        t1 = assemble(queries, candidates, internal, internal, schema)
-        t2 = assemble(dict(reversed(list(queries.items()))),
-                      dict(reversed(list(candidates.items()))), flipped,
-                      list(reversed(flipped)), schema)
+        t1 = assemble_lists(queries, candidates, internal, internal, schema)
+        t2 = assemble_lists(dict(reversed(list(queries.items()))),
+                            dict(reversed(list(candidates.items()))), flipped,
+                            list(reversed(flipped)), schema)
         assert [(r.query_id, r.candidate_id, r.values) for r in rows_of(t1)] == \
                [(r.query_id, r.candidate_id, r.values) for r in rows_of(t2)]
 
@@ -427,8 +436,8 @@ class TestExternalScoreFile:
         candidates = {c: doc(c) for c in ("A", "B", "missing")}
         lexical = {"q1": ScoredList("q1", [("A", 3.0), ("B", 2.0), ("missing", 1.0)])}
         schema = FeatureSchema("mini", ("BM25", "SAILER", "SAILER_rank"))
-        table = assemble(queries, candidates, {"BM25": lexical, "SAILER": ext.lists}, ["BM25"],
-                         schema)
+        table = assemble_lists(queries, candidates, {"BM25": lexical, "SAILER": ext.lists},
+                               ["BM25"], schema)
         named = {r.candidate_id: dict(zip(schema.feature_names, r.values)) for r in rows_of(table)}
         assert named["A"]["SAILER"] == 0.9
         assert named["B"]["SAILER_rank"] == 2
@@ -457,8 +466,8 @@ class TestExternalScoreFile:
 class TestAssembleLabels:
     def make_table(self, qrels):
         queries, candidates, internal = small_setup()
-        return assemble(queries, candidates, internal, internal,
-                        FeatureSchema("mini", ("BM25",)), qrels)
+        return assemble_lists(queries, candidates, internal, internal,
+                              FeatureSchema("mini", ("BM25",)), qrels)
 
     def test_basic_labeling(self):
         assert self.make_table({"q1": {"A"}}).labels.tolist() == [1, 0]
@@ -478,8 +487,8 @@ class TestFeatureTableTsv:
         queries, candidates, internal = small_setup()
         sailer = ExternalScoreFile("SAILER", {"q1": ScoredList("q1", [("A", 0.8)])})
         delta = ExternalScoreFile("DELTA", {})
-        table = assemble(queries, candidates, fused(internal, sailer, delta), internal,
-                         TASK1_SCHEMA, {"q1": {"A"}})
+        table = assemble_lists(queries, candidates, fused(internal, sailer, delta), internal,
+                               TASK1_SCHEMA, {"q1": {"A"}})
         path = tmp_path / "features.tsv"
         table.to_tsv(path)
         loaded = FeatureTable.from_tsv(path)
@@ -491,8 +500,8 @@ class TestFeatureTableTsv:
         queries, candidates, internal = small_setup()
         schema = FeatureSchema("mini", ("BM25", "QLD", "BM25_ngram"))
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        assemble(queries, candidates, internal, internal, schema).to_tsv(p1)
-        assemble(queries, candidates, internal, internal, schema).to_tsv(p2)
+        assemble_lists(queries, candidates, internal, internal, schema).to_tsv(p1)
+        assemble_lists(queries, candidates, internal, internal, schema).to_tsv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_same_bytes_as_whole_matrix_writer(self, tmp_path):
@@ -703,8 +712,8 @@ class TestColumnarMatchesRowReference:
             schema = FeatureSchema("ranks", ("L1_rank", "L2_rank"))  # always finite
             rng = random.Random(seed)
             qrels = {qid: {rng.choice(sorted(candidates)), "ghost"} for qid in queries}
-            unlabeled = assemble(queries, candidates, internal, ["L1", "L2"], schema)
-            labeled = assemble(queries, candidates, internal, ["L1", "L2"], schema, qrels)
+            unlabeled = assemble_lists(queries, candidates, internal, ["L1", "L2"], schema)
+            labeled = assemble_lists(queries, candidates, internal, ["L1", "L2"], schema, qrels)
             assert labeled.query_ids == unlabeled.query_ids
             assert labeled.candidate_ids == unlabeled.candidate_ids
             assert labeled.X.tobytes() == unlabeled.X.tobytes()
@@ -831,7 +840,7 @@ class TestAssembleMatchesPerCellReference:
                 random.Random(seed))
             want = assembled(reference_assemble, queries, candidates, internal, [external],
                              schema)
-            got = assembled(assemble, queries, candidates, fused(internal, external),
+            got = assembled(assemble_lists, queries, candidates, fused(internal, external),
                             ["L1", "L2"], schema)
             assert got == want, seed
             errors += isinstance(want, str)
@@ -845,7 +854,7 @@ class TestAssembleMatchesPerCellReference:
         internal["QLD"]["q1"] = ScoredList("q1", [("B", -1.0), ("A", math.nan)])
         schema = FeatureSchema("mini", ("BM25", "QLD_rank", "QLD"))
         with pytest.raises(ValueError, match=r"^row 0 \(q1, A\): non-finite feature value$"):
-            assemble(queries, candidates, internal, internal, schema)
+            assemble_lists(queries, candidates, internal, internal, schema)
 
 
 EDGE_SCHEMA = FeatureSchema("edges", ("query_length", "candidate_length", "L1", "L1_rank",
@@ -884,13 +893,9 @@ class TestAssembleEdgesMatchPerCellReference:
             queries, candidates, internal, external = random_edge_assembly(random.Random(seed))
             want = assembled(reference_assemble, queries, candidates, internal, [external],
                              EDGE_SCHEMA)
-            numbering = Numbering(queries, candidates)
-            for sources in (fused(internal, external),
-                            {name: numbering.arrays(lists)
-                             for name, lists in fused(internal, external).items()}):
-                got = assembled(assemble, queries, candidates, sources, ["L1", "L2"],
-                                EDGE_SCHEMA)
-                assert got == want, seed
+            got = assembled(assemble_lists, queries, candidates, fused(internal, external),
+                            ["L1", "L2"], EDGE_SCHEMA)
+            assert got == want, seed
             for qid, slist in external.lists.items():
                 ids = slist.doc_ids()
                 unconfigured += qid not in queries
@@ -898,13 +903,6 @@ class TestAssembleEdgesMatchPerCellReference:
                 outranked += (qid in queries and bool(ids) and ids[-1] in candidates
                               and any(doc_id not in candidates for doc_id in ids))
         assert outranked > 50 and unconfigured > 50  # both edges are exercised
-
-    def test_arrays_of_another_numbering_are_refused(self):
-        queries, candidates, internal = small_setup()
-        other = Numbering({**queries, "q2": doc("q2")}, candidates)
-        sources = {**internal, "BM25": other.arrays(internal["BM25"])}
-        with pytest.raises(ValueError, match="^score source 'BM25' is numbered over other"):
-            assemble(queries, candidates, sources, internal, TASK1_SCHEMA)
 
 
 class TestSelect:

@@ -1,13 +1,17 @@
+import json
 import random
 from datetime import date
 
 import pytest
 
+from lexfuse import cli
 from lexfuse.evaluation import DataError
 from lexfuse.ingest import (
+    _MONTHS,
     PLACEHOLDERS,
     CleanDocument,
     RawDocument,
+    TokenizerConfig,
     extract_summary,
     extract_trial_date,
     filter_non_english,
@@ -17,6 +21,7 @@ from lexfuse.ingest import (
     read_clean_jsonl,
     remove_placeholders,
     strip_preamble,
+    tokenize,
     write_clean_jsonl,
 )
 
@@ -137,6 +142,13 @@ class TestExtractTrialDate:
         assert extract_trial_date("February 30, 2010 then June 1, 2009") == date(2009, 6, 1)
         assert extract_trial_date("2010-13-45") is None
 
+    def test_month_spelled_with_a_folding_letter_is_no_date(self):
+        # IGNORECASE would fold "İ", "ı" and "ſ" to "i" and "s"; month names match ASCII only.
+        for text in ("APRİL 5, 2020", "aprıl 5, 2020", "5 AUGUſT 2020", "ſeptember 3, 2019"):
+            assert extract_trial_date(text) is None, text
+        assert extract_trial_date("APRIL 5, 2020") == date(2020, 4, 5)
+        assert extract_trial_date("April 5, \u0662\u0660\u0662\u0660") == date(2020, 4, 5)
+
 
 class TestPreprocessCase:
     def test_composed_pipeline(self):
@@ -255,6 +267,9 @@ class TestJsonlRoundTrip:
         ('{"id": "a", "body": "x"}', "not a cleaned document"),
         ('{"id": "a", "body": "x", "summary": null, "trial_date": "2010-13-01", '
          '"placeholder_count": 0, "token_length": 1}', "not a cleaned document"),
+        *[(f'{{"id": "a", "body": "x", "summary": null, "trial_date": "{trial}", '
+           '"placeholder_count": 0, "token_length": 1}', "not a cleaned document")
+          for trial in ("20100105", "2010-W01-1", "")],
         ('{"id": "b", "body": "x", "summary": null, "trial_date": null, '
          '"placeholder_count": 0, "token_length": 1}', "duplicate document id 'b'"),
         ('{"id": "b", "bod', "not a cleaned document"),
@@ -295,3 +310,87 @@ class TestJsonlRoundTrip:
         path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         with pytest.raises(DataError, match=r"clean\.jsonl:1501: not UTF-8 text"):
             read_clean_jsonl(path)
+
+
+# -- user-supplied text: the characters that have broken text readers --------
+
+# Letters that Unicode case folding maps to "i", "s" and "k": İ, ı, ſ and the Kelvin sign.
+FOLDS_TO = {"i": "\u0130\u0131", "s": "\u017f", "k": "\u212a"}
+ODD_CHARACTERS = ("\u0301", "\u0307", "\u0327", "\x00", "\r", "\r\n", "\u2028", "\ufeff")
+DIGIT_SETS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+              "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f")
+SEPARATORS = (" ", " ", "\n", "\n\n", "\r\n", "\u2028", "\x00", "")
+WORDS = ("the", "court", "appeal", "is", "dismissed", "kelvin", "le", "de", "[1]", "Summary:",
+         "Reasons", "Part", "(Caption)", *PLACEHOLDERS)
+
+
+def respelled(rng, word):
+    """``word`` in mixed case, some letters swapped for one that folds to them."""
+    letters = [c.upper() if rng.random() < 0.3 else c for c in word]
+    return "".join(rng.choice(FOLDS_TO[c.lower()]) if c.lower() in FOLDS_TO and rng.random() < 0.5
+                   else c for c in letters)
+
+
+def numeral(rng, value, width=1):
+    digits = rng.choice(DIGIT_SETS)
+    return "".join(digits[int(d)] for d in str(value).zfill(width))
+
+
+def random_date(rng):
+    """A date in one of the four recognized forms; its year may be past 9999, its month
+    and day out of the calendar, its digits not ASCII and its month name respelled."""
+    year = numeral(rng, rng.randrange(1, 10000) if rng.random() < 0.8 else
+                   rng.randrange(10000, 10**6), 4)
+    month, day = numeral(rng, rng.randrange(14), 2), numeral(rng, rng.randrange(33))
+    name = respelled(rng, rng.choice(list(_MONTHS)))
+    return rng.choice([f"{name} {day}, {year}", f"{day} {name} {year}",
+                       f"{year}-{month}-{numeral(rng, rng.randrange(33), 2)}",
+                       f"{month}/{day}/{year}"])
+
+
+def hard_text(rng):
+    """A case or article text, or an empty one, of dates, words and odd characters."""
+    if rng.random() < 0.1:
+        return ""
+    pieces = []
+    for _ in range(rng.randrange(1, 30)):
+        roll = rng.random()
+        if roll < 0.3:
+            pieces.append(random_date(rng))
+        elif roll < 0.5:
+            pieces.append(rng.choice(ODD_CHARACTERS))
+        else:
+            pieces.append(respelled(rng, rng.choice(WORDS)))
+        pieces.append(rng.choice(SEPARATORS))
+    return "".join(pieces)
+
+
+class TestUserTextNeverRaises:
+    def test_cleaners_and_tokenizer(self):
+        rng = random.Random(16)
+        configs = (TokenizerConfig(), TokenizerConfig(lowercase=False, ngram_hi=3),
+                   TokenizerConfig(min_token_len=2, ngram_lo=2, ngram_hi=2))
+        dated = 0
+        for i in range(2000):
+            raw = RawDocument(id=f"d{i}", text=hard_text(rng))
+            dated += preprocess_case(raw)[0].trial_date is not None
+            preprocess_article(raw)
+            for config in configs:
+                tokenize(raw.text, config)
+        assert 300 < dated < 1900  # texts with and without a date are both exercised
+
+    @pytest.mark.parametrize("task", ["case", "statute"])
+    def test_ingest_exits_0(self, tmp_path, task):
+        rng = random.Random(32)
+        corpus, questions = tmp_path / "corpus", tmp_path / "questions"
+        for directory in (corpus, questions):
+            directory.mkdir()
+            for i in range(20):
+                (directory / f"d{i}.txt").write_bytes(hard_text(rng).encode("utf-8"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": task, "corpus_dir": str(corpus),
+                                   "queries_dir": str(questions),
+                                   "work_dir": str(tmp_path / "work")}))
+        assert cli.main(["ingest", "--config", str(cfg)]) == 0
+        docs = read_clean_jsonl(tmp_path / "work" / "clean.jsonl")
+        assert set(docs) == {f"d{i}" for i in range(20)}
