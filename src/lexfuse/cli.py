@@ -346,7 +346,8 @@ def _query_docs(stage, corpus=None):
     query_ids = _load_query_ids(stage)
     missing = [q for q in query_ids if q not in corpus]
     if missing:
-        raise DataError(f"{stage.work / name}: no document for query ids {missing[:5]}")
+        raise DataError(f"{Path(stage.cfg['queries_file'])}: no document in "
+                        f"{stage.work / name} for query ids {missing[:5]}")
     return {qid: corpus[qid] for qid in query_ids}
 
 
@@ -598,7 +599,7 @@ def cmd_eval(stage):
         "metric": cfg["metric"],
         "map": evaluation.mean_average_precision(runs, qrels),
         "recall_at": {str(k): evaluation.recall_at_k(runs, qrels, k) for k in (5, 10, 30)},
-        "queries": len(set(runs) | set(qrels)),
+        "queries": len(report.per_query),
     }
     out = stage.write("eval_report.json",
                       lambda tmp: evaluation.write_report(report, tmp, extra=extra))

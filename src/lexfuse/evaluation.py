@@ -9,8 +9,9 @@ Case retrieval pools true/false positives and misses over all queries
 before computing precision, recall, and F1 (micro average). Statute
 retrieval averages per-query precision and recall first and derives
 F2 = 5PR / (4P + R) from the averaged values (macro average, recall
-weighted four times precision). Zero denominators yield 0 and are
-flagged in the report.
+weighted four times precision). A zero denominator yields 0.0; the
+report's ``zero_division`` names only the pooled or averaged values so
+made, not a query's own precision or recall.
 """
 
 import json
@@ -101,25 +102,27 @@ class MetricReport:
         return out
 
 
-def _query_universe(runs, qrels):
-    return sorted(set(runs) | set(qrels))
+def _judged(runs, qrels):
+    """(query id, ranked doc ids, relevant ids) of each query of ``runs`` or ``qrels``, in id order.
 
-
-def _retrieved(runs, qid):
-    slist = runs.get(qid)
-    return [] if slist is None else slist.doc_ids()
+    A run lists each document at most once per query: every reader refuses a
+    repeated pair, and every filter and ``ltr.predict`` keep that. So a
+    query's hits are ``len(relevant.intersection(retrieved))``, and its false
+    positives and misses are what is left of the two lengths.
+    """
+    for qid in sorted(runs.keys() | qrels.keys()):
+        slist = runs.get(qid)
+        yield qid, [] if slist is None else slist.doc_ids(), set(qrels.get(qid, ()))
 
 
 def micro_prf1(runs, qrels):
     """Pooled precision/recall/F1 over all queries."""
     tp = fp = fn = 0
     per_query = {}
-    for qid in _query_universe(runs, qrels):
-        retrieved = set(_retrieved(runs, qid))
-        relevant = set(qrels.get(qid, ()))
-        q_tp = len(retrieved & relevant)
-        q_fp = len(retrieved - relevant)
-        q_fn = len(relevant - retrieved)
+    for qid, retrieved, relevant in _judged(runs, qrels):
+        q_tp = len(relevant.intersection(retrieved))
+        q_fp = len(retrieved) - q_tp
+        q_fn = len(relevant) - q_tp
         tp += q_tp
         fp += q_fp
         fn += q_fn
@@ -142,22 +145,15 @@ def micro_prf1(runs, qrels):
 
 def macro_prf2(runs, qrels):
     """Per-query precision and recall averaged, then F2 from the averages."""
-    precisions = []
-    recalls = []
     per_query = {}
-    for qid in _query_universe(runs, qrels):
-        retrieved = _retrieved(runs, qid)
-        relevant = set(qrels.get(qid, ()))
-        correct = len(set(retrieved) & relevant)
-        q_p = correct / len(retrieved) if retrieved else 0.0
-        q_r = correct / len(relevant) if relevant else 0.0
-        precisions.append(q_p)
-        recalls.append(q_r)
-        per_query[qid] = {"precision": q_p, "recall": q_r}
+    for qid, retrieved, relevant in _judged(runs, qrels):
+        correct = len(relevant.intersection(retrieved))
+        per_query[qid] = {"precision": correct / len(retrieved) if retrieved else 0.0,
+                          "recall": correct / len(relevant) if relevant else 0.0}
     flags = []
-    if precisions:
-        precision = sum(precisions) / len(precisions)
-        recall = sum(recalls) / len(recalls)
+    if per_query:
+        precision = sum(q["precision"] for q in per_query.values()) / len(per_query)
+        recall = sum(q["recall"] for q in per_query.values()) / len(per_query)
     else:
         precision = recall = 0.0
         flags.extend(["precision", "recall"])
@@ -172,15 +168,14 @@ def macro_prf2(runs, qrels):
 
 
 def mean_average_precision(runs, qrels):
-    """Mean over queries of average precision; unretrieved relevants add 0."""
+    """Mean average precision of the queries with relevant ids; unretrieved relevants add 0."""
     ap_values = []
-    for qid in sorted(qrels):
-        relevant = set(qrels[qid])
+    for _, retrieved, relevant in _judged(runs, qrels):
         if not relevant:
             continue
         hits = 0
         precision_sum = 0.0
-        for rank, doc_id in enumerate(_retrieved(runs, qid), 1):
+        for rank, doc_id in enumerate(retrieved, 1):
             if doc_id in relevant:
                 hits += 1
                 precision_sum += hits / rank
@@ -189,16 +184,11 @@ def mean_average_precision(runs, qrels):
 
 
 def recall_at_k(runs, qrels, k):
-    """Macro average of |relevant in top-k| / |relevant|."""
+    """Macro average of |relevant in top-k| / |relevant| over queries with relevant ids."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    values = []
-    for qid in sorted(qrels):
-        relevant = set(qrels[qid])
-        if not relevant:
-            continue
-        top = set(_retrieved(runs, qid)[:k])
-        values.append(len(top & relevant) / len(relevant))
+    values = [len(relevant.intersection(retrieved[:k])) / len(relevant)
+              for _, retrieved, relevant in _judged(runs, qrels) if relevant]
     return sum(values) / len(values) if values else 0.0
 
 

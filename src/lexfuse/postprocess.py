@@ -124,7 +124,7 @@ def _cutoff(runs, h, l, p):
             count += 1
         if count < l:
             count = min(l, len(entries))
-        out[qid] = ScoredList(qid, list(entries[:count]))
+        out[qid] = ScoredList(qid, entries[:count])
     return out
 
 
@@ -223,12 +223,15 @@ def write_tuning_report(table, path):
             fh.write("\t".join(cells) + "\n")
 
 
-def tune_threshold_by_proportion(runs, p_values, target_fraction, tolerance=0.02):
+_RATE_TOLERANCE = 0.02  # how far from the target a multi-answer rate may be and still match
+
+
+def tune_threshold_by_proportion(runs, p_values, target_fraction):
     """Pick the statute-retrieval threshold p matching a multi-answer rate.
 
     For each candidate p, measure the fraction of queries returning two
     or more articles after the threshold cutoff. Among values within
-    ``tolerance`` of ``target_fraction`` the largest p wins; if none
+    ``_RATE_TOLERANCE`` of ``target_fraction`` the largest p wins; if none
     qualify, the closest (largest on ties) is returned; ``runs`` must not be empty.
     """
     measured = []
@@ -236,7 +239,7 @@ def tune_threshold_by_proportion(runs, p_values, target_fraction, tolerance=0.02
         cut = threshold_cutoff(runs, p)
         frac = sum(1 for s in cut.values() if len(s) >= 2) / len(cut)
         measured.append((p, frac))
-    within = [(p, frac) for p, frac in measured if abs(frac - target_fraction) <= tolerance]
+    within = [(p, frac) for p, frac in measured if abs(frac - target_fraction) <= _RATE_TOLERANCE]
     if within:
         return max(within)[0]
     return min(measured, key=lambda pf: (abs(pf[1] - target_fraction), -pf[0]))[0]

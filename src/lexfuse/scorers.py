@@ -126,7 +126,7 @@ def top_k(scored, k):
     """Prefix of length min(k, len); k must be non-negative. A limited read keeps ties past k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return ScoredList(query_id=scored.query_id, entries=list(scored.entries[:k]))
+    return ScoredList(query_id=scored.query_id, entries=scored.entries[:k])
 
 
 # -- score dumps -------------------------------------------------------------

@@ -7,13 +7,14 @@ run; these checks fail first, at tier-1 speed. perfbench is only read here.
 import importlib
 import inspect
 import json
+import math
 import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from lexfuse import cli, features, indexing, ltr, postprocess, scorers
+from lexfuse import cli, evaluation, features, indexing, ltr, postprocess, scorers
 from lexfuse.evaluation import ScoredList
 from lexfuse.ingest import CleanDocument
 
@@ -110,21 +111,29 @@ def test_the_dump_counters_find_top_k_and_write_score_dump(monkeypatch, tmp_path
     assert tracer.counters == {"scorers.dump_rows": 3, "scorers.top_k_rows": 1}
 
 
-def test_features_reads_each_source_through_the_wrapped_names(monkeypatch, tmp_path):
-    # features.external_load.s times ExternalScoreFile.load once per external file,
-    # and scorers.dump_use_ratio counts what top_k keeps of every lexical list.
+def tiny_chain(tmp_path, commands, **overrides):
+    """Run ``commands`` in-process on a 4-query synthetic chain under ``tmp_path``;
+    returns its config file and the settings written there."""
     synth_dir = tmp_path / "synth"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
+    settings = {
         "synth_dir": str(synth_dir), "synth_num_queries": 4, "synth_num_candidates": 40,
         "corpus_dir": str(synth_dir / "corpus"),
         "queries_file": str(synth_dir / "queries.json"),
         "qrels_file": str(synth_dir / "qrels.json"),
         "external_scores": {name: str(synth_dir / f"external_{name}.tsv")
                             for name in ("SAILER", "DELTA")},
-        "work_dir": str(tmp_path / "work"), "rerank_depth": 10}))
-    for command in ("synth", "ingest", "index", "score"):
+        "work_dir": str(tmp_path / "work"), "rerank_depth": 10, **overrides}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    for command in commands:
         assert cli.main([command, "--config", str(config)]) == 0, command
+    return config, settings
+
+
+def test_features_reads_each_source_through_the_wrapped_names(monkeypatch, tmp_path):
+    # features.external_load.s times ExternalScoreFile.load once per external file,
+    # and scorers.dump_use_ratio counts what top_k keeps of every lexical list.
+    config, _ = tiny_chain(tmp_path, ("synth", "ingest", "index", "score"))
     loads, kept = [], []
     load, top_k = vars(features.ExternalScoreFile)["load"].__func__, scorers.top_k
     monkeypatch.setattr(features.ExternalScoreFile, "load", classmethod(
@@ -137,6 +146,43 @@ def test_features_reads_each_source_through_the_wrapped_names(monkeypatch, tmp_p
         dump = (tmp_path / "work" / f"scores_{name}.tsv").read_text().splitlines()
         lists += len({line.split("\t")[0] for line in dump})
     assert lists == 3 * 4 and len(kept) == lists
+
+
+def test_tune_and_eval_call_each_wrapped_evaluation_name(monkeypatch, tmp_path):
+    # evaluation.metric.s/.calls time the metric calls of tune and eval, and
+    # evaluation.report.s the five calls eval makes: one walk per call, none shared.
+    layers = perfbench_module(monkeypatch, "layers")
+    grid = {"grid_p": [0.0, 0.5], "grid_h": [4, 6], "grid_l": [0], "grid_t": [1],
+            "grid_s": [0, 1]}
+    config, settings = tiny_chain(
+        tmp_path, ("synth", "ingest", "index", "score", "features", "train", "rerank"),
+        ltr_num_trees=3, ltr_max_leaves=2, ltr_min_samples_leaf=1, **grid)
+    calls, recorders = [], {}
+
+    def recorder(attr, fn):
+        def record(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+        return record
+
+    for name in layers._REPORT_FNS:
+        attr = name.split(".")[1]
+        fn = getattr(evaluation, attr)
+        recorders[fn] = recorder(attr, fn)
+        monkeypatch.setattr(evaluation, attr, recorders[fn])
+    monkeypatch.setattr(postprocess, "_METRICS", {
+        key: recorders[fn] for key, fn in postprocess._METRICS.items()})
+    points = math.prod(map(len, grid.values()))  # every l is at most every h
+    for metric, fn_name in (("micro_f1", "micro_prf1"), ("macro_f2", "macro_prf2")):
+        config.write_text(json.dumps(dict(settings, metric=metric)))
+        assert cli.main(["tune", "--config", str(config)]) == 0
+        assert calls == [fn_name] * points
+        calls.clear()
+        assert cli.main(["postprocess", "--config", str(config)]) == 0
+        assert cli.main(["eval", "--config", str(config)]) == 0
+        assert sorted(calls) == sorted([fn_name, "mean_average_precision", *["recall_at_k"] * 3,
+                                        "write_report"])
+        calls.clear()
 
 
 def test_train_takes_the_table_first():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -903,6 +904,26 @@ class TestErrors:
         cfg = write_config(tmp_path / "cfg.json", task="weird")
         assert run("ingest", cfg) == 1
 
+    @pytest.mark.parametrize("task, searched", [("case", "clean.jsonl"),
+                                                ("statute", "queries.jsonl")])
+    def test_query_id_without_a_document_names_the_queries_file_and_the_searched_file(
+            self, tmp_path, capsys, task, searched):
+        if task == "case":
+            cfg = tiny_chain_config(tmp_path)
+            assert run("synth", cfg) == 0
+        else:
+            cfg, _ = statute_chain_config(tmp_path)
+        assert run("ingest", cfg) == 0
+        settings = json.loads(Path(cfg).read_text())
+        queries_file = tmp_path / "queries_with_a_blank.json"
+        ids = json.loads(Path(settings["queries_file"]).read_text())
+        queries_file.write_text(json.dumps(["", *ids]))
+        cfg = write_config(Path(cfg), **dict(settings, queries_file=str(queries_file)))
+        capsys.readouterr()
+        assert run("score", cfg) == 2
+        assert (f"data error: {queries_file}: no document in {tmp_path / 'work' / searched} "
+                "for query ids ['']") in capsys.readouterr().err
+
 
 # A value of the wrong type for every config key.
 WRONG_TYPE = {
@@ -1272,6 +1293,79 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert "features.tsv" in err and "ltr_validation_fraction 0.999" in err
         assert "4 of the 4 queries" in err
+
+
+# Replacement tokens: not a number, an overflowing float, an integer past float
+# precision, an empty string, a tab, a byte that is not UTF-8 and a JSON string
+# holding a lone surrogate.
+ODD_TOKENS = (b"nan", b"1e999", b"1" * 30, b'""', b"\t", b"\xff", b'"\\ud800"')
+# Each user input the mutations edit, and the first stage that reads it.
+FIRST_READER = {"queries.json": "score", "qrels.json": "features", "splits.json": "train",
+                "external_SAILER.tsv": "features"}
+STAGES = ("ingest", "index", "score", "features", "train", "rerank", "tune", "postprocess",
+          "eval")
+
+
+def reshaped(rng, value):
+    """``value`` with one list made an object, or one of its ids made an integer."""
+    if isinstance(value, dict):
+        key = rng.choice(sorted(value))
+        value[key] = reshaped(rng, value[key])
+    elif not value or rng.random() < 0.5:
+        value = {str(i): item for i, item in enumerate(value)}
+    else:
+        value[rng.randrange(len(value))] = rng.randrange(1000)
+    return value
+
+
+def mutated(rng, data, json_file):
+    """``data`` with one line dropped, repeated or swapped, one token replaced by an
+    odd one or, in a JSON file, one list or id of another shape."""
+    lines = data.splitlines(keepends=True)
+    kind = rng.choice(("drop", "repeat", "swap", "token") + (("shape",) if json_file else ()))
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "token":
+        token = rng.choice(list(re.finditer(rb'"[^"\n]*"|[^\s\[\]{},:"]+', data)))
+        return data[:token.start()] + rng.choice(ODD_TOKENS) + data[token.end():]
+    else:
+        return json.dumps(reshaped(rng, json.loads(data)), indent=1).encode()
+    return b"".join(lines)
+
+
+class TestMutatedUserInputs:
+    def test_no_stage_crashes(self, tmp_path, capsys):
+        # Every stage from the first reader of a mutated input through eval exits 0,
+        # or exits 2 naming a file; none exits 3.
+        cfg = tiny_chain_config(tmp_path, splits_file=str(tmp_path / "synth" / "splits.json"),
+                                grid_p=[0.0, 0.5], grid_h=[4], grid_l=[0], grid_t=[1],
+                                grid_s=[0, 1])
+        synth_dir, work = tmp_path / "synth", tmp_path / "work"
+        assert run("synth", cfg) == 0
+        snapshots = {}
+        for stage in STAGES:
+            if stage in FIRST_READER.values():
+                snapshots[stage] = tmp_path / f"before_{stage}"
+                shutil.copytree(work, snapshots[stage])
+            assert run(stage, cfg) == 0, stage
+        rng = random.Random(16)
+        for trial in range(96):
+            name = sorted(FIRST_READER)[trial % len(FIRST_READER)]
+            original = (synth_dir / name).read_bytes()
+            (synth_dir / name).write_bytes(mutated(rng, original, name.endswith(".json")))
+            shutil.rmtree(work)
+            shutil.copytree(snapshots[FIRST_READER[name]], work)
+            for stage in STAGES[STAGES.index(FIRST_READER[name]):]:
+                capsys.readouterr()
+                code = run(stage, cfg)
+                err = capsys.readouterr().err
+                assert code == 0 or (code == 2 and str(tmp_path) in err), (trial, name, stage, err)
+            (synth_dir / name).write_bytes(original)
 
 
 class TestLibraryDefaults:

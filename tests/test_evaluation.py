@@ -9,6 +9,7 @@ import pytest
 import lexfuse
 from lexfuse import cli
 from lexfuse.evaluation import (
+    MetricReport,
     ScoredList,
     SettingError,
     load_qrels,
@@ -168,6 +169,136 @@ class TestRecallAtK:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             recall_at_k({}, {}, 0)
+
+
+
+# -- reference: the four metrics as they were written before they shared one walk --
+
+def reference_universe(runs, qrels):
+    return sorted(set(runs) | set(qrels))
+
+
+def reference_retrieved(runs, qid):
+    slist = runs.get(qid)
+    return [] if slist is None else slist.doc_ids()
+
+
+def reference_micro_prf1(runs, qrels):
+    tp = fp = fn = 0
+    per_query = {}
+    for qid in reference_universe(runs, qrels):
+        retrieved = set(reference_retrieved(runs, qid))
+        relevant = set(qrels.get(qid, ()))
+        q_tp = len(retrieved & relevant)
+        q_fp = len(retrieved - relevant)
+        q_fn = len(relevant - retrieved)
+        tp += q_tp
+        fp += q_fp
+        fn += q_fn
+        per_query[qid] = {"tp": q_tp, "fp": q_fp, "fn": q_fn}
+    flags = []
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    if not tp + fp:
+        flags.append("precision")
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if not tp + fn:
+        flags.append("recall")
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    if not precision + recall:
+        flags.append("f_measure")
+    return MetricReport(
+        precision=precision, recall=recall, f_measure=f1,
+        per_query=per_query, tp=tp, fp=fp, fn=fn, zero_division=tuple(flags),
+    )
+
+
+def reference_macro_prf2(runs, qrels):
+    precisions = []
+    recalls = []
+    per_query = {}
+    for qid in reference_universe(runs, qrels):
+        retrieved = reference_retrieved(runs, qid)
+        relevant = set(qrels.get(qid, ()))
+        correct = len(set(retrieved) & relevant)
+        q_p = correct / len(retrieved) if retrieved else 0.0
+        q_r = correct / len(relevant) if relevant else 0.0
+        precisions.append(q_p)
+        recalls.append(q_r)
+        per_query[qid] = {"precision": q_p, "recall": q_r}
+    flags = []
+    if precisions:
+        precision = sum(precisions) / len(precisions)
+        recall = sum(recalls) / len(recalls)
+    else:
+        precision = recall = 0.0
+        flags.extend(["precision", "recall"])
+    denom = 4 * precision + recall
+    f2 = 5 * precision * recall / denom if denom else 0.0
+    if not denom:
+        flags.append("f_measure")
+    return MetricReport(
+        precision=precision, recall=recall, f_measure=f2,
+        per_query=per_query, zero_division=tuple(flags),
+    )
+
+
+def reference_mean_average_precision(runs, qrels):
+    ap_values = []
+    for qid in sorted(qrels):
+        relevant = set(qrels[qid])
+        if not relevant:
+            continue
+        hits = 0
+        precision_sum = 0.0
+        for rank, doc_id in enumerate(reference_retrieved(runs, qid), 1):
+            if doc_id in relevant:
+                hits += 1
+                precision_sum += hits / rank
+        ap_values.append(precision_sum / len(relevant))
+    return sum(ap_values) / len(ap_values) if ap_values else 0.0
+
+
+def reference_recall_at_k(runs, qrels, k):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    values = []
+    for qid in sorted(qrels):
+        relevant = set(qrels[qid])
+        if not relevant:
+            continue
+        top = set(reference_retrieved(runs, qid)[:k])
+        values.append(len(top & relevant) / len(relevant))
+    return sum(values) / len(values) if values else 0.0
+
+
+def random_judgements(rng):
+    """Seeded runs and qrels: distinct ids per list, empty runs and relevant lists, and
+    queries that only the runs or only the qrels hold."""
+    docs = [f"d{i:02d}" for i in range(rng.randrange(1, 60))]
+    runs, qrels = {}, {}
+    for i in range(rng.randrange(0, 12)):
+        qid = f"q{rng.randrange(100):02d}"
+        where = rng.choice(("both", "both", "runs", "qrels"))
+        if where != "qrels":
+            ranked = rng.sample(docs, rng.randrange(0, min(len(docs), 45) + 1))
+            runs[qid] = ScoredList(qid, [(d, float(len(ranked) - r)) for r, d in enumerate(ranked)])
+        if where != "runs":
+            qrels[qid] = set(rng.sample(docs, rng.randrange(0, min(len(docs), 8) + 1)))
+    return runs, qrels
+
+
+class TestMetricsMatchReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_field_equals_the_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            runs, qrels = random_judgements(rng)
+            assert micro_prf1(runs, qrels) == reference_micro_prf1(runs, qrels)
+            assert macro_prf2(runs, qrels) == reference_macro_prf2(runs, qrels)
+            assert (mean_average_precision(runs, qrels)
+                    == reference_mean_average_precision(runs, qrels))
+            for k in range(1, 41):
+                assert recall_at_k(runs, qrels, k) == reference_recall_at_k(runs, qrels, k)
 
 
 def test_only_the_two_error_classes_are_defined():
